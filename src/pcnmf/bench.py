@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._config import reject_unknown_keys
 from .matrices import FactorPair, MaskedMatrix
 from .simulate import ScenarioConfig, generate_scenario
 from .solver import NumericFailureError, SolverConfig, infer_activations, solve, weighted_fit
@@ -71,11 +72,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        reject_unknown_keys(cls, d)
         d = dict(d)
         if "scenario" in d:
             d["scenario"] = ScenarioConfig.from_dict(d["scenario"])
         if "solver" in d:
-            d["solver"] = SolverConfig(**d["solver"])
+            d["solver"] = SolverConfig.from_dict(d["solver"])
         if "sweep" in d and d["sweep"] is not None:
             d["sweep"] = tuple((p, tuple(v)) for p, v in d["sweep"])
         elif d.get("sweep") is None:

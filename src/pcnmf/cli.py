@@ -14,16 +14,21 @@ from .simulate import ScenarioConfig, generate_scenario, save_scenario
 from .solver import SolverConfig, solve
 
 
-def _load_json(path):
+def _load_config(path) -> dict:
+    if path is None:
+        return {}
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    return config
 
 
 def _cmd_simulate(args) -> int:
-    overrides = _load_json(args.config) if args.config else {}
+    overrides = _load_config(args.config)
     if args.seed is not None:
         overrides["seed"] = args.seed
-    cfg = ScenarioConfig(**{**ScenarioConfig().to_dict(), **overrides})
+    cfg = ScenarioConfig.from_dict(overrides)
     truth = generate_scenario(cfg)
     save_scenario(truth, cfg, args.out)
     print(f"scenario written to {args.out}")
@@ -31,10 +36,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    overrides = _load_json(args.config) if args.config else {}
+    overrides = _load_config(args.config)
     if args.seed is not None:
         overrides["init_seed"] = args.seed
-    cfg = SolverConfig(**overrides)
+    cfg = SolverConfig.from_dict(overrides)
     observed = load_masked_csv(args.observed)
     pair, trace = solve(observed, cfg)
 
@@ -61,8 +66,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    cfg_dict = _load_json(args.config) if args.config else {}
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+    cfg = ExperimentConfig.from_dict(_load_config(args.config))
     if args.seed is not None:
         cfg = replace(cfg, scenario=replace(cfg.scenario, seed=args.seed))
     if args.trials is not None:

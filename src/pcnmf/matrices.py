@@ -172,26 +172,51 @@ def save_masked_csv(s: MaskedMatrix, path) -> None:
                 writer.writerow([r, t, _fmt(s.values[r, t]), int(s.mask[r, t])])
 
 
+# One long-format masked-matrix record, as written by save_masked_csv.
+_CELL = np.dtype([("r", np.int64), ("t", np.int64),
+                  ("value", np.float64), ("observed", np.float64)])
+
+
 def load_masked_csv(path) -> MaskedMatrix:
-    """Read a MaskedMatrix written by save_masked_csv."""
-    rows: list[tuple[int, int, float, float]] = []
+    """Read a MaskedMatrix written by save_masked_csv.
+
+    The file must hold every (r, t) cell of its grid exactly once; a
+    missing, duplicate or negative cell raises ValueError naming it.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != ["r", "t", "value", "observed"]:
             raise ValueError(f"unexpected header {header!r}")
-        for rec in reader:
-            rows.append((int(rec[0]), int(rec[1]), float(rec[2]), float(rec[3])))
-    if not rows:
+        try:
+            table = np.fromiter(
+                ((int(r), int(t), float(v), float(w)) for r, t, v, w in reader),
+                dtype=_CELL,
+            )
+        except ValueError as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from exc
+    if not table.size:
         raise ValueError("empty masked-matrix file")
-    n_rows = max(r for r, _, _, _ in rows) + 1
-    n_cols = max(t for _, t, _, _ in rows) + 1
-    values = np.zeros((n_rows, n_cols))
-    mask = np.zeros((n_rows, n_cols))
-    for r, t, v, w in rows:
-        values[r, t] = v
-        mask[r, t] = w
-    return MaskedMatrix(values, mask)
+    r, t = table["r"], table["t"]
+    negative = np.flatnonzero((r < 0) | (t < 0))
+    if negative.size:
+        i = negative[0]
+        raise ValueError(f"negative cell (r={r[i]}, t={t[i]})")
+    n_rows, n_cols = int(r.max()) + 1, int(t.max()) + 1
+    flat = r * n_cols + t
+    counts = np.bincount(flat, minlength=n_rows * n_cols)
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        kind = "missing" if counts[bad[0]] == 0 else "duplicate"
+        bad_r, bad_t = divmod(int(bad[0]), n_cols)
+        raise ValueError(
+            f"incomplete {n_rows}x{n_cols} grid: {kind} cell (r={bad_r}, t={bad_t})"
+        )
+    values = np.zeros(n_rows * n_cols)
+    mask = np.zeros(n_rows * n_cols)
+    values[flat] = table["value"]
+    mask[flat] = table["observed"]
+    return MaskedMatrix(values.reshape(n_rows, n_cols), mask.reshape(n_rows, n_cols))
 
 
 def save_dense_csv(matrix: np.ndarray, path) -> None:

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._config import reject_unknown_keys
 from .matrices import MaskedMatrix, save_dense_csv, save_masked_csv
 
 # substream tags
@@ -84,6 +85,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
+        reject_unknown_keys(cls, d)
         return cls(**d)
 
 

@@ -16,15 +16,44 @@ With beta = 0 and a full mask the updates coincide, in exact arithmetic and
 elementwise in floating point, with the classical Euclidean multiplicative
 NMF rules; the weighted variant handles missing entries by masking both the
 data and the current reconstruction.
+
+One MM kernel. Every formula of the iteration is written once, in the
+private helpers below; `solve`, `infer_activations` and the public step
+functions (`compute_reweights`, `update_activations`, `update_gains`,
+`rescale`, `surrogate_per_slot`) all call them. With G the gains, P the
+activations and W the mask, one `solve` iteration computes six products:
+
+    G^T (W ⊙ S), G^T (W ⊙ G P)                expansion around P
+    G P_new                                    fit_after_p, gains denominator
+    (W ⊙ S) P_new^T, (W ⊙ G P_new) P_new^T     gains update
+    G P after the rescale                      the new state
+
+`infer_activations` freezes the gains, so it computes G^T (W ⊙ S) once
+before its loop and two products per iteration: G^T (W ⊙ G P) and G P.
+The state at the end of an iteration (W ⊙ G P, the squared residual and
+d^2 = diff(P)^2) is carried into the next one: W ⊙ G P feeds the next
+curvature, the squared residual the surrogate's slot fit, and d^2 both the
+reported penalty and the next reweights, which stay a plain array inside
+the loop. surrogate_before/after, fit_after_p and fit are derived from
+these shared products in the same operation order as the step functions,
+so the loops and the public functions agree bit for bit.
+
+Epsilon enters in two ways. The reweights are 1 / (d^2 + epsilon), with
+epsilon added as-is to a squared difference, while the reported penalty is
+rho(d) = d^2 / (d^2 + epsilon^2). The reweights are the MM weights of the
+log penalty sum log(d^2 + epsilon), not those of rho, so the traced
+objective fit + beta * penalty is not guaranteed to decrease.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from ._config import reject_unknown_keys
 from .matrices import FactorPair, MaskedMatrix, ReweightMatrix, ShapeMismatchError
 
 # Activations are floored here after every update: the diagonal majorizer
@@ -81,6 +110,11 @@ class SolverConfig:
             raise ValueError("rel_tol must be >= 0")
         if self.guard <= 0:
             raise ValueError("guard must be > 0")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SolverConfig":
+        reject_unknown_keys(cls, d)
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -147,16 +181,155 @@ def _check_compatible(s: MaskedMatrix, gains: np.ndarray, acts: np.ndarray) -> N
         )
 
 
-def _weighted_fit(values: np.ndarray, mask: np.ndarray,
-                  gains: np.ndarray, acts: np.ndarray) -> float:
-    resid = mask * (values - gains @ acts)
-    return 0.5 * float(np.sum(resid * resid))
+# ------------------------------------------------------------------ MM kernel
 
+def _masked_fit(values, mask, gains, acts):
+    """(W ⊙ G P, squared residual, weighted fit) at one (gains, acts) state."""
+    wgp = mask * (gains @ acts)
+    # values is already zero where the mask is, so values - W ⊙ GP equals
+    # W ⊙ (values - GP) up to the sign of a zero, which squaring removes.
+    resid = values - wgp
+    sq_resid = resid * resid
+    return wgp, sq_resid, 0.5 * float(sq_resid.sum())
+
+
+def _transitions(acts: np.ndarray) -> np.ndarray:
+    """Squared consecutive differences d^2 along time, K x (T-1)."""
+    return np.square(np.diff(acts, axis=1))
+
+
+def _penalty(d2: np.ndarray, epsilon: float) -> float:
+    return float((d2 / (d2 + epsilon * epsilon)).sum())
+
+
+def _reweights(d2: np.ndarray, epsilon: float) -> np.ndarray:
+    """K x (T+1) transition weights 1 / (d^2 + epsilon), zero boundary columns."""
+    k, n = d2.shape
+    weights = np.zeros((k, n + 2))
+    weights[:, 1:-1] = 1.0 / (d2 + epsilon)
+    return weights
+
+
+def _state(values, mask, gains, acts, epsilon):
+    """Everything the next iteration reuses from one (gains, acts) state.
+
+    Returns (W ⊙ G P, squared residual, fit, d^2, penalty).
+    """
+    wgp, sq_resid, fit = _masked_fit(values, mask, gains, acts)
+    d2 = _transitions(acts)
+    return wgp, sq_resid, fit, d2, _penalty(d2, epsilon)
+
+
+def _shift_right(acts: np.ndarray) -> np.ndarray:
+    # left neighbors: column t holds acts[:, t-1], column 0 zero-filled
+    out = np.zeros_like(acts)
+    out[:, 1:] = acts[:, :-1]
+    return out
+
+
+def _shift_left(acts: np.ndarray) -> np.ndarray:
+    # right neighbors: column t holds acts[:, t+1], last column zero-filled
+    out = np.zeros_like(acts)
+    out[:, :-1] = acts[:, 1:]
+    return out
+
+
+class _Expansion(NamedTuple):
+    """The per-slot quadratic surrogate around activations p, frozen gains G."""
+
+    p: np.ndarray        # expansion point, K x T
+    data: np.ndarray     # G^T (W ⊙ S)
+    curv: np.ndarray     # G^T (W ⊙ G p)
+    weights: np.ndarray  # K x (T+1) transition reweights
+    left: np.ndarray     # left neighbors of p (0 at the first slot)
+    right: np.ndarray    # right neighbors of p (0 at the last slot)
+
+
+def _expansion(p, data, curv, weights) -> _Expansion:
+    return _Expansion(p, data, curv, weights, _shift_right(p), _shift_left(p))
+
+
+def _activation_step(ex: _Expansion, beta: float, guard: float):
+    """One reweighted activation sweep; returns (new acts, clamp count).
+
+    Closed-form minimizer of the per-slot quadratic surrogate, written with
+    numerator and denominator both multiplied by the current activation so
+    no division by the iterate is needed:
+
+        new = (data + 2*beta*(yl*left + yr*right)) * p
+              -----------------------------------------
+              curv + 2*beta*(yl + yr) * p
+
+    with data = gains^T(w ⊙ s) and curv = gains^T(w ⊙ gains p). At beta = 0
+    this is exactly p * data / curv, the multiplicative Euclidean update.
+    """
+    t = ex.p.shape[1]
+    yl = ex.weights[:, :t]
+    yr = ex.weights[:, 1:]
+    two_beta = 2.0 * beta
+    pen_num = two_beta * (yl * ex.left + yr * ex.right)
+    num = (ex.data + pen_num) * ex.p
+    den = ex.curv + two_beta * (yl + yr) * ex.p
+    low = den < guard
+    clamped = int(np.count_nonzero(low))
+    if clamped:
+        den = np.maximum(den, guard)
+    return np.maximum(num / den, ACTIVATION_FLOOR), clamped
+
+
+def _surrogates(ex: _Expansion, sq_resid: np.ndarray, beta: float,
+                *p_news: np.ndarray) -> list[np.ndarray]:
+    """Per-slot penalized surrogate at each of p_news, expanded around ex.p.
+
+    sq_resid is the squared masked residual at ex.p. Second-order expansion
+    of the slot fit with the diagonal curvature curv/p, plus the reweighted
+    quadratic transition terms toward the slot's frozen neighbors.
+    """
+    t = ex.p.shape[1]
+    c_ref = 0.5 * sq_resid.sum(axis=0)
+    grad = ex.curv - ex.data
+    curvature = ex.curv / ex.p
+    yl = ex.weights[:, :t]
+    yr = ex.weights[:, 1:]
+    out = []
+    for p_new in p_news:
+        d = p_new - ex.p
+        quad = c_ref + (d * grad).sum(axis=0) + 0.5 * (curvature * d * d).sum(axis=0)
+        left = yl * np.square(p_new - ex.left)
+        right = yr * np.square(ex.right - p_new)
+        out.append(quad + beta * (left + right).sum(axis=0))
+    return out
+
+
+def _gains_step(values, wgp, gains, acts, guard):
+    """gains * ((W ⊙ S) P^T) / ((W ⊙ G P) P^T + guard), wgp = W ⊙ G P."""
+    num = values @ acts.T
+    den = wgp @ acts.T + guard
+    return gains * num / den
+
+
+def _rescale(gains, acts, rng=None):
+    """Unit-norm gains columns, with the column scale moved into acts.
+
+    A zero-norm column raises DegenerateFactorError, unless rng is given:
+    then the column is redrawn in place from the init distribution first.
+    """
+    norms = np.linalg.norm(gains, axis=0)
+    dead = np.flatnonzero(norms == 0)
+    if dead.size:
+        if rng is None:
+            raise DegenerateFactorError(f"gains columns {dead.tolist()} have zero norm")
+        gains[:, dead] = rng.uniform(0.1, 1.1, size=(gains.shape[0], dead.size))
+        norms = np.linalg.norm(gains, axis=0)
+    return gains / norms, acts * norms[:, None]
+
+
+# ------------------------------------------------------- public step functions
 
 def weighted_fit(s: MaskedMatrix, pair: FactorPair) -> float:
     """Half the mask-weighted squared reconstruction error."""
     _check_compatible(s, pair.gains, pair.activations)
-    return _weighted_fit(s.values, s.mask, pair.gains, pair.activations)
+    return _masked_fit(s.values, s.mask, pair.gains, pair.activations)[2]
 
 
 def penalty_smoothed(activations: np.ndarray, epsilon: float) -> float:
@@ -167,11 +340,7 @@ def penalty_smoothed(activations: np.ndarray, epsilon: float) -> float:
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
-    acts = np.asarray(activations, dtype=np.float64)
-    if acts.shape[1] < 2:
-        return 0.0
-    d2 = np.square(np.diff(acts, axis=1))
-    return float(np.sum(d2 / (d2 + epsilon * epsilon)))
+    return _penalty(_transitions(np.asarray(activations, dtype=np.float64)), epsilon)
 
 
 def objective(s: MaskedMatrix, pair: FactorPair, cfg: SolverConfig) -> float:
@@ -195,59 +364,19 @@ def compute_reweights(p_prev: np.ndarray, epsilon: float) -> ReweightMatrix:
 
     Interior column t (1..T-1) is 1 / ((p[:,t] - p[:,t-1])^2 + epsilon);
     columns 0 and T are zero so boundary slots have no phantom neighbor.
+    Note epsilon is added as-is here but squared in penalty_smoothed.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     acts = np.asarray(p_prev, dtype=np.float64)
-    k, t = acts.shape
-    weights = np.zeros((k, t + 1))
-    if t >= 2:
-        weights[:, 1:t] = 1.0 / (np.square(np.diff(acts, axis=1)) + epsilon)
-    return ReweightMatrix(weights)
+    return ReweightMatrix(_reweights(_transitions(acts), epsilon))
 
 
-def _shift_right(acts: np.ndarray) -> np.ndarray:
-    # left neighbors: column t holds acts[:, t-1], column 0 zero-filled
-    out = np.zeros_like(acts)
-    out[:, 1:] = acts[:, :-1]
-    return out
-
-
-def _shift_left(acts: np.ndarray) -> np.ndarray:
-    # right neighbors: column t holds acts[:, t+1], last column zero-filled
-    out = np.zeros_like(acts)
-    out[:, :-1] = acts[:, 1:]
-    return out
-
-
-def _activation_step(values, mask, gains, acts, weights, beta, guard):
-    """One reweighted activation sweep; returns (new acts, clamp count).
-
-    Closed-form minimizer of the per-slot quadratic surrogate, written with
-    numerator and denominator both multiplied by the current activation so
-    no division by the iterate is needed:
-
-        new = (data + 2*beta*(yl*left + yr*right)) * p
-              -----------------------------------------
-              curv + 2*beta*(yl + yr) * p
-
-    with data = gains^T(w ⊙ s) and curv = gains^T(w ⊙ gains p). At beta = 0
-    this is exactly p * data / curv, the multiplicative Euclidean update.
-    """
-    t = acts.shape[1]
-    data = gains.T @ values
-    curv = gains.T @ (mask * (gains @ acts))
-    yl = weights[:, :t]
-    yr = weights[:, 1:]
-    two_beta = 2.0 * beta
-    pen_num = two_beta * (yl * _shift_right(acts) + yr * _shift_left(acts))
-    num = (data + pen_num) * acts
-    den = curv + two_beta * (yl + yr) * acts
-    low = den < guard
-    clamped = int(np.count_nonzero(low))
-    if clamped:
-        den = np.maximum(den, guard)
-    return np.maximum(num / den, ACTIVATION_FLOOR), clamped
+def _expand_at(s: MaskedMatrix, gains: np.ndarray, p: np.ndarray,
+               y: ReweightMatrix) -> tuple[_Expansion, np.ndarray]:
+    # Expansion and squared residual at p, for the public step functions.
+    wgp, sq_resid, _ = _masked_fit(s.values, s.mask, gains, p)
+    return _expansion(p, gains.T @ s.values, gains.T @ wgp, y.weights), sq_resid
 
 
 def update_activations(s: MaskedMatrix, gains: np.ndarray, p_i: np.ndarray,
@@ -260,11 +389,8 @@ def update_activations(s: MaskedMatrix, gains: np.ndarray, p_i: np.ndarray,
             f"reweights shape {y.weights.shape} does not match activations "
             f"{acts.shape}"
         )
-    new, _ = _activation_step(
-        s.values, s.mask, np.asarray(gains, dtype=np.float64), acts,
-        y.weights, cfg.beta, cfg.guard,
-    )
-    return new
+    ex, _ = _expand_at(s, np.asarray(gains, dtype=np.float64), acts, y)
+    return _activation_step(ex, cfg.beta, cfg.guard)[0]
 
 
 def update_gains(s: MaskedMatrix, f_i: FactorPair, cfg: SolverConfig) -> np.ndarray:
@@ -277,9 +403,7 @@ def update_gains(s: MaskedMatrix, f_i: FactorPair, cfg: SolverConfig) -> np.ndar
     """
     _check_compatible(s, f_i.gains, f_i.activations)
     gains, acts = f_i.gains, f_i.activations
-    num = s.values @ acts.T
-    den = (s.mask * (gains @ acts)) @ acts.T + cfg.guard
-    return gains * num / den
+    return _gains_step(s.values, s.mask * (gains @ acts), gains, acts, cfg.guard)
 
 
 def rescale(pair: FactorPair) -> FactorPair:
@@ -288,11 +412,7 @@ def rescale(pair: FactorPair) -> FactorPair:
     The reconstruction is unchanged up to rounding. Raises
     DegenerateFactorError for a zero-norm column.
     """
-    norms = np.linalg.norm(pair.gains, axis=0)
-    if (norms == 0).any():
-        dead = np.flatnonzero(norms == 0).tolist()
-        raise DegenerateFactorError(f"gains columns {dead} have zero norm")
-    return FactorPair(pair.gains / norms, pair.activations * norms[:, None])
+    return FactorPair(*_rescale(pair.gains, pair.activations))
 
 
 def surrogate_per_slot(s: MaskedMatrix, gains: np.ndarray, p_new: np.ndarray,
@@ -309,19 +429,11 @@ def surrogate_per_slot(s: MaskedMatrix, gains: np.ndarray, p_new: np.ndarray,
     p_new = np.asarray(p_new, dtype=np.float64)
     p_ref = np.asarray(p_ref, dtype=np.float64)
     _check_compatible(s, gains, p_ref)
-    t = p_ref.shape[1]
-    resid = s.mask * (s.values - gains @ p_ref)
-    c_ref = 0.5 * np.sum(resid * resid, axis=0)
-    grad = gains.T @ (s.mask * (gains @ p_ref)) - gains.T @ s.values
-    curvature = (gains.T @ (s.mask * (gains @ p_ref))) / p_ref
-    d = p_new - p_ref
-    quad = c_ref + np.sum(d * grad, axis=0) + 0.5 * np.sum(curvature * d * d, axis=0)
-    yl = y.weights[:, :t]
-    yr = y.weights[:, 1:]
-    left = yl * np.square(p_new - _shift_right(p_ref))
-    right = yr * np.square(_shift_left(p_ref) - p_new)
-    return quad + beta * np.sum(left + right, axis=0)
+    ex, sq_resid = _expand_at(s, gains, p_ref, y)
+    return _surrogates(ex, sq_resid, beta, p_new)[0]
 
+
+# --------------------------------------------------------------------- loops
 
 def _init_factors(rng: np.random.Generator, n_rows: int, rank: int,
                   n_cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -356,48 +468,29 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
             stacklevel=2,
         )
 
+    values, mask, beta, eps, guard = s.values, s.mask, cfg.beta, cfg.epsilon, cfg.guard
     rng = np.random.default_rng(cfg.init_seed)
     gains, acts = _init_factors(rng, s.n_rows, cfg.rank, s.n_cols)
     trace = SolveTrace(iterates=[] if record_factors else None)
     if record_factors:
         trace.initial = FactorPair(gains, acts)
-    prev_obj = _weighted_fit(s.values, s.mask, gains, acts) + cfg.beta * (
-        penalty_smoothed(acts, cfg.epsilon)
-    )
+    wgp, sq_resid, fit, d2, pen = _state(values, mask, gains, acts, eps)
+    prev_obj = fit + beta * pen
 
     for iteration in range(1, cfg.max_iters + 1):
-        reweights = compute_reweights(acts, cfg.epsilon)
-        surr_before = float(
-            np.sum(surrogate_per_slot(s, gains, acts, acts, reweights, cfg.beta))
-        )
-        acts_new, clamped = _activation_step(
-            s.values, s.mask, gains, acts, reweights.weights, cfg.beta, cfg.guard
-        )
-        surr_after = float(
-            np.sum(surrogate_per_slot(s, gains, acts_new, acts, reweights, cfg.beta))
-        )
-        fit_after_p = _weighted_fit(s.values, s.mask, gains, acts_new)
-
-        num = s.values @ acts_new.T
-        den = (s.mask * (gains @ acts_new)) @ acts_new.T + cfg.guard
-        gains_new = gains * num / den
+        ex = _expansion(acts, gains.T @ values, gains.T @ wgp, _reweights(d2, eps))
+        acts_new, clamped = _activation_step(ex, beta, guard)
+        surr_before, surr_after = _surrogates(ex, sq_resid, beta, acts, acts_new)
+        wgp_new, _, fit_after_p = _masked_fit(values, mask, gains, acts_new)
+        gains_new = _gains_step(values, wgp_new, gains, acts_new, guard)
         _check_finite(iteration, acts_new, gains_new)
 
         # A dead component cannot be renormalized; restart it from the init
         # distribution and let the next iterations repurpose it.
-        norms = np.linalg.norm(gains_new, axis=0)
-        dead = np.flatnonzero(norms == 0)
-        if dead.size:
-            gains_new = gains_new.copy()
-            gains_new[:, dead] = rng.uniform(0.1, 1.1, size=(s.n_rows, dead.size))
-            norms = np.linalg.norm(gains_new, axis=0)
+        gains, acts = _rescale(gains_new, acts_new, rng)
 
-        gains = gains_new / norms
-        acts = acts_new * norms[:, None]
-
-        fit = _weighted_fit(s.values, s.mask, gains, acts)
-        pen = penalty_smoothed(acts, cfg.epsilon)
-        obj = fit + cfg.beta * pen
+        wgp, sq_resid, fit, d2, pen = _state(values, mask, gains, acts, eps)
+        obj = fit + beta * pen
         trace.records.append(
             IterationRecord(
                 iteration=iteration,
@@ -405,8 +498,8 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
                 fit=fit,
                 penalty=pen,
                 objective=obj,
-                surrogate_before=surr_before,
-                surrogate_after=surr_after,
+                surrogate_before=float(surr_before.sum()),
+                surrogate_after=float(surr_after.sum()),
                 clamped=clamped,
             )
         )
@@ -419,7 +512,7 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
                 )
             )
 
-        rel = abs(prev_obj - obj) / max(abs(prev_obj), cfg.guard)
+        rel = abs(prev_obj - obj) / max(abs(prev_obj), guard)
         prev_obj = obj
         if rel < cfg.rel_tol:
             break
@@ -442,31 +535,29 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     if (gains < 0).any():
         raise ValueError("gains must be nonnegative")
 
+    values, mask, beta, eps, guard = s.values, s.mask, cfg.beta, cfg.epsilon, cfg.guard
     rng = np.random.default_rng(cfg.init_seed)
     acts = rng.uniform(0.1, 1.1, size=(gains.shape[1], s.n_cols))
     # Calibrate the starting scale to the observed data. With frozen gains
     # there is no rescaling channel, and once the reweighted penalty
     # saturates it freezes the multiplicative scale adaptation, so an init
     # orders of magnitude off would never recover within the budget.
-    observed = s.mask.sum()
+    observed = mask.sum()
     if observed > 0:
-        rec_mean = float((s.mask * (gains @ acts)).sum() / observed)
+        rec_mean = float((mask * (gains @ acts)).sum() / observed)
         if rec_mean > 0:
-            acts = acts * (float(s.values.sum() / observed) / rec_mean)
+            acts = acts * (float(values.sum() / observed) / rec_mean)
             acts = np.maximum(acts, ACTIVATION_FLOOR)
-    prev_obj = _weighted_fit(s.values, s.mask, gains, acts) + cfg.beta * (
-        penalty_smoothed(acts, cfg.epsilon)
-    )
+    data = gains.T @ values
+    wgp, _, fit, d2, pen = _state(values, mask, gains, acts, eps)
+    prev_obj = fit + beta * pen
     for iteration in range(1, cfg.max_iters + 1):
-        reweights = compute_reweights(acts, cfg.epsilon)
-        acts, _ = _activation_step(
-            s.values, s.mask, gains, acts, reweights.weights, cfg.beta, cfg.guard
-        )
+        ex = _expansion(acts, data, gains.T @ wgp, _reweights(d2, eps))
+        acts, _ = _activation_step(ex, beta, guard)
         _check_finite(iteration, acts)
-        obj = _weighted_fit(s.values, s.mask, gains, acts) + cfg.beta * (
-            penalty_smoothed(acts, cfg.epsilon)
-        )
-        rel = abs(prev_obj - obj) / max(abs(prev_obj), cfg.guard)
+        wgp, _, fit, d2, pen = _state(values, mask, gains, acts, eps)
+        obj = fit + beta * pen
+        rel = abs(prev_obj - obj) / max(abs(prev_obj), guard)
         prev_obj = obj
         if rel < cfg.rel_tol:
             break

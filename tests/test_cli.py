@@ -140,3 +140,29 @@ def test_invalid_config_value_is_hard_error(tmp_path):
     rc = main(["benchmark", "--config", str(cfg_path),
                "--out", str(tmp_path / "x")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("command, config", [
+    ("simulate", {"n_pu": 2, "bogus_key": 1}),
+    ("solve", {"rank": 2, "bogus_key": 1}),
+    ("benchmark", {"trials": 1, "bogus_key": 1}),
+    ("benchmark", {"solver": {"rank": 2, "bogus_key": 1}}),
+    ("benchmark", {"scenario": {"n_pu": 2, "bogus_key": 1}}),
+])
+def test_unknown_config_key_is_named_error(tmp_path, capsys, command, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]
+    if command == "solve":
+        argv.insert(1, str(tmp_path / "observed.csv"))
+    assert main(argv) == 1
+    assert "'bogus_key'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_non_object_config_is_hard_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[1, 2]")
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert "JSON object" in capsys.readouterr().err

@@ -1,0 +1,135 @@
+"""Bit-identity of the shared MM kernel against the reference solver loops.
+
+reference_solver.py keeps the solve/infer_activations loops as they were
+written before the kernel shared its products. Every iterate, trace record,
+stop iteration and inferred activation must be exactly equal.
+"""
+
+import dataclasses
+import warnings
+
+import numpy as np
+import pytest
+
+import reference_solver as ref
+from pcnmf import (
+    FactorPair,
+    MaskedMatrix,
+    NumericFailureError,
+    SolverConfig,
+    compute_reweights,
+    infer_activations,
+    penalty_smoothed,
+    solve,
+    surrogate_per_slot,
+    update_activations,
+    update_gains,
+    weighted_fit,
+)
+
+BETAS = (0.0, 5e-3, 1.0)
+
+
+def masked_instance(seed, n_rows, n_cols, p_obs=0.6, scale=2.0):
+    rng = np.random.default_rng(seed)
+    mask = (rng.random((n_rows, n_cols)) < p_obs).astype(float)
+    return MaskedMatrix(rng.uniform(0.0, scale, (n_rows, n_cols)), mask)
+
+
+def assert_same_solve(s, cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        pair, trace = solve(s, cfg, record_factors=True)
+        pair_ref, trace_ref = ref.solve(s, cfg, record_factors=True)
+    assert trace.iterations == trace_ref.iterations
+    assert np.array_equal(pair.gains, pair_ref.gains)
+    assert np.array_equal(pair.activations, pair_ref.activations)
+    assert np.array_equal(trace.initial.gains, trace_ref.initial.gains)
+    assert np.array_equal(trace.initial.activations, trace_ref.initial.activations)
+    for rec, rec_ref in zip(trace.records, trace_ref.records):
+        for f in dataclasses.fields(rec):
+            assert np.array_equal(getattr(rec, f.name), getattr(rec_ref, f.name)), (
+                f"iteration {rec.iteration}: {f.name}"
+            )
+    for snap, snap_ref in zip(trace.iterates, trace_ref.iterates):
+        assert np.array_equal(snap.activations_updated, snap_ref.activations_updated)
+        assert np.array_equal(snap.gains_updated, snap_ref.gains_updated)
+        assert np.array_equal(snap.pair.gains, snap_ref.pair.gains)
+        assert np.array_equal(snap.pair.activations, snap_ref.pair.activations)
+    return pair, trace
+
+
+@pytest.mark.parametrize("beta", BETAS)
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_and_infer_match_reference(seed, beta):
+    rng = np.random.default_rng(1000 + seed)
+    n_rows = int(rng.integers(2, 13))
+    n_cols = int(rng.integers(2, 60))
+    rank = int(rng.integers(1, 5))
+    s = masked_instance(seed, n_rows, n_cols, p_obs=rng.uniform(0.3, 1.0))
+    cfg = SolverConfig(beta=beta, rank=rank, max_iters=60, rel_tol=0.0,
+                       init_seed=seed)
+    pair, _ = assert_same_solve(s, cfg)
+    assert np.array_equal(infer_activations(s, pair.gains, cfg),
+                          ref.infer_activations(s, pair.gains, cfg))
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_single_slot_matches_reference(beta):
+    s = masked_instance(7, 5, 1, p_obs=1.0)
+    cfg = SolverConfig(beta=beta, rank=2, max_iters=20, rel_tol=0.0)
+    pair, _ = assert_same_solve(s, cfg)
+    assert np.array_equal(infer_activations(s, pair.gains, cfg),
+                          ref.infer_activations(s, pair.gains, cfg))
+
+
+def test_relative_tolerance_stop_matches_reference():
+    s = masked_instance(92, 5, 6, p_obs=1.0)
+    cfg = SolverConfig(beta=5e-3, rank=2, max_iters=5000, rel_tol=1e-6)
+    pair, trace = assert_same_solve(s, cfg)
+    assert trace.iterations < cfg.max_iters
+    assert np.array_equal(infer_activations(s, pair.gains, cfg),
+                          ref.infer_activations(s, pair.gains, cfg))
+
+
+def test_dead_column_restart_matches_reference():
+    s = MaskedMatrix(np.zeros((4, 6)), np.zeros((4, 6)))
+    cfg = SolverConfig(beta=5e-3, rank=2, max_iters=15, rel_tol=0.0)
+    _, trace = assert_same_solve(s, cfg)
+    # the gains update zeroes every column here, so each iteration restarts
+    assert not update_gains(s, trace.initial, cfg).any()
+    assert all(snap.gains_updated.all() for snap in trace.iterates)
+
+
+def test_numeric_failure_iteration_matches_reference():
+    big = np.full((4, 6), 1e308)
+    s = MaskedMatrix(big, np.ones_like(big))
+    cfg = SolverConfig(beta=0.0, rank=2, max_iters=50, rel_tol=0.0)
+    caught = []
+    for fn in (solve, ref.solve):
+        with pytest.raises(NumericFailureError) as err, warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fn(s, cfg)
+        caught.append(err.value.iteration)
+    assert caught[0] == caught[1]
+
+
+@pytest.mark.parametrize("beta", BETAS)
+def test_public_steps_match_reference(beta):
+    for seed in range(5):
+        s = masked_instance(seed + 40, 6, 9)
+        rng = np.random.default_rng(seed)
+        pair = FactorPair(rng.uniform(0.1, 1.5, (6, 3)), rng.uniform(0.1, 1.5, (3, 9)))
+        p_new = rng.uniform(0.1, 1.5, (3, 9))
+        cfg = SolverConfig(beta=beta, rank=3)
+        gains, acts = pair.gains, pair.activations
+        y = compute_reweights(acts, cfg.epsilon)
+        assert np.array_equal(y.weights, ref.compute_reweights(acts, cfg.epsilon).weights)
+        new_ref, _ = ref._activation_step(s.values, s.mask, gains, acts, y.weights,
+                                          beta, cfg.guard)
+        assert np.array_equal(update_activations(s, gains, acts, y, cfg), new_ref)
+        for p in (acts, p_new):
+            assert np.array_equal(surrogate_per_slot(s, gains, p, acts, y, beta),
+                                  ref.surrogate_per_slot(s, gains, p, acts, y, beta))
+        assert weighted_fit(s, pair) == ref._weighted_fit(s.values, s.mask, gains, acts)
+        assert penalty_smoothed(acts, cfg.epsilon) == ref.penalty_smoothed(acts, cfg.epsilon)

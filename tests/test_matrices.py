@@ -169,3 +169,37 @@ def test_dense_csv_round_trip(tmp_path):
     path = tmp_path / "dense.csv"
     save_dense_csv(a, path)
     assert np.array_equal(load_dense_csv(path), a)
+
+
+def _saved_lines(tmp_path):
+    m = MaskedMatrix(np.arange(12.0).reshape(3, 4), np.ones((3, 4)))
+    path = tmp_path / "observed.csv"
+    save_masked_csv(m, path)
+    return path, path.read_text().splitlines()
+
+
+def test_masked_csv_truncated_grid_is_rejected(tmp_path):
+    path, lines = _saved_lines(tmp_path)
+    path.write_text("\n".join(lines[:8]) + "\n")  # header + 7 of 12 cells
+    with pytest.raises(ValueError, match=r"2x4 grid: missing cell \(r=1, t=3\)"):
+        load_masked_csv(path)
+
+
+def test_masked_csv_duplicate_cell_is_rejected(tmp_path):
+    path, lines = _saved_lines(tmp_path)
+    path.write_text("\n".join(lines + [lines[7]]) + "\n")  # cell (1, 2) twice
+    with pytest.raises(ValueError, match=r"duplicate cell \(r=1, t=2\)"):
+        load_masked_csv(path)
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("0,1,0.5", r"line 3: not enough values"),
+    ("0,x,0.5,1", r"line 3: invalid literal"),
+    ("-1,1,0.5,1", r"negative cell \(r=-1, t=1\)"),
+])
+def test_masked_csv_malformed_record_is_rejected(tmp_path, bad_line, message):
+    path, lines = _saved_lines(tmp_path)
+    lines[2] = bad_line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_masked_csv(path)
