@@ -12,7 +12,6 @@ run in any order or in parallel; aggregation sorts by trial index first.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -145,19 +144,67 @@ def transition_count(activations: np.ndarray, threshold: float) -> np.ndarray:
     return (np.abs(np.diff(acts, axis=1)) > threshold).sum(axis=1)
 
 
+def _min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column assigned to each row of a square cost matrix, minimizing the total.
+
+    Hungarian method (Kuhn 1955; Munkres 1957) in its shortest-augmenting-path
+    form with row and column potentials: each row is added by a Dijkstra-like
+    search over reduced costs, vectorized over columns, so the whole
+    assignment is O(K^3). Column ``k`` is a virtual start column.
+    """
+    k = cost.shape[0]
+    u = np.zeros(k)  # row potentials
+    v = np.zeros(k + 1)  # column potentials
+    row_of = np.full(k + 1, k)  # row matched to each column; k = free
+    for i in range(k):
+        row_of[k] = i
+        col = k
+        min_reduced = np.full(k, np.inf)
+        came_from = np.full(k, k)
+        used = np.zeros(k + 1, dtype=bool)
+        while True:
+            used[col] = True
+            row = row_of[col]
+            reduced = cost[row] - u[row] - v[:k]
+            better = ~used[:k] & (reduced < min_reduced)
+            min_reduced[better] = reduced[better]
+            came_from[better] = col
+            candidates = np.where(used[:k], np.inf, min_reduced)
+            col = int(np.argmin(candidates))
+            delta = candidates[col]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            min_reduced[~used[:k]] -= delta
+            if row_of[col] == k:
+                break
+        while col != k:  # augment along the path back to the start column
+            prev = came_from[col]
+            row_of[col] = row_of[prev]
+            col = prev
+    perm = np.empty(k, dtype=np.intp)
+    perm[row_of[:k]] = np.arange(k)
+    return perm
+
+
 def scale_rows_to_reference(estimate: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Best-fit scaling of estimated rows against distinct reference rows.
 
     The factorization recovers activation rows only up to scale and order,
-    so each estimated row is assigned to a distinct reference row (the
-    assignment minimizing the total least-squares residual over all
-    permutations) and multiplied by its optimal nonnegative scale factor.
-    Requires equal row counts.
+    so each estimated row is assigned to a distinct reference row and
+    multiplied by its optimal nonnegative scale factor. The assignment is an
+    exact minimum of the total least-squares residual, found by the Hungarian
+    method in O(K^3) for K rows rather than by trying all K! permutations.
+    When several assignments tie for the minimum, the one returned is not
+    necessarily the lexicographically first, which a K! enumeration would
+    return. Requires equal row counts and finite entries.
     """
     est = np.asarray(estimate, dtype=np.float64)
     ref = np.asarray(reference, dtype=np.float64)
     if est.shape != ref.shape:
         raise ValueError("estimate and reference must have the same shape")
+    for name, arr in (("estimate", est), ("reference", ref)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} has non-finite entries")
     k = est.shape[0]
     norms = np.sum(est * est, axis=1)
     dots = est @ ref.T  # dots[i, j] = <est_i, ref_j>
@@ -165,12 +212,8 @@ def scale_rows_to_reference(estimate: np.ndarray, reference: np.ndarray) -> np.n
     safe = np.where(norms > 0, norms, 1.0)[:, None]
     scales = np.where(norms[:, None] > 0, np.maximum(dots, 0.0) / safe, 0.0)
     cost = ref_norms[None, :] - scales * np.maximum(dots, 0.0)
-    best_perm, best_cost = None, np.inf
-    for perm in itertools.permutations(range(k)):
-        c = sum(cost[i, perm[i]] for i in range(k))
-        if c < best_cost:
-            best_perm, best_cost = perm, c
-    return est * np.array([scales[i, best_perm[i]] for i in range(k)])[:, None]
+    perm = _min_cost_assignment(cost)
+    return est * scales[np.arange(k), perm][:, None]
 
 
 def derive_trial_seeds(master_seed: int, trial_index: int) -> tuple[int, int]:

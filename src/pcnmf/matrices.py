@@ -231,8 +231,19 @@ def save_dense_csv(matrix: np.ndarray, path) -> None:
 
 
 def load_dense_csv(path) -> np.ndarray:
+    """Read a dense matrix written by save_dense_csv.
+
+    Blank lines are skipped; a row whose field count differs from the first
+    row's raises ValueError naming its line.
+    """
     with open(path, newline="") as fh:
-        data = [[float(v) for v in rec] for rec in csv.reader(fh) if rec]
-    if not data:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, [float(v) for v in rec]) for rec in reader if rec]
+    if not rows:
         raise ValueError("empty dense-matrix file")
-    return np.array(data, dtype=np.float64)
+    width = len(rows[0][1])
+    for line, row in rows:
+        if len(row) != width:
+            raise ValueError(f"ragged dense-matrix file: line {line} has "
+                             f"{len(row)} fields, expected {width}")
+    return np.array([row for _, row in rows], dtype=np.float64)

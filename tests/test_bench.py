@@ -1,5 +1,8 @@
 """Harness tests: metrics, trial pipeline, sweep aggregation, CSV round-trips."""
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -106,6 +109,95 @@ def test_scale_rows_recovers_permuted_scaled_reference():
     est = ref[[2, 0, 1]] * np.array([[0.01], [5.0], [117.0]])
     scaled = scale_rows_to_reference(est, ref)
     assert np.allclose(scaled, ref[[2, 0, 1]], rtol=1e-12)
+
+
+def _brute_force_scale_rows(estimate, reference):
+    """The K! enumeration scale_rows_to_reference used to run, kept as the oracle.
+
+    Returns the scaled rows, the optimal total cost, the number of
+    permutations reaching it and the cost matrix.
+    """
+    est = np.asarray(estimate, dtype=np.float64)
+    ref = np.asarray(reference, dtype=np.float64)
+    k = est.shape[0]
+    norms = np.sum(est * est, axis=1)
+    dots = est @ ref.T
+    ref_norms = np.sum(ref * ref, axis=1)
+    safe = np.where(norms > 0, norms, 1.0)[:, None]
+    scales = np.where(norms[:, None] > 0, np.maximum(dots, 0.0) / safe, 0.0)
+    cost = ref_norms[None, :] - scales * np.maximum(dots, 0.0)
+    best_perm, best_cost = None, np.inf
+    for perm in itertools.permutations(range(k)):
+        c = sum(cost[i, perm[i]] for i in range(k))
+        if c < best_cost:
+            best_perm, best_cost = perm, c
+    tol = 1e-12 * max(1.0, float(np.abs(cost).sum()))
+    n_optimal = sum(1 for perm in itertools.permutations(range(k))
+                    if sum(cost[i, perm[i]] for i in range(k)) <= best_cost + tol)
+    scaled = est * np.array([scales[i, best_perm[i]] for i in range(k)])[:, None]
+    return scaled, best_cost, n_optimal, cost
+
+
+def _assignment_total(cost, perm):
+    assert sorted(perm.tolist()) == list(range(cost.shape[0]))
+    return sum(cost[i, perm[i]] for i in range(cost.shape[0]))
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_min_cost_assignment_matches_brute_force(k):
+    rng = np.random.default_rng(100 + k)
+    for trial in range(60):
+        if trial % 3 == 0:  # small integers: many tied optima
+            cost = rng.integers(0, 3, (k, k)).astype(float)
+        else:
+            cost = rng.normal(size=(k, k))
+        best = min((sum(cost[i, p[i]] for i in range(k))
+                    for p in itertools.permutations(range(k))), default=0.0)
+        total = _assignment_total(cost, bench._min_cost_assignment(cost))
+        assert total == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", range(7))
+@pytest.mark.parametrize("case", ["random", "zero_row", "tied"])
+def test_scale_rows_matches_brute_force_oracle(k, case):
+    rng = np.random.default_rng(10 * k + len(case))
+    ref = rng.uniform(0, 3, (k, 30))
+    est = rng.uniform(0, 3, (k, 30))
+    if case == "zero_row" and k:
+        est[k // 2] = 0.0
+    if case == "tied" and k >= 2:
+        ref[1] = ref[0]  # two reference rows interchangeable
+        est[-1] = est[0]  # two estimated rows interchangeable
+    expected, best_cost, n_optimal, cost = _brute_force_scale_rows(est, ref)
+    total = _assignment_total(cost, bench._min_cost_assignment(cost))
+    assert total == pytest.approx(best_cost, rel=1e-12, abs=1e-12)
+    if case == "tied" and k >= 3:
+        assert n_optimal > 1
+    if n_optimal == 1:
+        assert np.array_equal(scale_rows_to_reference(est, ref), expected)
+
+
+def test_scale_rows_rank_12_is_fast():
+    # The K! enumeration needed about 30 minutes at K = 12.
+    rng = np.random.default_rng(12)
+    ref = rng.uniform(0, 3, (12, 600))
+    order = rng.permutation(12)
+    est = ref[order] * rng.uniform(0.01, 100.0, (12, 1))
+    start = time.perf_counter()
+    scaled = scale_rows_to_reference(est, ref)
+    assert time.perf_counter() - start < 1.0
+    assert np.allclose(scaled, ref[order], rtol=1e-12)
+
+
+@pytest.mark.parametrize("argument", ["estimate", "reference"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_scale_rows_rejects_non_finite_input(argument, bad):
+    rng = np.random.default_rng(4)
+    arrays = {"estimate": rng.uniform(0, 1, (3, 10)),
+              "reference": rng.uniform(0, 1, (3, 10))}
+    arrays[argument][1, 4] = bad
+    with pytest.raises(ValueError, match=f"{argument} has non-finite entries"):
+        scale_rows_to_reference(**arrays)
 
 
 # --------------------------------------------------------------------- trials

@@ -171,6 +171,17 @@ def test_dense_csv_round_trip(tmp_path):
     assert np.array_equal(load_dense_csv(path), a)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1,2,3\n4,5\n", r"line 2 has 2 fields, expected 3"),
+    ("1,2\n\n3,4\n5,6,7\n", r"line 4 has 3 fields, expected 2"),
+])
+def test_dense_csv_ragged_rows_are_rejected(tmp_path, text, message):
+    path = tmp_path / "dense.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_dense_csv(path)
+
+
 def _saved_lines(tmp_path):
     m = MaskedMatrix(np.arange(12.0).reshape(3, 4), np.ones((3, 4)))
     path = tmp_path / "observed.csv"
