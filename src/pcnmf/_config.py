@@ -3,12 +3,43 @@
 from __future__ import annotations
 
 from dataclasses import fields
+from numbers import Integral, Real
 
 
-def reject_unknown_keys(cls, d) -> None:
-    """Raise ValueError unless d is a dict whose keys are all fields of cls."""
+def _is(kind, value) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+# The field annotations check_dict checks; the configuration modules postpone
+# annotation evaluation, so dataclass fields carry them as strings.
+_KINDS = {"int": (Integral, "an int"), "float": (Real, "a number")}
+
+
+def check_dict(cls, d) -> None:
+    """Raise ValueError unless d is a dict of fields of cls with valid types.
+
+    A field annotated int takes an int and one annotated float any number;
+    a bool is neither. The error names the offending key.
+    """
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(d) - set(types))
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {', '.join(map(repr, unknown))}")
+    for key, value in d.items():
+        kind, noun = _KINDS.get(types[key], (None, None))
+        if kind is not None and not _is(kind, value):
+            raise ValueError(f"{cls.__name__} key {key!r} must be {noun}, got {value!r}")
+
+
+def number_pair(name: str, value) -> tuple[float, float]:
+    """(low, high) as floats; ValueError unless value is two numbers, low <= high."""
+    try:
+        low, high = value
+    except (TypeError, ValueError):
+        low = high = None
+    if not (_is(Real, low) and _is(Real, high) and low <= high):
+        raise ValueError(f"{name} must be two numbers [low, high] with low <= high, "
+                         f"got {value!r}")
+    return float(low), float(high)

@@ -13,13 +13,13 @@ run in any order or in parallel; aggregation sorts by trial index first.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from ._config import reject_unknown_keys
-from .matrices import FactorPair, MaskedMatrix
+from ._config import check_dict
+from .matrices import FactorPair, MaskedMatrix, write_csv
 from .simulate import ScenarioConfig, generate_scenario
 from .solver import NumericFailureError, SolverConfig, infer_activations, solve, weighted_fit
 
@@ -59,6 +59,11 @@ class ExperimentConfig:
                 raise ValueError(f"unsupported sweep parameter {param!r}")
             if not values:
                 raise ValueError(f"sweep over {param!r} has no values")
+            for value in values:
+                try:
+                    replace(self.scenario, **{param: value})
+                except ValueError as exc:
+                    raise ValueError(f"sweep value {value!r} for {param!r}: {exc}") from None
         object.__setattr__(self, "sweep", sweep)
         object.__setattr__(self, "methods", tuple(self.methods))
 
@@ -71,7 +76,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        reject_unknown_keys(cls, d)
+        check_dict(cls, d)
         d = dict(d)
         if "scenario" in d:
             d["scenario"] = ScenarioConfig.from_dict(d["scenario"])
@@ -379,59 +384,30 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
 
 
 def _cell(value) -> str:
-    if value is None:
+    """One table cell: empty when undefined (None or NaN), a bool as 0/1."""
+    if value is None or isinstance(value, float) and np.isnan(value):
         return ""
-    if isinstance(value, float) and np.isnan(value):
-        return ""
+    if isinstance(value, bool):
+        return str(int(value))
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
+def _write_table(rows, cls, path) -> None:
+    """One header column and one cell per field of the dataclass cls."""
+    names = [f.name for f in fields(cls)]
+    write_csv(path, names, ([_cell(getattr(row, n)) for n in names] for row in rows))
+
+
 def write_summary_csv(rows: list[SummaryRow], path, include_timing: bool = True) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            "sweep_param,sweep_value,method,mean_rmse,stderr_rmse,"
-            "trials_ok,trials_failed,mean_seconds\n"
-        )
-        for row in rows:
-            secs = _cell(row.mean_seconds) if include_timing else ""
-            fh.write(
-                ",".join(
-                    [
-                        row.sweep_param,
-                        _cell(row.sweep_value),
-                        row.method,
-                        _cell(row.mean_rmse),
-                        _cell(row.stderr_rmse),
-                        str(row.trials_ok),
-                        str(row.trials_failed),
-                        secs,
-                    ]
-                )
-                + "\n"
-            )
+    if not include_timing:
+        rows = [replace(row, mean_seconds=None) for row in rows]
+    _write_table(rows, SummaryRow, path)
 
 
 def write_trials_csv(rows: list[TrialResult], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            "sweep_param,sweep_value,trial,method,seed,rmse,rmse_pooled,"
-            "fit,iterations,seconds,transitions,failed,error\n"
-        )
-        for r in rows:
-            fh.write(
-                ",".join(
-                    [
-                        r.sweep_param, _cell(r.sweep_value), str(r.trial),
-                        r.method, str(r.seed), _cell(r.rmse),
-                        _cell(r.rmse_pooled), _cell(r.fit), str(r.iterations),
-                        _cell(r.seconds), _cell(r.transitions),
-                        str(int(r.failed)), r.error,
-                    ]
-                )
-                + "\n"
-            )
+    _write_table(rows, TrialResult, path)
 
 
 def read_trials_csv(path) -> list[dict]:

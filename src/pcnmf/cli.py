@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bench import ExperimentConfig, run_sweep, write_benchmark_outputs
-from .matrices import load_masked_csv, save_dense_csv
+from .matrices import load_masked_csv, save_dense_csv, write_json
 from .simulate import ScenarioConfig, generate_scenario, save_scenario
 from .solver import SolverConfig, solve
 
@@ -55,9 +55,7 @@ def _cmd_solve(args) -> int:
         "iterations_run": trace.iterations,
         "final_objective": trace.records[-1].objective if trace.records else None,
     }
-    with open(out / "solve.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "solve.json", sidecar)
     print(
         f"factorization written to {out} "
         f"({trace.iterations} iterations, objective {sidecar['final_objective']!r})"

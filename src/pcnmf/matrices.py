@@ -10,6 +10,7 @@ the nonnegative (gains, activations) state of a factorization.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,20 +157,34 @@ def masked_product_residual(s: MaskedMatrix, pair: FactorPair) -> np.ndarray:
     return s.mask * (s.values - pair.gains @ pair.activations)
 
 
-def _fmt(x: float) -> str:
-    # repr() of a Python float is the shortest round-trip decimal.
-    return repr(float(x))
+def write_csv(path, header, rows) -> None:
+    """Write rows as CSV with "\n" line ends, streaming them as they come.
+
+    header is the first line's fields, or None for a file without a header.
+    Floats are written as their repr, the shortest decimal that reads back
+    to the same value; the caller formats any other cell.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, obj) -> None:
+    """Write obj as JSON with sorted keys, indent 2 and a trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def save_masked_csv(s: MaskedMatrix, path) -> None:
     """Write a MaskedMatrix as long-format CSV with header r,t,value,observed."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "t", "value", "observed"])
-        n_rows, n_cols = s.shape
-        for r in range(n_rows):
-            for t in range(n_cols):
-                writer.writerow([r, t, _fmt(s.values[r, t]), int(s.mask[r, t])])
+    write_csv(path, ["r", "t", "value", "observed"], (
+        (r, t, v, w)
+        for r, (values, mask) in enumerate(zip(s.values, s.mask))
+        for t, (v, w) in enumerate(zip(values.tolist(), mask.astype(int).tolist()))
+    ))
 
 
 # One long-format masked-matrix record, as written by save_masked_csv.
@@ -193,7 +208,7 @@ def load_masked_csv(path) -> MaskedMatrix:
                 ((int(r), int(t), float(v), float(w)) for r, t, v, w in reader),
                 dtype=_CELL,
             )
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from exc
     if not table.size:
         raise ValueError("empty masked-matrix file")
@@ -203,20 +218,25 @@ def load_masked_csv(path) -> MaskedMatrix:
         i = negative[0]
         raise ValueError(f"negative cell (r={r[i]}, t={t[i]})")
     n_rows, n_cols = int(r.max()) + 1, int(t.max()) + 1
-    flat = r * n_cols + t
-    counts = np.bincount(flat, minlength=n_rows * n_cols)
-    bad = np.flatnonzero(counts != 1)
-    if bad.size:
-        kind = "missing" if counts[bad[0]] == 0 else "duplicate"
-        bad_r, bad_t = divmod(int(bad[0]), n_cols)
+    # Sorted by (r, t), a complete grid is its own cell sequence: the first
+    # record off it names the first bad cell, and no grid-sized array is
+    # allocated however large an index the file gives. Below table.size,
+    # dividing by min(n_cols, table.size) gives the same cells and fits int64.
+    order = np.lexsort((t, r))
+    cell, width = np.arange(table.size), min(n_cols, table.size)
+    off = np.flatnonzero((r[order] != cell // width) | (t[order] != cell % width))
+    i = int(off[0]) if off.size else table.size
+    if i < table.size or table.size < n_rows * n_cols:
+        # Record i either repeats cell i - 1, the last one matched, or skips cell i.
+        kind, bad = "missing", i
+        if 0 < i < table.size and (r[order[i]], t[order[i]]) == divmod(i - 1, n_cols):
+            kind, bad = "duplicate", i - 1
+        bad_r, bad_t = divmod(bad, n_cols)
         raise ValueError(
             f"incomplete {n_rows}x{n_cols} grid: {kind} cell (r={bad_r}, t={bad_t})"
         )
-    values = np.zeros(n_rows * n_cols)
-    mask = np.zeros(n_rows * n_cols)
-    values[flat] = table["value"]
-    mask[flat] = table["observed"]
-    return MaskedMatrix(values.reshape(n_rows, n_cols), mask.reshape(n_rows, n_cols))
+    return MaskedMatrix(table["value"][order].reshape(n_rows, n_cols),
+                        table["observed"][order].reshape(n_rows, n_cols))
 
 
 def save_dense_csv(matrix: np.ndarray, path) -> None:
@@ -224,10 +244,7 @@ def save_dense_csv(matrix: np.ndarray, path) -> None:
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeMismatchError(f"expected 2-D matrix, got shape {arr.shape}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in arr:
-            writer.writerow([_fmt(v) for v in row])
+    write_csv(path, None, (row.tolist() for row in arr))
 
 
 def load_dense_csv(path) -> np.ndarray:

@@ -14,13 +14,12 @@ independent scenarios can be produced in parallel.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._config import reject_unknown_keys
-from .matrices import MaskedMatrix, save_dense_csv, save_masked_csv
+from ._config import check_dict, number_pair
+from .matrices import MaskedMatrix, save_dense_csv, save_masked_csv, write_json
 
 # substream tags
 _GEOMETRY = 0
@@ -72,10 +71,8 @@ class ScenarioConfig:
             raise ValueError("noise_var must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        object.__setattr__(self, "a_range", tuple(float(v) for v in self.a_range))
-        object.__setattr__(
-            self, "power_range", tuple(float(v) for v in self.power_range)
-        )
+        for name in ("a_range", "power_range"):
+            object.__setattr__(self, name, number_pair(name, getattr(self, name)))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -85,7 +82,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        reject_unknown_keys(cls, d)
+        check_dict(cls, d)
         return cls(**d)
 
 
@@ -254,6 +251,4 @@ def save_scenario(truth: ScenarioTruth, cfg: ScenarioConfig, outdir) -> None:
     save_dense_csv(truth.s_clean, out / "truth_s.csv")
     save_dense_csv(truth.p_true, out / "truth_p.csv")
     save_dense_csv(truth.activity.astype(float), out / "activity.csv")
-    with open(out / "config.json", "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "config.json", cfg.to_dict())

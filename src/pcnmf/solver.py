@@ -53,8 +53,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._config import reject_unknown_keys
-from .matrices import FactorPair, MaskedMatrix, ReweightMatrix, ShapeMismatchError
+from ._config import check_dict
+from .matrices import (FactorPair, MaskedMatrix, ReweightMatrix, ShapeMismatchError,
+                       write_csv)
 
 # Activations are floored here after every update: the diagonal majorizer
 # divides by the current activation, so an exact zero would lock the
@@ -113,7 +114,7 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
-        reject_unknown_keys(cls, d)
+        check_dict(cls, d)
         return cls(**d)
 
 
@@ -160,17 +161,11 @@ class SolveTrace:
     def iterations(self) -> int:
         return len(self.records)
 
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(rec, name) for rec in self.records])
-
     def to_csv(self, path) -> None:
         """Export as CSV with columns iter,fit,penalty,objective."""
-        with open(path, "w", newline="") as fh:
-            fh.write("iter,fit,penalty,objective\n")
-            for rec in self.records:
-                fh.write(
-                    f"{rec.iteration},{rec.fit!r},{rec.penalty!r},{rec.objective!r}\n"
-                )
+        write_csv(path, ["iter", "fit", "penalty", "objective"],
+                  ((rec.iteration, rec.fit, rec.penalty, rec.objective)
+                   for rec in self.records))
 
 
 def _check_compatible(s: MaskedMatrix, gains: np.ndarray, acts: np.ndarray) -> None:

@@ -352,5 +352,7 @@ def test_experiment_config_validation_and_round_trip():
         tiny_experiment(methods=("pcnmf", "bogus"))
     with pytest.raises(ValueError):
         tiny_experiment(sweep=(("alpha", (2.0,)),))
+    with pytest.raises(ValueError, match=r"sweep value 1\.5 for 'p_obs'"):
+        tiny_experiment(sweep=(("p_obs", (0.5, 1.5)),))
     cfg = tiny_experiment(sweep=(("noise_var", (1e-6, 1e-5)),))
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg

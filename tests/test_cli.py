@@ -166,3 +166,23 @@ def test_non_object_config_is_hard_error(tmp_path, capsys):
     rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("solve", {"rank": "5"}, "rank"),
+    ("solve", {"max_iters": 10.0}, "max_iters"),
+    ("solve", {"beta": True}, "beta"),
+    ("simulate", {"n_su": "20"}, "n_su"),
+    ("simulate", {"a_range": [0.05]}, "a_range"),
+    ("benchmark", {"trials": 2.0}, "trials"),
+    ("benchmark", {"scenario": {"seed": 1.5}}, "seed"),
+])
+def test_wrong_config_type_is_named_error(tmp_path, capsys, command, config, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]
+    if command == "solve":
+        argv.insert(1, str(tmp_path / "observed.csv"))
+    assert main(argv) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()

@@ -1,5 +1,7 @@
 """Data-model tests: masked matrices, factor pairs, elementwise ops, CSV I/O."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -214,3 +216,19 @@ def test_masked_csv_malformed_record_is_rejected(tmp_path, bad_line, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=message):
         load_masked_csv(path)
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("1000000000000,0,0.5,1", r"1000000000001x4 grid: missing cell \(r=0, t=1\)"),
+    ("0,9223372036854775807,0.5,1", r"missing cell \(r=0, t=1\)"),
+    ("0,9223372036854775808,0.5,1", r"line 3: .*too large"),
+])
+def test_masked_csv_huge_index_is_rejected_without_allocating(tmp_path, bad_line, message):
+    # A grid sized by the largest index would need terabytes.
+    path, lines = _saved_lines(tmp_path)
+    lines[2] = bad_line
+    path.write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        load_masked_csv(path)
+    assert time.perf_counter() - start < 1.0

@@ -220,3 +220,13 @@ def test_config_validation():
 def test_config_dict_round_trip():
     cfg = ScenarioConfig(seed=9, noise_var=2e-4, a_range=(0.01, 0.02))
     assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("pair", [(0.05,), (0.15, 0.05), 0.05, ("0.05", 0.15),
+                                  (True, 0.15), (0.05, 0.15, 0.2)])
+def test_config_ranges_are_two_ordered_numbers(pair):
+    with pytest.raises(ValueError, match="a_range must be two numbers"):
+        ScenarioConfig(a_range=pair)
+    with pytest.raises(ValueError, match="power_range must be two numbers"):
+        ScenarioConfig(power_range=pair)
+    assert ScenarioConfig(a_range=[0.1, 0.1]).a_range == (0.1, 0.1)

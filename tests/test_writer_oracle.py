@@ -1,0 +1,206 @@
+"""Writer oracle: pcnmf's CSV writers against the per-file writers they replaced.
+
+The reference writers below are the earlier implementations, copied
+unchanged apart from taking the trace records as an argument and dropping
+the dense writer's shape check: csv.writer with repr of each float for the
+matrix files, and hand-joined lines for the trace and the two benchmark
+tables. Traces and tables must match byte for byte; matrix files once the
+references' CRLF line ends become LF.
+"""
+
+import csv
+import math
+
+import numpy as np
+import pytest
+
+from pcnmf import (
+    IterationRecord,
+    MaskedMatrix,
+    SolveTrace,
+    SummaryRow,
+    TrialResult,
+    save_dense_csv,
+    save_masked_csv,
+    write_summary_csv,
+    write_trials_csv,
+)
+
+# Zero, the smallest subnormal, a tiny normal, a float beyond integer
+# precision and a decimal with no exact binary form.
+VALUES = [0.0, 5e-324, 1e-300, 1e16, 123.456]
+NAN = float("nan")
+
+
+# ------------------------------------------------------------ the references
+
+def _fmt(x: float) -> str:
+    # repr() of a Python float is the shortest round-trip decimal.
+    return repr(float(x))
+
+
+def _ref_save_masked_csv(s: MaskedMatrix, path) -> None:
+    """Write a MaskedMatrix as long-format CSV with header r,t,value,observed."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["r", "t", "value", "observed"])
+        n_rows, n_cols = s.shape
+        for r in range(n_rows):
+            for t in range(n_cols):
+                writer.writerow([r, t, _fmt(s.values[r, t]), int(s.mask[r, t])])
+
+
+def _ref_save_dense_csv(matrix: np.ndarray, path) -> None:
+    """Write a dense matrix as plain CSV (no header), shortest round-trip floats."""
+    arr = np.asarray(matrix, dtype=np.float64)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in arr:
+            writer.writerow([_fmt(v) for v in row])
+
+
+def _ref_trace_to_csv(records, path) -> None:
+    """Export as CSV with columns iter,fit,penalty,objective."""
+    with open(path, "w", newline="") as fh:
+        fh.write("iter,fit,penalty,objective\n")
+        for rec in records:
+            fh.write(
+                f"{rec.iteration},{rec.fit!r},{rec.penalty!r},{rec.objective!r}\n"
+            )
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float) and np.isnan(value):
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _ref_write_summary_csv(rows, path, include_timing: bool = True) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(
+            "sweep_param,sweep_value,method,mean_rmse,stderr_rmse,"
+            "trials_ok,trials_failed,mean_seconds\n"
+        )
+        for row in rows:
+            secs = _cell(row.mean_seconds) if include_timing else ""
+            fh.write(
+                ",".join(
+                    [
+                        row.sweep_param,
+                        _cell(row.sweep_value),
+                        row.method,
+                        _cell(row.mean_rmse),
+                        _cell(row.stderr_rmse),
+                        str(row.trials_ok),
+                        str(row.trials_failed),
+                        secs,
+                    ]
+                )
+                + "\n"
+            )
+
+
+def _ref_write_trials_csv(rows, path) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(
+            "sweep_param,sweep_value,trial,method,seed,rmse,rmse_pooled,"
+            "fit,iterations,seconds,transitions,failed,error\n"
+        )
+        for r in rows:
+            fh.write(
+                ",".join(
+                    [
+                        r.sweep_param, _cell(r.sweep_value), str(r.trial),
+                        r.method, str(r.seed), _cell(r.rmse),
+                        _cell(r.rmse_pooled), _cell(r.fit), str(r.iterations),
+                        _cell(r.seconds), _cell(r.transitions),
+                        str(int(r.failed)), r.error,
+                    ]
+                )
+                + "\n"
+            )
+
+
+# ------------------------------------------------------------------ helpers
+
+def _assert_same(tmp_path, write, write_ref, crlf=False):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write(got)
+    write_ref(want)
+    expected = want.read_bytes()
+    if crlf:
+        assert b"\r\n" in expected  # the reference really used CRLF
+        expected = expected.replace(b"\r\n", b"\n")
+    assert got.read_bytes() == expected
+
+
+def _matrices():
+    rng = np.random.default_rng(3)
+    values = np.array([VALUES, VALUES[::-1]])
+    yield values
+    yield values.T
+    yield np.array([[123.456]])
+    yield rng.uniform(0, 1, (4, 6)) * np.array([1e-300, 1e-9, 1.0, 1e6, 1e16, 5e-324])
+
+
+# -------------------------------------------------------------------- tests
+
+@pytest.mark.parametrize("matrix", list(_matrices()))
+def test_dense_csv_matches_reference(tmp_path, matrix):
+    _assert_same(tmp_path, lambda p: save_dense_csv(matrix, p),
+                 lambda p: _ref_save_dense_csv(matrix, p), crlf=True)
+
+
+@pytest.mark.parametrize("matrix", list(_matrices()))
+def test_masked_csv_matches_reference(tmp_path, matrix):
+    mask = (np.arange(matrix.size).reshape(matrix.shape) % 3 != 1).astype(float)
+    for m in (MaskedMatrix(matrix, np.ones_like(matrix)), MaskedMatrix(matrix, mask)):
+        _assert_same(tmp_path, lambda p: save_masked_csv(m, p),
+                     lambda p: _ref_save_masked_csv(m, p), crlf=True)
+
+
+def test_trace_csv_matches_reference(tmp_path):
+    records = [
+        IterationRecord(iteration=i + 1, fit_after_p=v, fit=v, penalty=VALUES[-1 - i],
+                        objective=v + 5e-3 * VALUES[-1 - i], surrogate_before=v,
+                        surrogate_after=v, clamped=i)
+        for i, v in enumerate(VALUES)
+    ]
+    for recs in (records, []):
+        trace = SolveTrace(records=recs)
+        _assert_same(tmp_path, trace.to_csv, lambda p: _ref_trace_to_csv(recs, p))
+
+
+def _summary_rows():
+    return [
+        SummaryRow("none", None, "pcnmf", VALUES[1], NAN, 3, 0, VALUES[4]),
+        SummaryRow("none", None, "wnmf", NAN, NAN, 0, 3, NAN),
+        SummaryRow("noise_var", 1e-300, "pcnmf", 1e16, 0.0, 2, 1, 5e-324),
+        SummaryRow("p_obs", 0.7, "wnmf", 123.456, 1e-300, 1, 0, 0.0),
+    ]
+
+
+@pytest.mark.parametrize("include_timing", [True, False])
+def test_summary_csv_matches_reference(tmp_path, include_timing):
+    rows = _summary_rows()
+    _assert_same(tmp_path, lambda p: write_summary_csv(rows, p, include_timing),
+                 lambda p: _ref_write_summary_csv(rows, p, include_timing))
+
+
+def test_trials_csv_matches_reference(tmp_path):
+    rows = [
+        TrialResult("none", None, 0, "pcnmf", 2277900426, VALUES[1], VALUES[2],
+                    VALUES[3], 1000, VALUES[4], 15.0),
+        TrialResult("none", None, 0, "wnmf", 2277900426, NAN, NAN, 0.0, 40,
+                    1e-300, NAN),
+        TrialResult("p_obs", 0.5, 1, "pcnmf", 7, NAN, NAN, NAN, 0, 0.25, NAN,
+                    failed=True, error="non-finite iterate at iteration 17"),
+        TrialResult("noise_var", 1e16, 2, "wnmf", 0, 123.456, 5e-324, 1e16, 3,
+                    math.inf, 2.5),
+    ]
+    _assert_same(tmp_path, lambda p: write_trials_csv(rows, p),
+                 lambda p: _ref_write_trials_csv(rows, p))
