@@ -2,24 +2,34 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 from numbers import Integral, Real
 
 
 def _is(kind, value) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """isinstance(value, kind) for a value that is not a bool and is finite."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    return isinstance(value, Integral) or math.isfinite(value)
+
+
+def is_number(value) -> bool:
+    """True for a finite int or float; a bool, NaN and ±inf are not numbers."""
+    return _is(Real, value)
 
 
 # The field annotations check_dict checks; the configuration modules postpone
 # annotation evaluation, so dataclass fields carry them as strings.
-_KINDS = {"int": (Integral, "an int"), "float": (Real, "a number")}
+_KINDS = {"int": (Integral, "an int"), "float": (Real, "a finite number")}
 
 
 def check_dict(cls, d) -> None:
     """Raise ValueError unless d is a dict of fields of cls with valid types.
 
-    A field annotated int takes an int and one annotated float any number;
-    a bool is neither. The error names the offending key.
+    A field annotated int takes an int and one annotated float any finite
+    number; a bool is neither, and NaN and ±inf are not finite. The error
+    names the offending key.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
@@ -34,12 +44,12 @@ def check_dict(cls, d) -> None:
 
 
 def number_pair(name: str, value) -> tuple[float, float]:
-    """(low, high) as floats; ValueError unless value is two numbers, low <= high."""
+    """(low, high) as floats; ValueError unless value is two finite numbers, low <= high."""
     try:
         low, high = value
     except (TypeError, ValueError):
         low = high = None
-    if not (_is(Real, low) and _is(Real, high) and low <= high):
-        raise ValueError(f"{name} must be two numbers [low, high] with low <= high, "
+    if not (is_number(low) and is_number(high) and low <= high):
+        raise ValueError(f"{name} must be two numbers [low, high], finite and with low <= high, "
                          f"got {value!r}")
     return float(low), float(high)

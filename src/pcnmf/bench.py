@@ -7,25 +7,29 @@ missing positions. The plain weighted-NMF baseline is the same pipeline with
 the transition penalty switched off, so both methods share one code path.
 
 Trials are seeded from (master seed, trial index) and are therefore safe to
-run in any order or in parallel; aggregation sorts by trial index first.
+run in any order or in parallel; the sweep maps them in task order (cell by
+cell, trial by trial) and aggregates each (cell, method) group in one pass.
 """
 
 from __future__ import annotations
 
+import csv
 import time
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from ._config import check_dict
-from .matrices import FactorPair, MaskedMatrix, write_csv
+from ._config import check_dict, is_number
+from .matrices import FactorPair, write_csv
 from .simulate import ScenarioConfig, generate_scenario
 from .solver import NumericFailureError, SolverConfig, infer_activations, solve, weighted_fit
 
 _METHODS = ("pcnmf", "wnmf")
 _TRIAL_SCENARIO = 11
 _TRIAL_INIT = 12
+_NAN = float("nan")
 
 
 class UndefinedMetricError(ValueError):
@@ -48,31 +52,11 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not 1 <= self.gamma_window <= self.scenario.t_slots:
             raise ValueError("gamma_window must be in [1, t_slots]")
-        if not self.methods or any(m not in _METHODS for m in self.methods):
-            raise ValueError(f"methods must be a nonempty subset of {_METHODS}")
-        sweep = tuple(
-            (str(param), tuple(float(v) for v in values))
-            for param, values in self.sweep
-        )
-        for param, values in sweep:
-            if param not in ("noise_var", "p_obs"):
-                raise ValueError(f"unsupported sweep parameter {param!r}")
-            if not values:
-                raise ValueError(f"sweep over {param!r} has no values")
-            for value in values:
-                try:
-                    replace(self.scenario, **{param: value})
-                except ValueError as exc:
-                    raise ValueError(f"sweep value {value!r} for {param!r}: {exc}") from None
-        object.__setattr__(self, "sweep", sweep)
-        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "methods", _check_methods(self.methods))
+        object.__setattr__(self, "sweep", _check_sweep(self.sweep, self.scenario))
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["scenario"] = self.scenario.to_dict()
-        d["sweep"] = [[param, list(values)] for param, values in self.sweep]
-        d["methods"] = list(self.methods)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -82,28 +66,69 @@ class ExperimentConfig:
             d["scenario"] = ScenarioConfig.from_dict(d["scenario"])
         if "solver" in d:
             d["solver"] = SolverConfig.from_dict(d["solver"])
-        if "sweep" in d and d["sweep"] is not None:
-            d["sweep"] = tuple((p, tuple(v)) for p, v in d["sweep"])
-        elif d.get("sweep") is None:
-            d["sweep"] = ()
-        if "methods" in d:
-            d["methods"] = tuple(d["methods"])
         return cls(**d)
+
+
+def _check_methods(methods) -> tuple[str, ...]:
+    """methods as a tuple; ValueError unless a nonempty list of distinct _METHODS."""
+    try:
+        checked = tuple(methods)
+    except TypeError:
+        checked = ()
+    if (not checked or any(m not in _METHODS for m in checked)
+            or len(set(checked)) < len(checked)):
+        raise ValueError(f"methods must be a nonempty list of distinct names from "
+                         f"{_METHODS}, got {methods!r}")
+    return checked
+
+
+def _check_sweep(sweep, scenario: ScenarioConfig) -> tuple[tuple[str, tuple[float, ...]], ...]:
+    """sweep as ((param, (value, ...)), ...) with float values.
+
+    Raises ValueError, naming the entry, unless every entry is a supported
+    parameter with a nonempty list of finite numbers that the scenario
+    accepts, and no (parameter, value) cell repeats.
+    """
+    try:
+        pairs = tuple((param, tuple(values))
+                      for param, values in (() if sweep is None else sweep))
+    except (TypeError, ValueError):
+        raise ValueError(f"sweep must be a list of [parameter, [values...]] pairs, "
+                         f"got {sweep!r}") from None
+    seen = set()
+    for param, values in pairs:
+        if param not in ("noise_var", "p_obs"):
+            raise ValueError(f"unsupported sweep parameter {param!r}")
+        if not values:
+            raise ValueError(f"sweep over {param!r} has no values")
+        for value in values:
+            if not is_number(value):
+                raise ValueError(f"sweep value {value!r} for {param!r} must be a finite number")
+            if (param, value) in seen:
+                raise ValueError(f"sweep value {value!r} for {param!r} is repeated")
+            seen.add((param, value))
+            try:
+                replace(scenario, **{param: value})
+            except ValueError as exc:
+                raise ValueError(f"sweep value {value!r} for {param!r}: {exc}") from None
+    return tuple((param, tuple(float(v) for v in values)) for param, values in pairs)
 
 
 @dataclass(frozen=True)
 class TrialResult:
+    """One method on one trial; the metric defaults describe a failed run."""
+
     sweep_param: str
     sweep_value: float | None
     trial: int
     method: str
     seed: int
-    rmse: float            # per-sensor RMSE averaged over sensors; NaN if undefined
-    rmse_pooled: float     # pooled over all missing entries; NaN if undefined
-    fit: float
-    iterations: int
-    seconds: float
-    transitions: float     # mean per-row transition count, NaN when rank != n_pu
+    rmse: float = _NAN          # per-sensor RMSE averaged over sensors; NaN if undefined
+    rmse_pooled: float = _NAN   # pooled over all missing entries; NaN if undefined
+    fit: float = _NAN
+    iterations: int = 0
+    seconds: float = _NAN
+    transitions: float = _NAN   # mean per-row transition count, NaN when rank != n_pu
     failed: bool = False
     error: str = ""
 
@@ -231,10 +256,10 @@ def derive_trial_seeds(master_seed: int, trial_index: int) -> tuple[int, int]:
 def _estimate_transitions(acts: np.ndarray, p_true: np.ndarray,
                           activity: np.ndarray) -> float:
     if acts.shape[0] != p_true.shape[0] or not activity.any():
-        return float("nan")
+        return _NAN
     threshold = 0.1 * float(np.mean(p_true[activity == 1]))
     if threshold <= 0:
-        return float("nan")
+        return _NAN
     scaled = scale_rows_to_reference(acts, p_true)
     return float(np.mean(transition_count(scaled, threshold)))
 
@@ -259,25 +284,18 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
 
     results = []
     for method in cfg.methods:
+        key = (sweep_param, sweep_value, trial_index, method, scen_seed)
         beta = cfg.solver.beta if method == "pcnmf" else 0.0
         solver_cfg = replace(cfg.solver, beta=beta, init_seed=init_seed)
         start = time.perf_counter()
         try:
             pair, trace = solve(s_window, solver_cfg)
             acts = infer_activations(s_full, pair.gains, solver_cfg)
-            seconds = time.perf_counter() - start
         except NumericFailureError as exc:
-            results.append(
-                TrialResult(
-                    sweep_param=sweep_param, sweep_value=sweep_value,
-                    trial=trial_index, method=method, seed=scen_seed,
-                    rmse=float("nan"), rmse_pooled=float("nan"),
-                    fit=float("nan"), iterations=0,
-                    seconds=time.perf_counter() - start,
-                    transitions=float("nan"), failed=True, error=str(exc),
-                )
-            )
+            results.append(TrialResult(*key, seconds=time.perf_counter() - start,
+                                       failed=True, error=str(exc)))
             continue
+        seconds = time.perf_counter() - start
         if trace_dir is not None:
             out = Path(trace_dir)
             out.mkdir(parents=True, exist_ok=True)
@@ -287,17 +305,13 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
             rmse = rmse_missing(s_hat, truth.s_clean, s_full.mask)
             pooled = rmse_missing_pooled(s_hat, truth.s_clean, s_full.mask)
         except UndefinedMetricError:
-            rmse = pooled = float("nan")
-        results.append(
-            TrialResult(
-                sweep_param=sweep_param, sweep_value=sweep_value,
-                trial=trial_index, method=method, seed=scen_seed,
-                rmse=rmse, rmse_pooled=pooled,
-                fit=weighted_fit(s_full, FactorPair(pair.gains, acts)),
-                iterations=trace.iterations, seconds=seconds,
-                transitions=_estimate_transitions(acts, truth.p_true, truth.activity),
-            )
-        )
+            rmse = pooled = _NAN
+        results.append(TrialResult(
+            *key, rmse=rmse, rmse_pooled=pooled,
+            fit=weighted_fit(s_full, FactorPair(pair.gains, acts)),
+            iterations=trace.iterations, seconds=seconds,
+            transitions=_estimate_transitions(acts, truth.p_true, truth.activity),
+        ))
     return results
 
 
@@ -313,74 +327,52 @@ class SummaryRow:
     mean_seconds: float
 
 
-def _sweep_cells(cfg: ExperimentConfig) -> list[tuple[str, float | None]]:
-    if not cfg.sweep:
-        return [("none", None)]
-    return [(param, value) for param, values in cfg.sweep for value in values]
-
-
-def _sweep_task(args) -> list[TrialResult]:
-    cfg, param, value, trial_index, trace_dir, trace_tag = args
-    return run_trial(cfg, trial_index, param, value, trace_dir, trace_tag)
-
-
 def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
               trace_dir=None) -> tuple[list[SummaryRow], list[TrialResult]]:
     """Run all sweep cells x trials; aggregate per (cell, method).
 
-    With jobs > 1 the trials run in a process pool; the output is identical
-    to a serial run because every trial is seeded independently and the
-    aggregation order is fixed. trace_dir enables per-trial trace export
-    (file names gain a c<cell>_ prefix when sweeping over several cells).
+    Tasks run cell by cell, trial by trial, through one map: the builtin map
+    with jobs == 1, a process pool's otherwise. Both return results in task
+    order and every trial is seeded independently, so the output is the same
+    for any jobs. trace_dir enables per-trial trace export (file names gain
+    a c<cell>_ prefix when sweeping over several cells).
     """
-    cells = _sweep_cells(cfg)
+    cells = [(param, value) for param, values in cfg.sweep for value in values]
+    cells = cells or [("none", None)]
     tasks = [
-        (cfg, param, value, trial, trace_dir,
-         f"c{cell_index}_" if len(cells) > 1 else "")
+        (cfg, trial, param, value, trace_dir, f"c{cell_index}_" if len(cells) > 1 else "")
         for cell_index, (param, value) in enumerate(cells)
         for trial in range(cfg.trials)
     ]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    with ExitStack() as stack:
+        mapper = map
+        if jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_task = list(pool.map(_sweep_task, tasks))
-    else:
-        per_task = [_sweep_task(t) for t in tasks]
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+        per_task = list(mapper(run_trial, *zip(*tasks)))
 
-    trials: list[TrialResult] = [res for batch in per_task for res in batch]
-    method_order = {m: i for i, m in enumerate(cfg.methods)}
-    cell_order = {cell: i for i, cell in enumerate(cells)}
-    trials.sort(
-        key=lambda r: (cell_order[(r.sweep_param, r.sweep_value)],
-                       r.trial, method_order[r.method])
-    )
+    groups: dict[tuple[int, str], list[TrialResult]] = {
+        (cell_index, method): []
+        for cell_index in range(len(cells)) for method in cfg.methods
+    }
+    for task_index, batch in enumerate(per_task):
+        for r in batch:
+            groups[task_index // cfg.trials, r.method].append(r)
 
     summary: list[SummaryRow] = []
-    for param, value in cells:
-        for method in cfg.methods:
-            group = [
-                r for r in trials
-                if (r.sweep_param, r.sweep_value) == (param, value)
-                and r.method == method
-            ]
-            ok = [r for r in group if not r.failed]
-            rmses = np.array([r.rmse for r in ok if not np.isnan(r.rmse)])
-            mean = float(np.mean(rmses)) if rmses.size else float("nan")
-            stderr = (
-                float(np.std(rmses, ddof=1) / np.sqrt(rmses.size))
-                if rmses.size > 1 else float("nan")
-            )
-            secs = np.array([r.seconds for r in ok])
-            summary.append(
-                SummaryRow(
-                    sweep_param=param, sweep_value=value, method=method,
-                    mean_rmse=mean, stderr_rmse=stderr,
-                    trials_ok=len(ok), trials_failed=len(group) - len(ok),
-                    mean_seconds=float(np.mean(secs)) if secs.size else float("nan"),
-                )
-            )
-    return summary, trials
+    for (cell_index, method), group in groups.items():
+        ok = [r for r in group if not r.failed]
+        rmses = np.array([r.rmse for r in ok if not np.isnan(r.rmse)])
+        mean = float(np.mean(rmses)) if rmses.size else _NAN
+        stderr = float(np.std(rmses, ddof=1) / np.sqrt(rmses.size)) if rmses.size > 1 else _NAN
+        secs = np.array([r.seconds for r in ok])
+        summary.append(SummaryRow(
+            *cells[cell_index], method, mean_rmse=mean, stderr_rmse=stderr,
+            trials_ok=len(ok), trials_failed=len(group) - len(ok),
+            mean_seconds=float(np.mean(secs)) if secs.size else _NAN,
+        ))
+    return summary, [r for batch in per_task for r in batch]
 
 
 def _cell(value) -> str:
@@ -410,22 +402,22 @@ def write_trials_csv(rows: list[TrialResult], path) -> None:
     _write_table(rows, TrialResult, path)
 
 
-def read_trials_csv(path) -> list[dict]:
-    """Parse trials.csv back into dicts with floats where applicable."""
-    import csv as _csv
+def _parse_float(cell: str) -> float:
+    return float(cell) if cell else _NAN
 
-    out = []
+
+# Cell parsers by field annotation; every other annotation names a float.
+_PARSERS = {"str": str, "int": int, "bool": lambda cell: bool(int(cell))}
+
+
+def read_trials_csv(path) -> list[dict]:
+    """Parse trials.csv back into dicts typed by the fields of TrialResult.
+
+    Empty float cells read as NaN.
+    """
+    parse = {f.name: _PARSERS.get(f.type, _parse_float) for f in fields(TrialResult)}
     with open(path, newline="") as fh:
-        for rec in _csv.DictReader(fh):
-            row = dict(rec)
-            for key in ("sweep_value", "rmse", "rmse_pooled", "fit", "seconds", "transitions"):
-                row[key] = float(row[key]) if row[key] else float("nan")
-            row["trial"] = int(row["trial"])
-            row["seed"] = int(row["seed"])
-            row["iterations"] = int(row["iterations"])
-            row["failed"] = bool(int(row["failed"]))
-            out.append(row)
-    return out
+        return [{k: parse[k](v) for k, v in rec.items()} for rec in csv.DictReader(fh)]
 
 
 def write_benchmark_outputs(outdir, summary: list[SummaryRow],
@@ -434,4 +426,6 @@ def write_benchmark_outputs(outdir, summary: list[SummaryRow],
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     write_summary_csv(summary, out / "summary.csv", include_timing=include_timing)
+    if not include_timing:
+        trials = [replace(r, seconds=None) for r in trials]
     write_trials_csv(trials, out / "trials.csv")

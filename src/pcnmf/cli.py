@@ -11,7 +11,7 @@ from pathlib import Path
 from .bench import ExperimentConfig, run_sweep, write_benchmark_outputs
 from .matrices import load_masked_csv, save_dense_csv, write_json
 from .simulate import ScenarioConfig, generate_scenario, save_scenario
-from .solver import SolverConfig, solve
+from .solver import NumericFailureError, SolverConfig, solve
 
 
 def _load_config(path) -> dict:
@@ -110,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
     p_bench.add_argument(
         "--no-timing", action="store_true",
-        help="write an empty mean_seconds column for byte-reproducible summaries",
+        help="leave the mean_seconds and seconds columns empty, so that "
+             "summary.csv and trials.csv are byte-reproducible",
     )
     p_bench.add_argument(
         "--save-traces", action="store_true",
@@ -124,7 +125,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, NumericFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,6 @@
 """Harness tests: metrics, trial pipeline, sweep aggregation, CSV round-trips."""
 
+import dataclasses
 import itertools
 import time
 
@@ -356,3 +357,59 @@ def test_experiment_config_validation_and_round_trip():
         tiny_experiment(sweep=(("p_obs", (0.5, 1.5)),))
     cfg = tiny_experiment(sweep=(("noise_var", (1e-6, 1e-5)),))
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_experiment_config_normalises_sweep_and_methods_once():
+    cfg = ExperimentConfig.from_dict({
+        "scenario": {"n_pu": 2, "n_su": 6, "t_slots": 30},
+        "trials": 1, "gamma_window": 20,
+        "sweep": [["p_obs", [1, 0.5]]], "methods": ["wnmf"],
+    })
+    assert cfg.sweep == (("p_obs", (1.0, 0.5)),)
+    assert isinstance(cfg.sweep[0][1][0], float)
+    assert cfg.methods == ("wnmf",)
+    assert ExperimentConfig.from_dict({"sweep": None}).sweep == ()
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_sweep_trials_come_back_in_task_order():
+    cfg = tiny_experiment(trials=3, sweep=(("p_obs", (0.9, 0.5)), ("noise_var", (1e-6,))))
+    expected = [
+        (param, value, trial, method)
+        for param, values in cfg.sweep for value in values
+        for trial in range(cfg.trials) for method in cfg.methods
+    ]
+    summary, trials = run_sweep(cfg, jobs=2)
+    assert [(r.sweep_param, r.sweep_value, r.trial, r.method) for r in trials] == expected
+    assert [(r.sweep_param, r.sweep_value, r.method) for r in summary] == [
+        (param, value, method) for param, value, trial, method in expected if trial == 0]
+    assert all(r.trials_ok == cfg.trials for r in summary)
+
+
+def test_failed_method_row_holds_metric_defaults(monkeypatch):
+    def exploding_solve(s, cfg, **kwargs):
+        raise NumericFailureError(7)
+
+    monkeypatch.setattr(bench, "solve", exploding_solve)
+    for res in run_trial(tiny_experiment(), 2, "p_obs", 0.5):
+        assert (res.sweep_param, res.sweep_value, res.trial) == ("p_obs", 0.5, 2)
+        assert res.failed and res.error == "non-finite iterate at iteration 7"
+        assert res.iterations == 0 and res.seconds >= 0
+        assert all(np.isnan(v) for v in (res.rmse, res.rmse_pooled, res.fit,
+                                          res.transitions))
+
+
+def test_read_trials_csv_types_every_field(tmp_path):
+    rows = [
+        bench.TrialResult("p_obs", 0.5, 1, "pcnmf", 7, 0.25, 0.5, 1e-300, 40,
+                          1.5, 3.0),
+        bench.TrialResult("none", None, 0, "wnmf", 9, seconds=0.125, failed=True,
+                          error="non-finite iterate at iteration 3"),
+    ]
+    path = tmp_path / "trials.csv"
+    write_trials_csv(rows, path)
+    parsed = read_trials_csv(path)
+    assert parsed[0] == dataclasses.asdict(rows[0])
+    assert [type(v) for v in parsed[1].values()] == [
+        str, float, int, str, int, float, float, float, int, float, float, bool, str]
+    assert np.isnan(parsed[1]["sweep_value"]) and parsed[1]["failed"] is True

@@ -1,6 +1,7 @@
 """CLI tests: simulate/solve/benchmark subcommands and their artifacts."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -186,3 +187,96 @@ def test_wrong_config_type_is_named_error(tmp_path, capsys, command, config, key
     assert main(argv) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+# A benchmark that runs in well under a second, should a bad config slip through.
+TINY_BENCHMARK = {
+    "scenario": {"n_pu": 2, "n_su": 4, "t_slots": 16, "seed": 5, "noise_var": 1e-8},
+    "solver": {"rank": 2, "max_iters": 5},
+    "trials": 1,
+    "gamma_window": 10,
+}
+
+
+def _run_with_config(tmp_path, command, config_text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(config_text)
+    argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]
+    if command == "solve":
+        argv.insert(1, str(tmp_path / "observed.csv"))
+    return main(argv)
+
+
+@pytest.mark.parametrize("config, named", [
+    ({"sweep": 3}, "sweep"),
+    ({"sweep": [["p_obs", 5]]}, "sweep"),
+    ({"sweep": [["p_obs"]]}, "sweep"),
+    ({"methods": 5}, "methods"),
+    ({"methods": ["pcnmf", "pcnmf"]}, "methods"),
+    ({"sweep": [["p_obs", [0.5, 0.5]]]}, "sweep value 0.5 for 'p_obs' is repeated"),
+    ({"sweep": [["p_obs", [0.5]], ["p_obs", [0.9, 0.5]]]},
+     "sweep value 0.5 for 'p_obs' is repeated"),
+    ({"sweep": [["p_obs", ["0.5"]]]}, "sweep value '0.5' for 'p_obs'"),
+    ({"sweep": [["noise_var", [True]]]}, "sweep value True for 'noise_var'"),
+])
+def test_malformed_sweep_or_methods_is_named_error(tmp_path, capsys, config, named):
+    config = {**TINY_BENCHMARK, **config}
+    assert _run_with_config(tmp_path, "benchmark", json.dumps(config)) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, config_text, key", [
+    ("simulate", '{"area_side": Infinity}', "area_side"),
+    ("simulate", '{"power_range": [100, Infinity]}', "power_range"),
+    ("simulate", '{"noise_var": NaN}', "noise_var"),
+    ("solve", '{"beta": NaN}', "beta"),
+    ("solve", '{"guard": NaN}', "guard"),
+    ("solve", '{"epsilon": Infinity}', "epsilon"),
+    ("solve", '{"rel_tol": -Infinity}', "rel_tol"),
+    ("benchmark", json.dumps({**TINY_BENCHMARK, "solver": {"rank": 2, "beta": math.nan}}),
+     "beta"),
+    ("benchmark", json.dumps({**TINY_BENCHMARK, "sweep": [["noise_var", [math.nan]]]}),
+     "noise_var"),
+])
+def test_non_finite_config_number_is_named_error(tmp_path, capsys, command,
+                                                 config_text, key):
+    assert _run_with_config(tmp_path, command, config_text) == 1
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_solve_numeric_failure_is_named_error(tmp_path, capsys):
+    observed = tmp_path / "observed.csv"
+    observed.write_text("r,t,value,observed\n" + "".join(
+        f"{r},{t},1e308,1\n" for r in range(4) for t in range(6)))
+    with np.errstate(all="ignore"):
+        rc = main(["solve", str(observed), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip().endswith(
+        "error: non-finite iterate at iteration 1")
+    assert not (tmp_path / "x").exists()
+
+
+def test_benchmark_no_timing_trials_are_byte_reproducible(tmp_path):
+    cfg_path = tmp_path / "bench.json"
+    cfg_path.write_text(json.dumps({
+        "scenario": {"n_pu": 2, "n_su": 4, "t_slots": 16, "seed": 5,
+                     "noise_var": 1e-8},
+        "solver": {"rank": 2, "max_iters": 20},
+        "trials": 2,
+        "gamma_window": 10,
+        "sweep": [["p_obs", [0.5, 0.9]]],
+    }))
+    outs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["benchmark", "--config", str(cfg_path), "--no-timing",
+                     "--out", str(out)]) == 0
+        outs.append((out / "trials.csv").read_bytes())
+    assert outs[0] == outs[1]
+    header, *rows = outs[0].decode().splitlines()
+    seconds = header.split(",").index("seconds")
+    assert len(rows) == 2 * 2 * 2
+    assert all(row.split(",")[seconds] == "" for row in rows)
