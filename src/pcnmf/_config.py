@@ -1,4 +1,4 @@
-"""Validation shared by the configuration dataclasses' from_dict paths."""
+"""Validation shared by the configuration dataclasses."""
 
 from __future__ import annotations
 
@@ -41,6 +41,15 @@ def check_dict(cls, d) -> None:
         kind, noun = _KINDS.get(types[key], (None, None))
         if kind is not None and not _is(kind, value):
             raise ValueError(f"{cls.__name__} key {key!r} must be {noun}, got {value!r}")
+
+
+def check_finite(config) -> None:
+    """Raise ValueError naming the first float field of config that is NaN or ±inf."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "float" and not math.isfinite(value):
+            raise ValueError(f"{type(config).__name__} field {f.name!r} must be finite, "
+                             f"got {value!r}")
 
 
 def number_pair(name: str, value) -> tuple[float, float]:

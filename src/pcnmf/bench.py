@@ -332,11 +332,14 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
     """Run all sweep cells x trials; aggregate per (cell, method).
 
     Tasks run cell by cell, trial by trial, through one map: the builtin map
-    with jobs == 1, a process pool's otherwise. Both return results in task
-    order and every trial is seeded independently, so the output is the same
-    for any jobs. trace_dir enables per-trial trace export (file names gain
-    a c<cell>_ prefix when sweeping over several cells).
+    when min(jobs, tasks) == 1, a pool of that many processes otherwise.
+    Both return results in task order and every trial is seeded
+    independently, so the output is the same for any jobs >= 1. trace_dir
+    enables per-trial trace export (file names gain a c<cell>_ prefix when
+    sweeping over several cells).
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     cells = [(param, value) for param, values in cfg.sweep for value in values]
     cells = cells or [("none", None)]
     tasks = [
@@ -346,10 +349,11 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
     ]
     with ExitStack() as stack:
         mapper = map
-        if jobs > 1:
+        workers = min(jobs, len(tasks))
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=jobs)).map
+            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
         per_task = list(mapper(run_trial, *zip(*tasks)))
 
     groups: dict[tuple[int, str], list[TrialResult]] = {

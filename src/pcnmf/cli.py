@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--trials", type=int, help="Monte Carlo trials per sweep cell")
     p_bench.add_argument("--methods", help="comma-separated subset of pcnmf,wnmf")
     p_bench.add_argument("--out", required=True, help="output directory")
-    p_bench.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
+    p_bench.add_argument("--jobs", type=int, default=1, help="parallel trial workers (>= 1)")
     p_bench.add_argument(
         "--no-timing", action="store_true",
         help="leave the mean_seconds and seconds columns empty, so that "
@@ -125,7 +125,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, NumericFailureError) as exc:
+    except (OSError, ValueError, MemoryError, NumericFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._config import check_dict, number_pair
+from ._config import check_dict, check_finite, number_pair
 from .matrices import MaskedMatrix, save_dense_csv, save_masked_csv, write_json
 
 # substream tags
@@ -53,6 +53,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         if self.n_pu < 1 or self.n_su < 1 or self.t_slots < 1:
             raise ValueError("counts must be >= 1")
         if not 0 < self.duty < 1:

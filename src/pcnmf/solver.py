@@ -30,13 +30,14 @@ activations and W the mask, one `solve` iteration computes six products:
 
 `infer_activations` freezes the gains, so it computes G^T (W ⊙ S) once
 before its loop and two products per iteration: G^T (W ⊙ G P) and G P.
-The state at the end of an iteration (W ⊙ G P, the squared residual and
-d^2 = diff(P)^2) is carried into the next one: W ⊙ G P feeds the next
-curvature, the squared residual the surrogate's slot fit, and d^2 both the
-reported penalty and the next reweights, which stay a plain array inside
-the loop. surrogate_before/after, fit_after_p and fit are derived from
-these shared products in the same operation order as the step functions,
-so the loops and the public functions agree bit for bit.
+The state at the end of an iteration (W ⊙ G P and d^2 = diff(P)^2) is
+carried into the next one: W ⊙ G P feeds the next curvature, and d^2 both
+the reported penalty and the next reweights, which stay a plain array
+inside the loop. fit_after_p and fit are derived from these shared
+products in the same operation order as the step functions, so the loops
+and the public functions agree bit for bit. The loops never evaluate the
+surrogate: surrogate_per_slot on solve(..., record_factors=True) iterates
+checks MM monotonicity after the fact.
 
 Epsilon enters in two ways. The reweights are 1 / (d^2 + epsilon), with
 epsilon added as-is to a squared difference, while the reported penalty is
@@ -53,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._config import check_dict
+from ._config import check_dict, check_finite
 from .matrices import (FactorPair, MaskedMatrix, ReweightMatrix, ShapeMismatchError,
                        write_csv)
 
@@ -99,6 +100,7 @@ class SolverConfig:
     guard: float = 1e-12
 
     def __post_init__(self):
+        check_finite(self)
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
         if self.epsilon <= 0:
@@ -124,8 +126,8 @@ class IterationRecord:
 
     fit_after_p holds the weighted fit right after the activation sweep
     (before the gains update); fit/penalty/objective are evaluated at the
-    end of the iteration, after rescaling. surrogate_before/after bracket
-    the activation sweep. objective == fit + beta * penalty by construction.
+    end of the iteration, after rescaling. objective == fit + beta * penalty
+    by construction.
     """
 
     iteration: int
@@ -133,8 +135,6 @@ class IterationRecord:
     fit: float
     penalty: float
     objective: float
-    surrogate_before: float
-    surrogate_after: float
     clamped: int
 
 
@@ -208,11 +208,11 @@ def _reweights(d2: np.ndarray, epsilon: float) -> np.ndarray:
 def _state(values, mask, gains, acts, epsilon):
     """Everything the next iteration reuses from one (gains, acts) state.
 
-    Returns (W ⊙ G P, squared residual, fit, d^2, penalty).
+    Returns (W ⊙ G P, fit, d^2, penalty).
     """
-    wgp, sq_resid, fit = _masked_fit(values, mask, gains, acts)
+    wgp, _, fit = _masked_fit(values, mask, gains, acts)
     d2 = _transitions(acts)
-    return wgp, sq_resid, fit, d2, _penalty(d2, epsilon)
+    return wgp, fit, d2, _penalty(d2, epsilon)
 
 
 def _shift_right(acts: np.ndarray) -> np.ndarray:
@@ -270,30 +270,6 @@ def _activation_step(ex: _Expansion, beta: float, guard: float):
     if clamped:
         den = np.maximum(den, guard)
     return np.maximum(num / den, ACTIVATION_FLOOR), clamped
-
-
-def _surrogates(ex: _Expansion, sq_resid: np.ndarray, beta: float,
-                *p_news: np.ndarray) -> list[np.ndarray]:
-    """Per-slot penalized surrogate at each of p_news, expanded around ex.p.
-
-    sq_resid is the squared masked residual at ex.p. Second-order expansion
-    of the slot fit with the diagonal curvature curv/p, plus the reweighted
-    quadratic transition terms toward the slot's frozen neighbors.
-    """
-    t = ex.p.shape[1]
-    c_ref = 0.5 * sq_resid.sum(axis=0)
-    grad = ex.curv - ex.data
-    curvature = ex.curv / ex.p
-    yl = ex.weights[:, :t]
-    yr = ex.weights[:, 1:]
-    out = []
-    for p_new in p_news:
-        d = p_new - ex.p
-        quad = c_ref + (d * grad).sum(axis=0) + 0.5 * (curvature * d * d).sum(axis=0)
-        left = yl * np.square(p_new - ex.left)
-        right = yr * np.square(ex.right - p_new)
-        out.append(quad + beta * (left + right).sum(axis=0))
-    return out
 
 
 def _gains_step(values, wgp, gains, acts, guard):
@@ -425,7 +401,17 @@ def surrogate_per_slot(s: MaskedMatrix, gains: np.ndarray, p_new: np.ndarray,
     p_ref = np.asarray(p_ref, dtype=np.float64)
     _check_compatible(s, gains, p_ref)
     ex, sq_resid = _expand_at(s, gains, p_ref, y)
-    return _surrogates(ex, sq_resid, beta, p_new)[0]
+    t = ex.p.shape[1]
+    c_ref = 0.5 * sq_resid.sum(axis=0)
+    grad = ex.curv - ex.data
+    curvature = ex.curv / ex.p
+    yl = ex.weights[:, :t]
+    yr = ex.weights[:, 1:]
+    d = p_new - ex.p
+    quad = c_ref + (d * grad).sum(axis=0) + 0.5 * (curvature * d * d).sum(axis=0)
+    left = yl * np.square(p_new - ex.left)
+    right = yr * np.square(ex.right - p_new)
+    return quad + beta * (left + right).sum(axis=0)
 
 
 # --------------------------------------------------------------------- loops
@@ -469,13 +455,12 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
     trace = SolveTrace(iterates=[] if record_factors else None)
     if record_factors:
         trace.initial = FactorPair(gains, acts)
-    wgp, sq_resid, fit, d2, pen = _state(values, mask, gains, acts, eps)
+    wgp, fit, d2, pen = _state(values, mask, gains, acts, eps)
     prev_obj = fit + beta * pen
 
     for iteration in range(1, cfg.max_iters + 1):
         ex = _expansion(acts, gains.T @ values, gains.T @ wgp, _reweights(d2, eps))
         acts_new, clamped = _activation_step(ex, beta, guard)
-        surr_before, surr_after = _surrogates(ex, sq_resid, beta, acts, acts_new)
         wgp_new, _, fit_after_p = _masked_fit(values, mask, gains, acts_new)
         gains_new = _gains_step(values, wgp_new, gains, acts_new, guard)
         _check_finite(iteration, acts_new, gains_new)
@@ -484,7 +469,7 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
         # distribution and let the next iterations repurpose it.
         gains, acts = _rescale(gains_new, acts_new, rng)
 
-        wgp, sq_resid, fit, d2, pen = _state(values, mask, gains, acts, eps)
+        wgp, fit, d2, pen = _state(values, mask, gains, acts, eps)
         obj = fit + beta * pen
         trace.records.append(
             IterationRecord(
@@ -493,8 +478,6 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
                 fit=fit,
                 penalty=pen,
                 objective=obj,
-                surrogate_before=float(surr_before.sum()),
-                surrogate_after=float(surr_after.sum()),
                 clamped=clamped,
             )
         )
@@ -544,13 +527,13 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
             acts = acts * (float(values.sum() / observed) / rec_mean)
             acts = np.maximum(acts, ACTIVATION_FLOOR)
     data = gains.T @ values
-    wgp, _, fit, d2, pen = _state(values, mask, gains, acts, eps)
+    wgp, fit, d2, pen = _state(values, mask, gains, acts, eps)
     prev_obj = fit + beta * pen
     for iteration in range(1, cfg.max_iters + 1):
         ex = _expansion(acts, data, gains.T @ wgp, _reweights(d2, eps))
         acts, _ = _activation_step(ex, beta, guard)
         _check_finite(iteration, acts)
-        wgp, _, fit, d2, pen = _state(values, mask, gains, acts, eps)
+        wgp, fit, d2, pen = _state(values, mask, gains, acts, eps)
         obj = fit + beta * pen
         rel = abs(prev_obj - obj) / max(abs(prev_obj), guard)
         prev_obj = obj

@@ -185,14 +185,8 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
 
     for iteration in range(1, cfg.max_iters + 1):
         reweights = compute_reweights(acts, cfg.epsilon)
-        surr_before = float(
-            np.sum(surrogate_per_slot(s, gains, acts, acts, reweights, cfg.beta))
-        )
         acts_new, clamped = _activation_step(
             s.values, s.mask, gains, acts, reweights.weights, cfg.beta, cfg.guard
-        )
-        surr_after = float(
-            np.sum(surrogate_per_slot(s, gains, acts_new, acts, reweights, cfg.beta))
         )
         fit_after_p = _weighted_fit(s.values, s.mask, gains, acts_new)
 
@@ -223,8 +217,6 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
                 fit=fit,
                 penalty=pen,
                 objective=obj,
-                surrogate_before=surr_before,
-                surrogate_after=surr_after,
                 clamped=clamped,
             )
         )

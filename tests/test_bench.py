@@ -1,7 +1,9 @@
 """Harness tests: metrics, trial pipeline, sweep aggregation, CSV round-trips."""
 
+import concurrent.futures
 import dataclasses
 import itertools
+import math
 import time
 
 import numpy as np
@@ -357,6 +359,58 @@ def test_experiment_config_validation_and_round_trip():
         tiny_experiment(sweep=(("p_obs", (0.5, 1.5)),))
     cfg = tiny_experiment(sweep=(("noise_var", (1e-6, 1e-5)),))
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (SolverConfig, "beta", math.nan),
+    (SolverConfig, "epsilon", math.inf),
+    (SolverConfig, "rel_tol", math.nan),
+    (SolverConfig, "guard", math.nan),
+    (ScenarioConfig, "noise_var", math.nan),
+    (ScenarioConfig, "alpha", math.nan),
+    (ScenarioConfig, "area_side", math.inf),
+    (ScenarioConfig, "d0", math.inf),
+])
+def test_non_finite_config_field_is_named_error(cls, name, value):
+    with pytest.raises(ValueError, match=f"field '{name}' must be finite"):
+        cls(**{name: value})
+    with pytest.raises(ValueError, match=f"field '{name}' must be finite"):
+        dataclasses.replace(cls(), **{name: value})
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_sweep_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+        run_sweep(tiny_experiment(), jobs=jobs)
+
+
+def test_sweep_pool_has_at_most_one_worker_per_task(monkeypatch):
+    # A stand-in pool that records its size and maps serially: no worker
+    # process is ever started, whatever jobs asks for.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    cfg = tiny_experiment(trials=3)
+    _, trials_many = run_sweep(cfg, jobs=1000)
+    _, trials_two = run_sweep(cfg, jobs=2)
+    _, trials_serial = run_sweep(cfg, jobs=1)
+    assert sizes == [3, 2]
+    for a, b, c in zip(trials_many, trials_two, trials_serial):
+        assert dataclasses.replace(a, seconds=0) == dataclasses.replace(b, seconds=0) \
+            == dataclasses.replace(c, seconds=0)
 
 
 def test_experiment_config_normalises_sweep_and_methods_once():

@@ -247,6 +247,15 @@ def test_non_finite_config_number_is_named_error(tmp_path, capsys, command,
     assert not (tmp_path / "x").exists()
 
 
+def test_simulate_huge_count_is_named_error(tmp_path, capsys):
+    # The sensor positions alone would take 1.6 PB, more than a 64-bit
+    # process can map, so the allocation fails at once on any machine.
+    assert _run_with_config(tmp_path, "simulate", json.dumps({"n_su": 10**14})) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate")
+    assert not (tmp_path / "x").exists()
+
+
 def test_solve_numeric_failure_is_named_error(tmp_path, capsys):
     observed = tmp_path / "observed.csv"
     observed.write_text("r,t,value,observed\n" + "".join(

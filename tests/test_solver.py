@@ -402,11 +402,20 @@ def test_solve_trace_objective_identity_and_monotone_gamma_step():
         for beta in (0.0, 5e-3, 1.0):
             cfg = SolverConfig(beta=beta, rank=3, max_iters=25, rel_tol=0.0,
                                init_seed=seed)
-            _, trace = solve(s, cfg)
-            for rec in trace.records:
+            _, trace = solve(s, cfg, record_factors=True)
+            prev = trace.initial
+            for rec, snap in zip(trace.records, trace.iterates):
                 assert rec.objective == rec.fit + beta * rec.penalty
                 assert rec.fit <= rec.fit_after_p + 1e-9
-                assert rec.surrogate_after <= rec.surrogate_before + 1e-9
+                # The activation sweep must not raise the surrogate expanded
+                # around the pair that the iteration started from.
+                p_ref = prev.activations
+                y = compute_reweights(p_ref, cfg.epsilon)
+                before = surrogate_per_slot(s, prev.gains, p_ref, p_ref, y, beta).sum()
+                after = surrogate_per_slot(s, prev.gains, snap.activations_updated,
+                                           p_ref, y, beta).sum()
+                assert after <= before + 1e-9
+                prev = snap.pair
 
 
 def test_solve_iterates_stay_nonnegative():
