@@ -417,11 +417,29 @@ _PARSERS = {"str": str, "int": int, "bool": lambda cell: bool(int(cell))}
 def read_trials_csv(path) -> list[dict]:
     """Parse trials.csv back into dicts typed by the fields of TrialResult.
 
-    Empty float cells read as NaN.
+    Empty float cells read as NaN and blank lines are skipped. A header
+    other than the field names, a row of the wrong length and a cell that
+    does not parse raise ValueError naming the line (and the column).
     """
-    parse = {f.name: _PARSERS.get(f.type, _parse_float) for f in fields(TrialResult)}
+    columns = [(f.name, _PARSERS.get(f.type, _parse_float)) for f in fields(TrialResult)]
+    rows = []
     with open(path, newline="") as fh:
-        return [{k: parse[k](v) for k, v in rec.items()} for rec in csv.DictReader(fh)]
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != [name for name, _ in columns]:
+            raise ValueError(f"unexpected trials.csv header {header!r}")
+        for rec in filter(None, reader):
+            line = reader.line_num
+            if len(rec) != len(columns):
+                raise ValueError(f"line {line} has {len(rec)} fields, expected {len(columns)}")
+            row = {}
+            for (name, parse), cell in zip(columns, rec):
+                try:
+                    row[name] = parse(cell)
+                except ValueError as exc:
+                    raise ValueError(f"line {line}, column {name!r}: {exc}") from exc
+            rows.append(row)
+    return rows
 
 
 def write_benchmark_outputs(outdir, summary: list[SummaryRow],

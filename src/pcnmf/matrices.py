@@ -250,12 +250,16 @@ def save_dense_csv(matrix: np.ndarray, path) -> None:
 def load_dense_csv(path) -> np.ndarray:
     """Read a dense matrix written by save_dense_csv.
 
-    Blank lines are skipped; a row whose field count differs from the first
-    row's raises ValueError naming its line.
+    Blank lines are skipped; a cell that is not a number, or a row whose
+    field count differs from the first row's, raises ValueError naming its
+    line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = [(reader.line_num, [float(v) for v in rec]) for rec in reader if rec]
+        try:
+            rows = [(reader.line_num, [float(v) for v in rec]) for rec in reader if rec]
+        except ValueError as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from exc
     if not rows:
         raise ValueError("empty dense-matrix file")
     width = len(rows[0][1])

@@ -32,12 +32,16 @@ activations and W the mask, one `solve` iteration computes six products:
 before its loop and two products per iteration: G^T (W ⊙ G P) and G P.
 The state at the end of an iteration (W ⊙ G P and d^2 = diff(P)^2) is
 carried into the next one: W ⊙ G P feeds the next curvature, and d^2 both
-the reported penalty and the next reweights, which stay a plain array
-inside the loop. fit_after_p and fit are derived from these shared
-products in the same operation order as the step functions, so the loops
-and the public functions agree bit for bit. The loops never evaluate the
-surrogate: surrogate_per_slot on solve(..., record_factors=True) iterates
-checks MM monotonicity after the fact.
+the reported penalty and the next reweights. Inside the kernel the
+reweights are one K x (T-1) array, one weight per transition, and a slot
+reads its neighbors and their weights by slicing; only compute_reweights
+pads them into the K x (T+1) ReweightMatrix of the public step functions,
+which hand its interior columns back to the kernel. fit_after_p and fit
+are derived from these shared products in the same operation order as
+the step functions, so the loops and the public functions agree bit for
+bit. The loops never evaluate the surrogate: surrogate_per_slot on
+solve(..., record_factors=True) iterates checks MM monotonicity after
+the fact.
 
 Epsilon enters in two ways. The reweights are 1 / (d^2 + epsilon), with
 epsilon added as-is to a squared difference, while the reported penalty is
@@ -48,9 +52,9 @@ objective fit + beta * penalty is not guaranteed to decrease.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -111,6 +115,8 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if self.rel_tol < 0:
             raise ValueError("rel_tol must be >= 0")
+        if self.init_seed < 0:
+            raise ValueError("init_seed must be >= 0")
         if self.guard <= 0:
             raise ValueError("guard must be > 0")
 
@@ -198,11 +204,8 @@ def _penalty(d2: np.ndarray, epsilon: float) -> float:
 
 
 def _reweights(d2: np.ndarray, epsilon: float) -> np.ndarray:
-    """K x (T+1) transition weights 1 / (d^2 + epsilon), zero boundary columns."""
-    k, n = d2.shape
-    weights = np.zeros((k, n + 2))
-    weights[:, 1:-1] = 1.0 / (d2 + epsilon)
-    return weights
+    """K x (T-1) transition weights 1 / (d^2 + epsilon)."""
+    return 1.0 / (d2 + epsilon)
 
 
 def _state(values, mask, gains, acts, epsilon):
@@ -215,56 +218,34 @@ def _state(values, mask, gains, acts, epsilon):
     return wgp, fit, d2, _penalty(d2, epsilon)
 
 
-def _shift_right(acts: np.ndarray) -> np.ndarray:
-    # left neighbors: column t holds acts[:, t-1], column 0 zero-filled
-    out = np.zeros_like(acts)
-    out[:, 1:] = acts[:, :-1]
-    return out
-
-
-def _shift_left(acts: np.ndarray) -> np.ndarray:
-    # right neighbors: column t holds acts[:, t+1], last column zero-filled
-    out = np.zeros_like(acts)
-    out[:, :-1] = acts[:, 1:]
-    return out
-
-
-class _Expansion(NamedTuple):
-    """The per-slot quadratic surrogate around activations p, frozen gains G."""
-
-    p: np.ndarray        # expansion point, K x T
-    data: np.ndarray     # G^T (W ⊙ S)
-    curv: np.ndarray     # G^T (W ⊙ G p)
-    weights: np.ndarray  # K x (T+1) transition reweights
-    left: np.ndarray     # left neighbors of p (0 at the first slot)
-    right: np.ndarray    # right neighbors of p (0 at the last slot)
-
-
-def _expansion(p, data, curv, weights) -> _Expansion:
-    return _Expansion(p, data, curv, weights, _shift_right(p), _shift_left(p))
-
-
-def _activation_step(ex: _Expansion, beta: float, guard: float):
+def _activation_step(p, data, curv, w, beta: float, guard: float):
     """One reweighted activation sweep; returns (new acts, clamp count).
 
-    Closed-form minimizer of the per-slot quadratic surrogate, written with
-    numerator and denominator both multiplied by the current activation so
-    no division by the iterate is needed:
+    Closed-form minimizer of the per-slot quadratic surrogate around p, with
+    data = G^T (W ⊙ S), curv = G^T (W ⊙ G p) and the K x (T-1) reweights w,
+    written with numerator and denominator both multiplied by the current
+    activation so no division by the iterate is needed:
 
-        new = (data + 2*beta*(yl*left + yr*right)) * p
-              -----------------------------------------
-              curv + 2*beta*(yl + yr) * p
+        new = (data + 2*beta*pull) * p / (curv + 2*beta*wsum * p)
 
-    with data = gains^T(w ⊙ s) and curv = gains^T(w ⊙ gains p). At beta = 0
-    this is exactly p * data / curv, the multiplicative Euclidean update.
+    Slot t is pulled toward its neighbors through the transitions on either
+    side of it, w[:, t-1] and w[:, t], read from w by slicing:
+
+        pull[:, 1:] = w * p[:, :-1]    then    pull[:, :-1] += w * p[:, 1:]
+        wsum[:, 1:] = w                then    wsum[:, :-1] += w
+
+    so the first and last slots see one neighbor each. At beta = 0 this is
+    exactly p * data / curv, the multiplicative Euclidean update.
     """
-    t = ex.p.shape[1]
-    yl = ex.weights[:, :t]
-    yr = ex.weights[:, 1:]
+    pull = np.zeros_like(p)
+    pull[:, 1:] = w * p[:, :-1]
+    pull[:, :-1] += w * p[:, 1:]
+    wsum = np.zeros_like(p)
+    wsum[:, 1:] = w
+    wsum[:, :-1] += w
     two_beta = 2.0 * beta
-    pen_num = two_beta * (yl * ex.left + yr * ex.right)
-    num = (ex.data + pen_num) * ex.p
-    den = ex.curv + two_beta * (yl + yr) * ex.p
+    num = (data + two_beta * pull) * p
+    den = curv + two_beta * wsum * p
     low = den < guard
     clamped = int(np.count_nonzero(low))
     if clamped:
@@ -297,6 +278,11 @@ def _rescale(gains, acts, rng=None):
 
 # ------------------------------------------------------- public step functions
 
+def _check_epsilon(epsilon) -> None:
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be a finite number > 0, got {epsilon!r}")
+
+
 def weighted_fit(s: MaskedMatrix, pair: FactorPair) -> float:
     """Half the mask-weighted squared reconstruction error."""
     _check_compatible(s, pair.gains, pair.activations)
@@ -309,8 +295,7 @@ def penalty_smoothed(activations: np.ndarray, epsilon: float) -> float:
     Each consecutive difference d contributes d^2 / (d^2 + epsilon^2),
     which is 0 for a flat pair and approaches 1 for any clear transition.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    _check_epsilon(epsilon)
     return _penalty(_transitions(np.asarray(activations, dtype=np.float64)), epsilon)
 
 
@@ -321,13 +306,20 @@ def objective(s: MaskedMatrix, pair: FactorPair, cfg: SolverConfig) -> float:
     )
 
 
+def _expand_at(s: MaskedMatrix, gains: np.ndarray, p: np.ndarray):
+    """(G^T (W ⊙ S), G^T (W ⊙ G p), squared residual) at activations p."""
+    wgp, sq_resid, _ = _masked_fit(s.values, s.mask, gains, p)
+    return gains.T @ s.values, gains.T @ wgp, sq_resid
+
+
 def fit_gradient(s: MaskedMatrix, gains: np.ndarray, acts: np.ndarray) -> np.ndarray:
     """Gradient of the weighted fit w.r.t. the activations, K x T.
 
     Per slot: -gains^T (w ⊙ s - w ⊙ (gains p)).
     """
     _check_compatible(s, gains, acts)
-    return gains.T @ (s.mask * (gains @ acts)) - gains.T @ s.values
+    data, curv, _ = _expand_at(s, gains, acts)
+    return curv - data
 
 
 def compute_reweights(p_prev: np.ndarray, epsilon: float) -> ReweightMatrix:
@@ -337,17 +329,9 @@ def compute_reweights(p_prev: np.ndarray, epsilon: float) -> ReweightMatrix:
     columns 0 and T are zero so boundary slots have no phantom neighbor.
     Note epsilon is added as-is here but squared in penalty_smoothed.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
-    acts = np.asarray(p_prev, dtype=np.float64)
-    return ReweightMatrix(_reweights(_transitions(acts), epsilon))
-
-
-def _expand_at(s: MaskedMatrix, gains: np.ndarray, p: np.ndarray,
-               y: ReweightMatrix) -> tuple[_Expansion, np.ndarray]:
-    # Expansion and squared residual at p, for the public step functions.
-    wgp, sq_resid, _ = _masked_fit(s.values, s.mask, gains, p)
-    return _expansion(p, gains.T @ s.values, gains.T @ wgp, y.weights), sq_resid
+    _check_epsilon(epsilon)
+    w = _reweights(_transitions(np.asarray(p_prev, dtype=np.float64)), epsilon)
+    return ReweightMatrix(np.pad(w, ((0, 0), (1, 1))))
 
 
 def update_activations(s: MaskedMatrix, gains: np.ndarray, p_i: np.ndarray,
@@ -360,8 +344,8 @@ def update_activations(s: MaskedMatrix, gains: np.ndarray, p_i: np.ndarray,
             f"reweights shape {y.weights.shape} does not match activations "
             f"{acts.shape}"
         )
-    ex, _ = _expand_at(s, np.asarray(gains, dtype=np.float64), acts, y)
-    return _activation_step(ex, cfg.beta, cfg.guard)[0]
+    data, curv, _ = _expand_at(s, np.asarray(gains, dtype=np.float64), acts)
+    return _activation_step(acts, data, curv, y.weights[:, 1:-1], cfg.beta, cfg.guard)[0]
 
 
 def update_gains(s: MaskedMatrix, f_i: FactorPair, cfg: SolverConfig) -> np.ndarray:
@@ -400,18 +384,17 @@ def surrogate_per_slot(s: MaskedMatrix, gains: np.ndarray, p_new: np.ndarray,
     p_new = np.asarray(p_new, dtype=np.float64)
     p_ref = np.asarray(p_ref, dtype=np.float64)
     _check_compatible(s, gains, p_ref)
-    ex, sq_resid = _expand_at(s, gains, p_ref, y)
-    t = ex.p.shape[1]
+    data, curv, sq_resid = _expand_at(s, gains, p_ref)
     c_ref = 0.5 * sq_resid.sum(axis=0)
-    grad = ex.curv - ex.data
-    curvature = ex.curv / ex.p
-    yl = ex.weights[:, :t]
-    yr = ex.weights[:, 1:]
-    d = p_new - ex.p
+    grad = curv - data
+    curvature = curv / p_ref
+    d = p_new - p_ref
     quad = c_ref + (d * grad).sum(axis=0) + 0.5 * (curvature * d * d).sum(axis=0)
-    left = yl * np.square(p_new - ex.left)
-    right = yr * np.square(ex.right - p_new)
-    return quad + beta * (left + right).sum(axis=0)
+    w = y.weights[:, 1:-1]
+    trans = np.zeros_like(p_ref)
+    trans[:, 1:] = w * np.square(p_new[:, 1:] - p_ref[:, :-1])
+    trans[:, :-1] += w * np.square(p_ref[:, 1:] - p_new[:, :-1])
+    return quad + beta * trans.sum(axis=0)
 
 
 # --------------------------------------------------------------------- loops
@@ -459,8 +442,8 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
     prev_obj = fit + beta * pen
 
     for iteration in range(1, cfg.max_iters + 1):
-        ex = _expansion(acts, gains.T @ values, gains.T @ wgp, _reweights(d2, eps))
-        acts_new, clamped = _activation_step(ex, beta, guard)
+        acts_new, clamped = _activation_step(acts, gains.T @ values, gains.T @ wgp,
+                                             _reweights(d2, eps), beta, guard)
         wgp_new, _, fit_after_p = _masked_fit(values, mask, gains, acts_new)
         gains_new = _gains_step(values, wgp_new, gains, acts_new, guard)
         _check_finite(iteration, acts_new, gains_new)
@@ -510,6 +493,8 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
         raise ShapeMismatchError(
             f"gains shape {gains.shape} incompatible with {s.n_rows} sensor rows"
         )
+    if not np.isfinite(gains).all():
+        raise ValueError("gains must be finite")
     if (gains < 0).any():
         raise ValueError("gains must be nonnegative")
 
@@ -530,8 +515,8 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     wgp, fit, d2, pen = _state(values, mask, gains, acts, eps)
     prev_obj = fit + beta * pen
     for iteration in range(1, cfg.max_iters + 1):
-        ex = _expansion(acts, data, gains.T @ wgp, _reweights(d2, eps))
-        acts, _ = _activation_step(ex, beta, guard)
+        acts, _ = _activation_step(acts, data, gains.T @ wgp, _reweights(d2, eps),
+                                   beta, guard)
         _check_finite(iteration, acts)
         wgp, fit, d2, pen = _state(values, mask, gains, acts, eps)
         obj = fit + beta * pen

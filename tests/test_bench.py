@@ -453,6 +453,24 @@ def test_failed_method_row_holds_metric_defaults(monkeypatch):
                                           res.transitions))
 
 
+_TRIALS_HEADER = ",".join(f.name for f in dataclasses.fields(bench.TrialResult))
+_TRIALS_ROW = "p_obs,0.5,1,pcnmf,7,0.25,0.5,0.125,40,1.5,3.0,0,"
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"{_TRIALS_HEADER},extra\n{_TRIALS_ROW},x\n", "unexpected trials.csv header"),
+    ("sweep_param,trial\np_obs,1\n", "unexpected trials.csv header"),
+    (f"{_TRIALS_HEADER}\n{_TRIALS_ROW}\np_obs,0.5,1\n", "line 3 has 3 fields, expected 13"),
+    (f"{_TRIALS_HEADER}\n{_TRIALS_ROW.replace(',40,', ',4x,')}\n",
+     "line 2, column 'iterations': invalid literal for int"),
+], ids=["extra-column", "missing-columns", "short-row", "bad-int"])
+def test_read_trials_csv_malformed_is_named_error(tmp_path, text, message):
+    path = tmp_path / "trials.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_trials_csv(path)
+
+
 def test_read_trials_csv_types_every_field(tmp_path):
     rows = [
         bench.TrialResult("p_obs", 0.5, 1, "pcnmf", 7, 0.25, 0.5, 1e-300, 40,

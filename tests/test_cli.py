@@ -256,6 +256,20 @@ def test_simulate_huge_count_is_named_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command, named", [
+    ("simulate", "seed must be >= 0"),
+    ("solve", "init_seed must be >= 0"),
+    ("benchmark", "seed must be >= 0"),
+])
+def test_negative_seed_flag_is_named_error(tmp_path, capsys, command, named):
+    argv = [command, "--seed", "-1", "--out", str(tmp_path / "x")]
+    if command == "solve":
+        argv.insert(1, str(tmp_path / "observed.csv"))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_solve_numeric_failure_is_named_error(tmp_path, capsys):
     observed = tmp_path / "observed.csv"
     observed.write_text("r,t,value,observed\n" + "".join(

@@ -16,8 +16,10 @@ from pcnmf import (
     FactorPair,
     MaskedMatrix,
     NumericFailureError,
+    ScenarioConfig,
     SolverConfig,
     compute_reweights,
+    generate_scenario,
     infer_activations,
     penalty_smoothed,
     solve,
@@ -74,9 +76,23 @@ def test_solve_and_infer_match_reference(seed, beta):
                           ref.infer_activations(s, pair.gains, cfg))
 
 
-@pytest.mark.parametrize("beta", BETAS)
-def test_single_slot_matches_reference(beta):
-    s = masked_instance(7, 5, 1, p_obs=1.0)
+@pytest.mark.parametrize("beta", [0.0, 5e-3])
+def test_paper_window_matches_reference(beta):
+    s = generate_scenario(ScenarioConfig(seed=3)).observed.window(0, 300)
+    cfg = SolverConfig(beta=beta, rank=5, max_iters=200, rel_tol=0.0)
+    pair, _ = assert_same_solve(s, cfg)
+    assert np.array_equal(infer_activations(s, pair.gains, cfg),
+                          ref.infer_activations(s, pair.gains, cfg))
+
+
+# With two slots, both are boundary slots. The explicit ids name each
+# one-slot case by its beta alone.
+@pytest.mark.parametrize("beta, n_cols", [
+    *(pytest.param(beta, 1, id=str(beta)) for beta in BETAS),
+    *(pytest.param(beta, 2, id=f"{beta}-2") for beta in BETAS),
+])
+def test_single_slot_matches_reference(beta, n_cols):
+    s = masked_instance(7, 5, n_cols, p_obs=1.0)
     cfg = SolverConfig(beta=beta, rank=2, max_iters=20, rel_tol=0.0)
     pair, _ = assert_same_solve(s, cfg)
     assert np.array_equal(infer_activations(s, pair.gains, cfg),

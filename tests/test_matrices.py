@@ -176,6 +176,7 @@ def test_dense_csv_round_trip(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("1,2,3\n4,5\n", r"line 2 has 2 fields, expected 3"),
     ("1,2\n\n3,4\n5,6,7\n", r"line 4 has 3 fields, expected 2"),
+    ("1,2\n3,abc\n", r"line 2: could not convert string to float: 'abc'"),
 ])
 def test_dense_csv_ragged_rows_are_rejected(tmp_path, text, message):
     path = tmp_path / "dense.csv"

@@ -26,6 +26,28 @@ from pcnmf import (
 )
 
 
+@pytest.mark.parametrize("field, value", [
+    ("beta", -1.0), ("epsilon", 0.0), ("rank", 0), ("max_iters", 0),
+    ("rel_tol", -1.0), ("init_seed", -1), ("guard", 0.0),
+])
+def test_solver_config_out_of_range_field_is_named_error(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call, named", [
+    (lambda s, g, a, bad: infer_activations(s, np.where(g > 0.5, bad, g), SolverConfig()),
+     "gains must be finite"),
+    (lambda s, g, a, bad: penalty_smoothed(a, bad), "epsilon must be a finite number > 0"),
+    (lambda s, g, a, bad: compute_reweights(a, bad), "epsilon must be a finite number > 0"),
+], ids=["infer_activations", "penalty_smoothed", "compute_reweights"])
+def test_non_finite_solver_input_is_named_error(call, named, bad):
+    s, pair = random_instance(5, n_rows=4, n_cols=6)
+    with pytest.raises(ValueError, match=named):
+        call(s, pair.gains, pair.activations, bad)
+
+
 def random_instance(seed, n_rows=3, n_cols=4, rank=2, p_obs=0.7):
     rng = np.random.default_rng(seed)
     mask = (rng.random((n_rows, n_cols)) < p_obs).astype(float)
