@@ -410,8 +410,15 @@ def _parse_float(cell: str) -> float:
     return float(cell) if cell else _NAN
 
 
+def _parse_bool(cell: str) -> bool:
+    # write_trials_csv writes a bool as 0 or 1; any other cell is not one.
+    if cell not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {cell!r}")
+    return cell == "1"
+
+
 # Cell parsers by field annotation; every other annotation names a float.
-_PARSERS = {"str": str, "int": int, "bool": lambda cell: bool(int(cell))}
+_PARSERS = {"str": str, "int": int, "bool": _parse_bool}
 
 
 def read_trials_csv(path) -> list[dict]:

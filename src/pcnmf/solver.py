@@ -43,6 +43,20 @@ bit. The loops never evaluate the surrogate: surrogate_per_slot on
 solve(..., record_factors=True) iterates checks MM monotonicity after
 the fact.
 
+One workspace per call. solve and infer_activations each size one
+_Workspace from (N, K, T) before their loop, and the helpers write every
+intermediate into it through ufunc out= and np.matmul(..., out=): two
+N x T buffers (W ⊙ G P, the residual), two K x (T-1) ones (d^2, the
+reweights) and the K x T ones of the sweep. An iteration allocates only
+its new iterates, which may outlive it (returned pairs, snapshots) and so
+are never workspace buffers. Besides its six products, a solve iteration
+makes eight elementwise passes over N x T (mask, residual, square and sum,
+after the sweep and after the rescale); infer_activations makes four. The
+public step functions give the same helpers a fresh workspace per call.
+Each in-place operation does the arithmetic of the plain numpy expression
+it spells out, in the same order, so the iterates equal those of the
+reference loops in tests/reference_solver.py bit for bit.
+
 Epsilon enters in two ways. The reweights are 1 / (d^2 + epsilon), with
 epsilon added as-is to a squared difference, while the reported penalty is
 rho(d) = d^2 / (d^2 + epsilon^2). The reweights are the MM weights of the
@@ -184,41 +198,79 @@ def _check_compatible(s: MaskedMatrix, gains: np.ndarray, acts: np.ndarray) -> N
 
 # ------------------------------------------------------------------ MM kernel
 
-def _masked_fit(values, mask, gains, acts):
-    """(W ⊙ G P, squared residual, weighted fit) at one (gains, acts) state."""
-    wgp = mask * (gains @ acts)
+class _Workspace:
+    """Scratch buffers of one MM call, sized once from N x K gains and
+    K x T activations.
+
+    The kernel helpers write every intermediate into these buffers through
+    ufunc out= and np.matmul(..., out=), so an iteration allocates only its
+    new iterates. No buffer ever leaves the call: what a helper returns from
+    here is read before the next helper overwrites it.
+    """
+
+    def __init__(self, gains: np.ndarray, acts: np.ndarray):
+        (n_rows, rank), n_cols = gains.shape, acts.shape[1]
+        self.wgp = np.empty((n_rows, n_cols))           # W ⊙ G P
+        self.resid = np.empty((n_rows, n_cols))         # residual, then squared
+        self.d2 = np.empty((rank, max(n_cols - 1, 0)))  # squared transitions
+        self.scratch = np.empty_like(self.d2)           # penalty terms, reweights
+        self.data = np.empty((rank, n_cols))            # G^T (W ⊙ S)
+        self.curv = np.empty((rank, n_cols))            # G^T (W ⊙ G P)
+        self.pull = np.empty((rank, n_cols))            # pull, then numerator
+        self.wsum = np.empty((rank, n_cols))
+        self.den = np.empty((rank, n_cols))
+        self.low = np.empty((rank, n_cols), dtype=bool)
+        self.gains_num = np.empty((n_rows, rank))
+        self.gains_den = np.empty((n_rows, rank))
+
+
+def _masked_product(ws, mask, gains, acts):
+    """W ⊙ G P, into ws.wgp."""
+    wgp = np.matmul(gains, acts, out=ws.wgp)
+    return np.multiply(mask, wgp, out=wgp)
+
+
+def _masked_fit(ws, values, mask, gains, acts) -> float:
+    """Weighted fit at one (gains, acts) state.
+
+    Leaves W ⊙ G P in ws.wgp and the squared residual in ws.resid.
+    """
+    wgp = _masked_product(ws, mask, gains, acts)
     # values is already zero where the mask is, so values - W ⊙ GP equals
     # W ⊙ (values - GP) up to the sign of a zero, which squaring removes.
-    resid = values - wgp
-    sq_resid = resid * resid
-    return wgp, sq_resid, 0.5 * float(sq_resid.sum())
+    resid = np.subtract(values, wgp, out=ws.resid)
+    np.multiply(resid, resid, out=resid)
+    return 0.5 * float(resid.sum())
 
 
-def _transitions(acts: np.ndarray) -> np.ndarray:
-    """Squared consecutive differences d^2 along time, K x (T-1)."""
-    return np.square(np.diff(acts, axis=1))
+def _transitions(acts: np.ndarray, out=None) -> np.ndarray:
+    """Squared consecutive differences d^2 along time, K x (T-1), into out."""
+    d = np.subtract(acts[:, 1:], acts[:, :-1], out=out)
+    return np.square(d, out=d)
 
 
-def _penalty(d2: np.ndarray, epsilon: float) -> float:
-    return float((d2 / (d2 + epsilon * epsilon)).sum())
+def _penalty(d2: np.ndarray, epsilon: float, scratch=None) -> float:
+    terms = np.add(d2, epsilon * epsilon, out=scratch)
+    return float(np.divide(d2, terms, out=terms).sum())
 
 
-def _reweights(d2: np.ndarray, epsilon: float) -> np.ndarray:
-    """K x (T-1) transition weights 1 / (d^2 + epsilon)."""
-    return 1.0 / (d2 + epsilon)
+def _reweights(d2: np.ndarray, epsilon: float, out=None) -> np.ndarray:
+    """K x (T-1) transition weights 1 / (d^2 + epsilon), into out."""
+    w = np.add(d2, epsilon, out=out)
+    return np.divide(1.0, w, out=w)
 
 
-def _state(values, mask, gains, acts, epsilon):
+def _state(ws, values, mask, gains, acts, epsilon):
     """Everything the next iteration reuses from one (gains, acts) state.
 
-    Returns (W ⊙ G P, fit, d^2, penalty).
+    Returns (fit, penalty) and leaves W ⊙ G P in ws.wgp and d^2 in ws.d2.
     """
-    wgp, _, fit = _masked_fit(values, mask, gains, acts)
-    d2 = _transitions(acts)
-    return wgp, fit, d2, _penalty(d2, epsilon)
+    fit = _masked_fit(ws, values, mask, gains, acts)
+    d2 = _transitions(acts, ws.d2)
+    return fit, _penalty(d2, epsilon, ws.scratch)
 
 
-def _activation_step(p, data, curv, w, beta: float, guard: float):
+def _activation_step(ws, p, data, curv, w, beta: float, guard: float):
     """One reweighted activation sweep; returns (new acts, clamp count).
 
     Closed-form minimizer of the per-slot quadratic surrogate around p, with
@@ -235,29 +287,45 @@ def _activation_step(p, data, curv, w, beta: float, guard: float):
         wsum[:, 1:] = w                then    wsum[:, :-1] += w
 
     so the first and last slots see one neighbor each. At beta = 0 this is
-    exactly p * data / curv, the multiplicative Euclidean update.
+    exactly p * data / curv, the multiplicative Euclidean update. Writes
+    ws.pull, ws.wsum, ws.den and ws.low; the new acts are a fresh array.
     """
-    pull = np.zeros_like(p)
-    pull[:, 1:] = w * p[:, :-1]
-    pull[:, :-1] += w * p[:, 1:]
-    wsum = np.zeros_like(p)
+    pull, wsum, den = ws.pull, ws.wsum, ws.den
+    pull[:, :1] = 0.0
+    np.multiply(w, p[:, :-1], out=pull[:, 1:])
+    # den is free until the end: hold w * p[:, 1:] there meanwhile.
+    np.add(pull[:, :-1], np.multiply(w, p[:, 1:], out=den[:, :-1]), out=pull[:, :-1])
+    wsum[:, :1] = 0.0
     wsum[:, 1:] = w
-    wsum[:, :-1] += w
+    np.add(wsum[:, :-1], w, out=wsum[:, :-1])
     two_beta = 2.0 * beta
-    num = (data + two_beta * pull) * p
-    den = curv + two_beta * wsum * p
-    low = den < guard
-    clamped = int(np.count_nonzero(low))
+    num = np.multiply(two_beta, pull, out=pull)
+    np.add(data, num, out=num)
+    np.multiply(num, p, out=num)
+    np.multiply(two_beta, wsum, out=wsum)
+    np.multiply(wsum, p, out=wsum)
+    np.add(curv, wsum, out=den)
+    clamped = int(np.count_nonzero(np.less(den, guard, out=ws.low)))
     if clamped:
-        den = np.maximum(den, guard)
-    return np.maximum(num / den, ACTIVATION_FLOOR), clamped
+        np.maximum(den, guard, out=den)
+    new = np.divide(num, den)
+    return np.maximum(new, ACTIVATION_FLOOR, out=new), clamped
 
 
-def _gains_step(values, wgp, gains, acts, guard):
-    """gains * ((W ⊙ S) P^T) / ((W ⊙ G P) P^T + guard), wgp = W ⊙ G P."""
-    num = values @ acts.T
-    den = wgp @ acts.T + guard
-    return gains * num / den
+def _gains_step(ws, values, gains, acts, guard):
+    """gains * ((W ⊙ S) P^T) / ((W ⊙ G P) P^T + guard), W ⊙ G P from ws.wgp.
+
+    Returns a fresh array.
+    """
+    num = np.matmul(values, acts.T, out=ws.gains_num)
+    den = np.matmul(ws.wgp, acts.T, out=ws.gains_den)
+    np.add(den, guard, out=den)
+    return np.multiply(gains, num, out=num) / den
+
+
+def _column_norms(gains):
+    """np.linalg.norm(gains, axis=0), by numpy's own formula for it."""
+    return np.sqrt(np.add.reduce(gains * gains, axis=0))
 
 
 def _rescale(gains, acts, rng=None):
@@ -266,13 +334,13 @@ def _rescale(gains, acts, rng=None):
     A zero-norm column raises DegenerateFactorError, unless rng is given:
     then the column is redrawn in place from the init distribution first.
     """
-    norms = np.linalg.norm(gains, axis=0)
-    dead = np.flatnonzero(norms == 0)
-    if dead.size:
+    norms = _column_norms(gains)
+    if not norms.all():
+        dead = np.flatnonzero(norms == 0)
         if rng is None:
             raise DegenerateFactorError(f"gains columns {dead.tolist()} have zero norm")
         gains[:, dead] = rng.uniform(0.1, 1.1, size=(gains.shape[0], dead.size))
-        norms = np.linalg.norm(gains, axis=0)
+        norms = _column_norms(gains)
     return gains / norms, acts * norms[:, None]
 
 
@@ -283,10 +351,26 @@ def _check_epsilon(epsilon) -> None:
         raise ValueError(f"epsilon must be a finite number > 0, got {epsilon!r}")
 
 
+def _as_activations(a) -> np.ndarray:
+    acts = np.asarray(a, dtype=np.float64)
+    if acts.ndim != 2:
+        raise ShapeMismatchError(f"activations must be 2-D (K x T), got shape {acts.shape}")
+    return acts
+
+
+def _check_reweights(y: ReweightMatrix, acts: np.ndarray) -> None:
+    if y.weights.shape != (acts.shape[0], acts.shape[1] + 1):
+        raise ShapeMismatchError(
+            f"reweights shape {y.weights.shape} does not match activations "
+            f"{acts.shape}"
+        )
+
+
 def weighted_fit(s: MaskedMatrix, pair: FactorPair) -> float:
     """Half the mask-weighted squared reconstruction error."""
-    _check_compatible(s, pair.gains, pair.activations)
-    return _masked_fit(s.values, s.mask, pair.gains, pair.activations)[2]
+    gains, acts = pair.gains, pair.activations
+    _check_compatible(s, gains, acts)
+    return _masked_fit(_Workspace(gains, acts), s.values, s.mask, gains, acts)
 
 
 def penalty_smoothed(activations: np.ndarray, epsilon: float) -> float:
@@ -296,7 +380,7 @@ def penalty_smoothed(activations: np.ndarray, epsilon: float) -> float:
     which is 0 for a flat pair and approaches 1 for any clear transition.
     """
     _check_epsilon(epsilon)
-    return _penalty(_transitions(np.asarray(activations, dtype=np.float64)), epsilon)
+    return _penalty(_transitions(_as_activations(activations)), epsilon)
 
 
 def objective(s: MaskedMatrix, pair: FactorPair, cfg: SolverConfig) -> float:
@@ -306,10 +390,11 @@ def objective(s: MaskedMatrix, pair: FactorPair, cfg: SolverConfig) -> float:
     )
 
 
-def _expand_at(s: MaskedMatrix, gains: np.ndarray, p: np.ndarray):
+def _expand_at(ws, s: MaskedMatrix, gains: np.ndarray, p: np.ndarray):
     """(G^T (W ⊙ S), G^T (W ⊙ G p), squared residual) at activations p."""
-    wgp, sq_resid, _ = _masked_fit(s.values, s.mask, gains, p)
-    return gains.T @ s.values, gains.T @ wgp, sq_resid
+    _masked_fit(ws, s.values, s.mask, gains, p)
+    return (np.matmul(gains.T, s.values, out=ws.data),
+            np.matmul(gains.T, ws.wgp, out=ws.curv), ws.resid)
 
 
 def fit_gradient(s: MaskedMatrix, gains: np.ndarray, acts: np.ndarray) -> np.ndarray:
@@ -318,7 +403,7 @@ def fit_gradient(s: MaskedMatrix, gains: np.ndarray, acts: np.ndarray) -> np.nda
     Per slot: -gains^T (w ⊙ s - w ⊙ (gains p)).
     """
     _check_compatible(s, gains, acts)
-    data, curv, _ = _expand_at(s, gains, acts)
+    data, curv, _ = _expand_at(_Workspace(gains, acts), s, gains, acts)
     return curv - data
 
 
@@ -330,7 +415,7 @@ def compute_reweights(p_prev: np.ndarray, epsilon: float) -> ReweightMatrix:
     Note epsilon is added as-is here but squared in penalty_smoothed.
     """
     _check_epsilon(epsilon)
-    w = _reweights(_transitions(np.asarray(p_prev, dtype=np.float64)), epsilon)
+    w = _reweights(_transitions(_as_activations(p_prev)), epsilon)
     return ReweightMatrix(np.pad(w, ((0, 0), (1, 1))))
 
 
@@ -339,13 +424,12 @@ def update_activations(s: MaskedMatrix, gains: np.ndarray, p_i: np.ndarray,
     """One activation sweep over all time slots (neighbors read from p_i)."""
     acts = np.asarray(p_i, dtype=np.float64)
     _check_compatible(s, np.asarray(gains), acts)
-    if y.weights.shape != (acts.shape[0], acts.shape[1] + 1):
-        raise ShapeMismatchError(
-            f"reweights shape {y.weights.shape} does not match activations "
-            f"{acts.shape}"
-        )
-    data, curv, _ = _expand_at(s, np.asarray(gains, dtype=np.float64), acts)
-    return _activation_step(acts, data, curv, y.weights[:, 1:-1], cfg.beta, cfg.guard)[0]
+    _check_reweights(y, acts)
+    gains = np.asarray(gains, dtype=np.float64)
+    ws = _Workspace(gains, acts)
+    data, curv, _ = _expand_at(ws, s, gains, acts)
+    return _activation_step(ws, acts, data, curv, y.weights[:, 1:-1], cfg.beta,
+                            cfg.guard)[0]
 
 
 def update_gains(s: MaskedMatrix, f_i: FactorPair, cfg: SolverConfig) -> np.ndarray:
@@ -358,7 +442,9 @@ def update_gains(s: MaskedMatrix, f_i: FactorPair, cfg: SolverConfig) -> np.ndar
     """
     _check_compatible(s, f_i.gains, f_i.activations)
     gains, acts = f_i.gains, f_i.activations
-    return _gains_step(s.values, s.mask * (gains @ acts), gains, acts, cfg.guard)
+    ws = _Workspace(gains, acts)
+    _masked_product(ws, s.mask, gains, acts)
+    return _gains_step(ws, s.values, gains, acts, cfg.guard)
 
 
 def rescale(pair: FactorPair) -> FactorPair:
@@ -384,7 +470,12 @@ def surrogate_per_slot(s: MaskedMatrix, gains: np.ndarray, p_new: np.ndarray,
     p_new = np.asarray(p_new, dtype=np.float64)
     p_ref = np.asarray(p_ref, dtype=np.float64)
     _check_compatible(s, gains, p_ref)
-    data, curv, sq_resid = _expand_at(s, gains, p_ref)
+    if p_new.shape != p_ref.shape:
+        raise ShapeMismatchError(
+            f"p_new shape {p_new.shape} does not match p_ref {p_ref.shape}"
+        )
+    _check_reweights(y, p_ref)
+    data, curv, sq_resid = _expand_at(_Workspace(gains, p_ref), s, gains, p_ref)
     c_ref = 0.5 * sq_resid.sum(axis=0)
     grad = curv - data
     curvature = curv / p_ref
@@ -438,21 +529,24 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
     trace = SolveTrace(iterates=[] if record_factors else None)
     if record_factors:
         trace.initial = FactorPair(gains, acts)
-    wgp, fit, d2, pen = _state(values, mask, gains, acts, eps)
+    ws = _Workspace(gains, acts)
+    fit, pen = _state(ws, values, mask, gains, acts, eps)
     prev_obj = fit + beta * pen
 
     for iteration in range(1, cfg.max_iters + 1):
-        acts_new, clamped = _activation_step(acts, gains.T @ values, gains.T @ wgp,
-                                             _reweights(d2, eps), beta, guard)
-        wgp_new, _, fit_after_p = _masked_fit(values, mask, gains, acts_new)
-        gains_new = _gains_step(values, wgp_new, gains, acts_new, guard)
+        acts_new, clamped = _activation_step(
+            ws, acts, np.matmul(gains.T, values, out=ws.data),
+            np.matmul(gains.T, ws.wgp, out=ws.curv),
+            _reweights(ws.d2, eps, out=ws.scratch), beta, guard)
+        fit_after_p = _masked_fit(ws, values, mask, gains, acts_new)
+        gains_new = _gains_step(ws, values, gains, acts_new, guard)
         _check_finite(iteration, acts_new, gains_new)
 
         # A dead component cannot be renormalized; restart it from the init
         # distribution and let the next iterations repurpose it.
         gains, acts = _rescale(gains_new, acts_new, rng)
 
-        wgp, fit, d2, pen = _state(values, mask, gains, acts, eps)
+        fit, pen = _state(ws, values, mask, gains, acts, eps)
         obj = fit + beta * pen
         trace.records.append(
             IterationRecord(
@@ -501,24 +595,25 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     values, mask, beta, eps, guard = s.values, s.mask, cfg.beta, cfg.epsilon, cfg.guard
     rng = np.random.default_rng(cfg.init_seed)
     acts = rng.uniform(0.1, 1.1, size=(gains.shape[1], s.n_cols))
+    ws = _Workspace(gains, acts)
     # Calibrate the starting scale to the observed data. With frozen gains
     # there is no rescaling channel, and once the reweighted penalty
     # saturates it freezes the multiplicative scale adaptation, so an init
     # orders of magnitude off would never recover within the budget.
     observed = mask.sum()
     if observed > 0:
-        rec_mean = float((mask * (gains @ acts)).sum() / observed)
+        rec_mean = float(_masked_product(ws, mask, gains, acts).sum() / observed)
         if rec_mean > 0:
             acts = acts * (float(values.sum() / observed) / rec_mean)
             acts = np.maximum(acts, ACTIVATION_FLOOR)
-    data = gains.T @ values
-    wgp, fit, d2, pen = _state(values, mask, gains, acts, eps)
+    data = np.matmul(gains.T, values, out=ws.data)
+    fit, pen = _state(ws, values, mask, gains, acts, eps)
     prev_obj = fit + beta * pen
     for iteration in range(1, cfg.max_iters + 1):
-        acts, _ = _activation_step(acts, data, gains.T @ wgp, _reweights(d2, eps),
-                                   beta, guard)
+        acts, _ = _activation_step(ws, acts, data, np.matmul(gains.T, ws.wgp, out=ws.curv),
+                                   _reweights(ws.d2, eps, out=ws.scratch), beta, guard)
         _check_finite(iteration, acts)
-        wgp, fit, d2, pen = _state(values, mask, gains, acts, eps)
+        fit, pen = _state(ws, values, mask, gains, acts, eps)
         obj = fit + beta * pen
         rel = abs(prev_obj - obj) / max(abs(prev_obj), guard)
         prev_obj = obj

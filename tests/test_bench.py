@@ -463,7 +463,11 @@ _TRIALS_ROW = "p_obs,0.5,1,pcnmf,7,0.25,0.5,0.125,40,1.5,3.0,0,"
     (f"{_TRIALS_HEADER}\n{_TRIALS_ROW}\np_obs,0.5,1\n", "line 3 has 3 fields, expected 13"),
     (f"{_TRIALS_HEADER}\n{_TRIALS_ROW.replace(',40,', ',4x,')}\n",
      "line 2, column 'iterations': invalid literal for int"),
-], ids=["extra-column", "missing-columns", "short-row", "bad-int"])
+    (f"{_TRIALS_HEADER}\n{_TRIALS_ROW.replace(',3.0,0,', ',3.0,2,')}\n",
+     "line 2, column 'failed': expected 0 or 1, got '2'"),
+    (f"{_TRIALS_HEADER}\n{_TRIALS_ROW.replace(',3.0,0,', ',3.0,-1,')}\n",
+     "line 2, column 'failed': expected 0 or 1, got '-1'"),
+], ids=["extra-column", "missing-columns", "short-row", "bad-int", "bool-2", "bool-minus-1"])
 def test_read_trials_csv_malformed_is_named_error(tmp_path, text, message):
     path = tmp_path / "trials.csv"
     path.write_text(text)

@@ -19,6 +19,7 @@ from pcnmf import (
     ScenarioConfig,
     SolverConfig,
     compute_reweights,
+    fit_gradient,
     generate_scenario,
     infer_activations,
     penalty_smoothed,
@@ -117,17 +118,55 @@ def test_dead_column_restart_matches_reference():
     assert all(snap.gains_updated.all() for snap in trace.iterates)
 
 
+def failure_iteration(fn, *args):
+    with pytest.raises(NumericFailureError) as err, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fn(*args)
+    return err.value.iteration
+
+
 def test_numeric_failure_iteration_matches_reference():
     big = np.full((4, 6), 1e308)
     s = MaskedMatrix(big, np.ones_like(big))
-    cfg = SolverConfig(beta=0.0, rank=2, max_iters=50, rel_tol=0.0)
-    caught = []
-    for fn in (solve, ref.solve):
-        with pytest.raises(NumericFailureError) as err, warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            fn(s, cfg)
-        caught.append(err.value.iteration)
-    assert caught[0] == caught[1]
+    # This one overflows only after its first iteration.
+    late = masked_instance(2, 4, 6, p_obs=0.8, scale=1e154)
+    # The reference cannot infer at 1e308: its calibrated start overflows
+    # before the loop, into a ReweightMatrix that refuses it.
+    s_infer = MaskedMatrix(big / 1e108, np.ones_like(big))
+    gains = np.full((4, 2), 0.5)
+    for beta in (0.0, 5e-3):
+        cfg = SolverConfig(beta=beta, rank=2, max_iters=50, rel_tol=0.0)
+        assert failure_iteration(solve, s, cfg) == failure_iteration(ref.solve, s, cfg)
+        caught = failure_iteration(solve, late, cfg)
+        assert caught > 1 and caught == failure_iteration(ref.solve, late, cfg)
+        assert (failure_iteration(infer_activations, s_infer, gains, cfg)
+                == failure_iteration(ref.infer_activations, s_infer, gains, cfg))
+
+
+def test_repeated_calls_return_equal_unaliased_arrays():
+    """No call hands out a workspace buffer, to its caller or to a later call."""
+    s = masked_instance(11, 6, 40)
+    cfg = SolverConfig(beta=5e-3, rank=3, max_iters=10, rel_tol=0.0)
+
+    def outputs():
+        pair, trace = solve(s, cfg, record_factors=True)
+        gains, acts = pair.gains, pair.activations
+        y = compute_reweights(acts, cfg.epsilon)
+        out = [gains, acts, infer_activations(s, gains, cfg), y.weights,
+               update_activations(s, gains, acts, y, cfg), update_gains(s, pair, cfg),
+               fit_gradient(s, gains, acts),
+               surrogate_per_slot(s, gains, acts, acts, y, cfg.beta)]
+        for snap in trace.iterates:
+            out += [snap.activations_updated, snap.gains_updated,
+                    snap.pair.gains, snap.pair.activations]
+        return out
+
+    first, second = outputs(), outputs()
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
+    arrays = first + second
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:]), i
 
 
 @pytest.mark.parametrize("beta", BETAS)

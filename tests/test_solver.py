@@ -11,6 +11,7 @@ from pcnmf import (
     MaskedMatrix,
     NumericFailureError,
     ReweightMatrix,
+    ShapeMismatchError,
     SolverConfig,
     compute_reweights,
     fit_gradient,
@@ -46,6 +47,24 @@ def test_non_finite_solver_input_is_named_error(call, named, bad):
     s, pair = random_instance(5, n_rows=4, n_cols=6)
     with pytest.raises(ValueError, match=named):
         call(s, pair.gains, pair.activations, bad)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda s, g, a: surrogate_per_slot(s, g, a[:, :3], a, compute_reweights(a, 1e-6), 0.1),
+     r"p_new shape \(2, 3\) does not match p_ref \(2, 4\)"),
+    (lambda s, g, a: surrogate_per_slot(s, g, a, a, compute_reweights(np.ones((2, 6)), 1e-6), 0.1),
+     r"reweights shape \(2, 7\) does not match activations \(2, 4\)"),
+    (lambda s, g, a: update_activations(s, g, a, compute_reweights(np.ones((2, 6)), 1e-6),
+                                        SolverConfig(rank=2)),
+     r"reweights shape \(2, 7\) does not match activations \(2, 4\)"),
+    (lambda s, g, a: penalty_smoothed(a[0], 1e-6), r"activations must be 2-D \(K x T\), got shape \(4,\)"),
+    (lambda s, g, a: compute_reweights(a[0], 1e-6), r"activations must be 2-D \(K x T\), got shape \(4,\)"),
+], ids=["surrogate-p_new", "surrogate-reweights", "update_activations-reweights",
+        "penalty_smoothed-1d", "compute_reweights-1d"])
+def test_wrong_shaped_step_input_is_named_error(call, named):
+    s, pair = random_instance(5)
+    with pytest.raises(ShapeMismatchError, match=named):
+        call(s, pair.gains, pair.activations)
 
 
 def random_instance(seed, n_rows=3, n_cols=4, rank=2, p_obs=0.7):
@@ -471,6 +490,16 @@ def test_solve_numeric_failure_carries_iteration():
         warnings.simplefilter("ignore", RuntimeWarning)
         solve(s, cfg)
     assert err.value.iteration >= 1
+
+
+def test_solve_and_infer_accept_zero_slots():
+    s = MaskedMatrix(np.zeros((3, 0)), np.zeros((3, 0)))
+    cfg = SolverConfig(rank=2, max_iters=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        pair, trace = solve(s, cfg)
+    assert pair.activations.shape == (2, 0) and trace.records[0].objective == 0.0
+    assert infer_activations(s, pair.gains, cfg).shape == (2, 0)
 
 
 def test_solve_warns_on_silent_rows():
