@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ._config import check_dict, is_number
-from .matrices import FactorPair, write_csv
+from .matrices import FactorPair, csv_line, write_csv
 from .simulate import ScenarioConfig, generate_scenario
 from .solver import NumericFailureError, SolverConfig, infer_activations, solve, weighted_fit
 
@@ -391,9 +391,13 @@ def _cell(value) -> str:
 
 
 def _write_table(rows, cls, path) -> None:
-    """One header column and one cell per field of the dataclass cls."""
+    """One header column and one cell per field of the dataclass cls.
+
+    Every line is built before the file is opened, so a cell that cannot be
+    written leaves no file behind.
+    """
     names = [f.name for f in fields(cls)]
-    write_csv(path, names, ([_cell(getattr(row, n)) for n in names] for row in rows))
+    write_csv(path, names, [csv_line([_cell(getattr(row, n)) for n in names]) for row in rows])
 
 
 def write_summary_csv(rows: list[SummaryRow], path, include_timing: bool = True) -> None:

@@ -5,12 +5,18 @@ slots together with a binary availability mask. Missing entries are stored
 as 0 internally so they can never leak into downstream arithmetic; every
 operation multiplies by the mask before the data is used. Factor pairs hold
 the nonnegative (gains, activations) state of a factorization.
+
+Every CSV file pcnmf writes goes through write_csv, fed a row of text at a
+time, and the two matrix loaders share one parse: numpy's C reader, with
+csv.reader and int()/float() behind it to name a bad line.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,18 +163,37 @@ def masked_product_residual(s: MaskedMatrix, pair: FactorPair) -> np.ndarray:
     return s.mask * (s.values - pair.gains @ pair.activations)
 
 
-def write_csv(path, header, rows) -> None:
-    """Write rows as CSV with "\n" line ends, streaming them as they come.
+# The characters for which csv.writer would quote a cell.
+_QUOTE_TRIGGERS = re.compile(r'[,"\r\n]')
 
-    header is the first line's fields, or None for a file without a header.
-    Floats are written as their repr, the shortest decimal that reads back
-    to the same value; the caller formats any other cell.
+
+def csv_line(cells) -> str:
+    """Text cells joined by "," into one CSV line, with its "\n" line end.
+
+    No cell is ever quoted: one holding ",", '"', CR or LF raises ValueError
+    naming it, rather than writing a line that reads back as other cells.
     """
+    for cell in cells:
+        if _QUOTE_TRIGGERS.search(cell):
+            raise ValueError(f"CSV cell {cell!r} would need quoting; "
+                             f"pcnmf writes unquoted cells only")
+    return ",".join(cells) + "\n"
+
+
+def write_csv(path, header, blocks) -> None:
+    """Write a CSV file: a header line, then blocks of text, with "\n" line ends.
+
+    header is the first line's text cells (see csv_line), or None for a file
+    without a header. blocks is an iterable of text, each block one or more
+    whole lines that end in "\n", such as one matrix or table row; they are
+    written as they come, and no newline in them is translated. Callers
+    write each float as its repr, the shortest decimal that reads back to
+    the same value, and quote no cell.
+    """
+    head = "" if header is None else csv_line(header)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if header is not None:
-            writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(head)
+        fh.writelines(blocks)
 
 
 def write_json(path, obj) -> None:
@@ -179,12 +204,64 @@ def write_json(path, obj) -> None:
 
 
 def save_masked_csv(s: MaskedMatrix, path) -> None:
-    """Write a MaskedMatrix as long-format CSV with header r,t,value,observed."""
+    """Write a MaskedMatrix as long-format CSV with header r,t,value,observed.
+
+    Each sensor row is one text block: a line per slot t holding r, t, the
+    value's repr and observed as 0 or 1.
+    """
+    slots = [f"{t}," for t in range(s.n_cols)]
     write_csv(path, ["r", "t", "value", "observed"], (
-        (r, t, v, w)
+        "".join([f"{r},{slot}{v!r},{w}\n"
+                 for slot, v, w in zip(slots, values.tolist(), mask.astype(int).tolist())])
         for r, (values, mask) in enumerate(zip(s.values, s.mask))
-        for t, (v, w) in enumerate(zip(values.tolist(), mask.astype(int).tolist()))
     ))
+
+
+# The bytes that numpy's reader and int()/float() read alike: printable ASCII
+# and \t\n\v\f\r. numpy also takes \x1c-\x1f for white space, and reads some
+# non-ASCII letters as digits ("\u01fe" as 462).
+_PLAIN_BYTES = bytes(range(9, 14)) + bytes(range(32, 127))
+
+
+def _plain_text(path) -> bool:
+    with open(path, "rb") as fh:
+        return not any(chunk.translate(None, _PLAIN_BYTES)
+                       for chunk in iter(lambda: fh.read(1 << 20), b""))
+
+
+def _read_csv(path, header, dtype, ndmin: int, parse_records):
+    """The records of a CSV file after its header, as an array of dtype.
+
+    header is the first row as csv.reader splits it, or None for a file
+    without one; any other first row raises ValueError. numpy's C reader
+    parses the rest of the open file, skipping blank lines. If it fails, or
+    the file holds a byte it may read differently, parse_records(reader)
+    parses the file again through csv.reader with int()/float(): it raises
+    ValueError naming the first bad line, or returns the array for a file
+    only it reads (a quoted field, "1_0"). numpy and float() read every
+    decimal to the same double, so both paths accept the same files and
+    return the same values.
+    """
+    with open(path, newline="") as fh:
+        if header is not None:
+            first = next(csv.reader(fh), None)
+            if first != header:
+                raise ValueError(f"unexpected header {first!r}")
+        if _plain_text(path):
+            try:
+                with warnings.catch_warnings():
+                    # A file without records is the caller's named error.
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                            UserWarning)
+                    return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                                      ndmin=ndmin)
+            except (ValueError, OverflowError):
+                pass
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if header is not None:
+            next(reader)
+        return parse_records(reader)
 
 
 # One long-format masked-matrix record, as written by save_masked_csv.
@@ -192,24 +269,22 @@ _CELL = np.dtype([("r", np.int64), ("t", np.int64),
                   ("value", np.float64), ("observed", np.float64)])
 
 
+def _masked_records(reader) -> np.ndarray:
+    try:
+        return np.fromiter(((int(r), int(t), float(v), float(w))
+                            for r, t, v, w in filter(None, reader)), dtype=_CELL)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from exc
+
+
 def load_masked_csv(path) -> MaskedMatrix:
     """Read a MaskedMatrix written by save_masked_csv.
 
-    The file must hold every (r, t) cell of its grid exactly once; a
-    missing, duplicate or negative cell raises ValueError naming it.
+    Blank lines are skipped. A record that does not parse raises ValueError
+    naming its line. The file must hold every (r, t) cell of its grid exactly
+    once; a missing, duplicate or negative cell raises ValueError naming it.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["r", "t", "value", "observed"]:
-            raise ValueError(f"unexpected header {header!r}")
-        try:
-            table = np.fromiter(
-                ((int(r), int(t), float(v), float(w)) for r, t, v, w in reader),
-                dtype=_CELL,
-            )
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"line {reader.line_num}: {exc}") from exc
+    table = _read_csv(path, ["r", "t", "value", "observed"], _CELL, 1, _masked_records)
     if not table.size:
         raise ValueError("empty masked-matrix file")
     r, t = table["r"], table["t"]
@@ -240,11 +315,24 @@ def load_masked_csv(path) -> MaskedMatrix:
 
 
 def save_dense_csv(matrix: np.ndarray, path) -> None:
-    """Write a dense matrix as plain CSV (no header), shortest round-trip floats."""
+    """Write a dense matrix as plain CSV (no header), one line of reprs per row."""
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeMismatchError(f"expected 2-D matrix, got shape {arr.shape}")
-    write_csv(path, None, (row.tolist() for row in arr))
+    write_csv(path, None, (",".join(map(repr, row.tolist())) + "\n" for row in arr))
+
+
+def _dense_rows(reader) -> np.ndarray:
+    try:
+        rows = [(reader.line_num, [float(v) for v in rec]) for rec in reader if rec]
+    except ValueError as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from exc
+    width = len(rows[0][1]) if rows else 0
+    for line, row in rows:
+        if len(row) != width:
+            raise ValueError(f"ragged dense-matrix file: line {line} has "
+                             f"{len(row)} fields, expected {width}")
+    return np.array([row for _, row in rows], dtype=np.float64)
 
 
 def load_dense_csv(path) -> np.ndarray:
@@ -254,17 +342,7 @@ def load_dense_csv(path) -> np.ndarray:
     field count differs from the first row's, raises ValueError naming its
     line.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            rows = [(reader.line_num, [float(v) for v in rec]) for rec in reader if rec]
-        except ValueError as exc:
-            raise ValueError(f"line {reader.line_num}: {exc}") from exc
-    if not rows:
+    matrix = _read_csv(path, None, np.float64, 2, _dense_rows)
+    if not matrix.size:
         raise ValueError("empty dense-matrix file")
-    width = len(rows[0][1])
-    for line, row in rows:
-        if len(row) != width:
-            raise ValueError(f"ragged dense-matrix file: line {line} has "
-                             f"{len(row)} fields, expected {width}")
-    return np.array([row for _, row in rows], dtype=np.float64)
+    return matrix

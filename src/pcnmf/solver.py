@@ -184,7 +184,7 @@ class SolveTrace:
     def to_csv(self, path) -> None:
         """Export as CSV with columns iter,fit,penalty,objective."""
         write_csv(path, ["iter", "fit", "penalty", "objective"],
-                  ((rec.iteration, rec.fit, rec.penalty, rec.objective)
+                  (f"{rec.iteration},{rec.fit},{rec.penalty},{rec.objective}\n"
                    for rec in self.records))
 
 
@@ -575,6 +575,38 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
     return FactorPair(gains, acts), trace
 
 
+def _observed_mean(x: np.ndarray, observed) -> float:
+    """x.sum() / observed, also where that sum overflows and x does not.
+
+    Only then is the mean taken over x / x.max() and scaled back, so a
+    mean that fits a float is computed exactly as a plain sum would.
+    """
+    with np.errstate(over="ignore"):
+        mean = float(x.sum() / observed)
+    if not math.isfinite(mean):
+        top = float(x.max())
+        if math.isfinite(top):
+            mean = float((x / top).sum() / observed) * top
+    return mean
+
+
+def _calibrated(ws, values, mask, gains, acts):
+    """acts scaled so the masked reconstruction's mean matches the data's.
+
+    With frozen gains there is no rescaling channel, and once the
+    reweighted penalty saturates it freezes the multiplicative scale
+    adaptation, so an init orders of magnitude off would never recover
+    within the budget.
+    """
+    observed = mask.sum()
+    if observed > 0:
+        rec_mean = _observed_mean(_masked_product(ws, mask, gains, acts), observed)
+        if rec_mean > 0:
+            acts = acts * (_observed_mean(values, observed) / rec_mean)
+            acts = np.maximum(acts, ACTIVATION_FLOOR)
+    return acts
+
+
 def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
                       cfg: SolverConfig) -> np.ndarray:
     """Estimate activations for frozen gains (no gains update, no rescale).
@@ -596,16 +628,7 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     rng = np.random.default_rng(cfg.init_seed)
     acts = rng.uniform(0.1, 1.1, size=(gains.shape[1], s.n_cols))
     ws = _Workspace(gains, acts)
-    # Calibrate the starting scale to the observed data. With frozen gains
-    # there is no rescaling channel, and once the reweighted penalty
-    # saturates it freezes the multiplicative scale adaptation, so an init
-    # orders of magnitude off would never recover within the budget.
-    observed = mask.sum()
-    if observed > 0:
-        rec_mean = float(_masked_product(ws, mask, gains, acts).sum() / observed)
-        if rec_mean > 0:
-            acts = acts * (float(values.sum() / observed) / rec_mean)
-            acts = np.maximum(acts, ACTIVATION_FLOOR)
+    acts = _calibrated(ws, values, mask, gains, acts)
     data = np.matmul(gains.T, values, out=ws.data)
     fit, pen = _state(ws, values, mask, gains, acts, eps)
     prev_obj = fit + beta * pen

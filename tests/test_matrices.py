@@ -1,6 +1,7 @@
 """Data-model tests: masked matrices, factor pairs, elementwise ops, CSV I/O."""
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -210,11 +211,14 @@ def test_masked_csv_duplicate_cell_is_rejected(tmp_path):
     ("0,1,0.5", r"line 3: not enough values"),
     ("0,x,0.5,1", r"line 3: invalid literal"),
     ("-1,1,0.5,1", r"negative cell \(r=-1, t=1\)"),
+    # numpy's reader would take \x1c for white space and "\u01fe" for 462.
+    ("0,1,0.5,\x1c1", r"line 3: could not convert string to float"),
+    ("0,\u01fe,0.5,1", r"line 3: invalid literal"),
 ])
 def test_masked_csv_malformed_record_is_rejected(tmp_path, bad_line, message):
     path, lines = _saved_lines(tmp_path)
     lines[2] = bad_line
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=message):
         load_masked_csv(path)
 
@@ -233,3 +237,58 @@ def test_masked_csv_huge_index_is_rejected_without_allocating(tmp_path, bad_line
     with pytest.raises(ValueError, match=message):
         load_masked_csv(path)
     assert time.perf_counter() - start < 1.0
+
+
+# Cell (0, 1) written as int() and float() read it. numpy's reader takes the
+# first two cases itself; a quoted field, "1_0" and a non-ASCII digit go
+# through csv.reader and int()/float().
+@pytest.mark.parametrize("line, value", [
+    ("+0,+1,+3,1", 3.0),
+    (" 0 , 1 , 0.5 , 1 ", 0.5),
+    ('"0","1","0.5","1"', 0.5),
+    ("0,1,1_0,1", 10.0),
+    ("0,\u0661,2.5,1", 2.5),
+])
+def test_masked_csv_reads_cells_as_int_and_float_do(tmp_path, line, value):
+    path, lines = _saved_lines(tmp_path)
+    lines[2] = line
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    want = np.arange(12.0).reshape(3, 4)
+    want[0, 1] = value
+    back = load_masked_csv(path)
+    assert np.array_equal(back.values, want) and back.mask.all()
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_masked_csv_blank_lines_are_skipped(tmp_path, quoted):
+    path, lines = _saved_lines(tmp_path)
+    if quoted:  # read through csv.reader instead of numpy's reader
+        lines[5] = '"1",0,4.0,1'
+    text = "\n".join(lines[:3] + [""] + lines[3:9] + ["", ""] + lines[9:]) + "\n\r\n"
+    path.write_bytes(text.encode())
+    back = load_masked_csv(path)
+    assert np.array_equal(back.values, np.arange(12.0).reshape(3, 4)) and back.mask.all()
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (load_masked_csv, "r,t,value,observed\n", "empty masked-matrix file"),
+    (load_masked_csv, "r,t,value,observed\n\n\r\n", "empty masked-matrix file"),
+    (load_dense_csv, "", "empty dense-matrix file"),
+    (load_dense_csv, "\n\n", "empty dense-matrix file"),
+])
+def test_csv_without_records_is_named_error_without_warning(tmp_path, load, text, message):
+    path = tmp_path / "empty.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            load(path)
+
+
+@pytest.mark.parametrize("observed", [0.0, 1.0])
+def test_masked_csv_one_cell_grid_round_trips(tmp_path, observed):
+    m = MaskedMatrix([[0.25]], [[observed]])
+    path = tmp_path / "observed.csv"
+    save_masked_csv(m, path)
+    back = load_masked_csv(path)
+    assert np.array_equal(back.values, m.values) and np.array_equal(back.mask, m.mask)

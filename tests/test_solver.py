@@ -20,6 +20,7 @@ from pcnmf import (
     penalty_smoothed,
     rescale,
     solve,
+    solver,
     surrogate_per_slot,
     update_activations,
     update_gains,
@@ -556,3 +557,13 @@ def test_infer_single_slot_equals_plain_update():
     assert np.array_equal(
         infer_activations(s, gains, cfg_pen), infer_activations(s, gains, cfg_fit)
     )
+
+
+def test_infer_calibrated_start_is_finite_when_the_data_sum_overflows():
+    # 24 cells of 1e308 sum to inf, though their mean is 1e308.
+    big = np.full((4, 6), 1e308)
+    gains = np.full((4, 2), 0.5)
+    acts = np.random.default_rng(0).uniform(0.1, 1.1, size=(2, 6))
+    start = solver._calibrated(solver._Workspace(gains, acts), big, np.ones_like(big),
+                               gains, acts)
+    assert np.isfinite(start).all() and (start > 1e307).any()

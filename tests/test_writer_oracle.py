@@ -5,7 +5,7 @@ unchanged apart from taking the trace records as an argument and dropping
 the dense writer's shape check: csv.writer with repr of each float for the
 matrix files, and hand-joined lines for the trace and the two benchmark
 tables. Traces and tables must match byte for byte; matrix files once the
-references' CRLF line ends become LF.
+references' CRLF line ends become LF, and they must load back bit for bit.
 """
 
 import csv
@@ -20,6 +20,8 @@ from pcnmf import (
     SolveTrace,
     SummaryRow,
     TrialResult,
+    load_dense_csv,
+    load_masked_csv,
     save_dense_csv,
     save_masked_csv,
     write_summary_csv,
@@ -29,6 +31,11 @@ from pcnmf import (
 # Zero, the smallest subnormal, a tiny normal, a float beyond integer
 # precision and a decimal with no exact binary form.
 VALUES = [0.0, 5e-324, 1e-300, 1e16, 123.456]
+# Negative zero, the values on either side of repr's switch to exponent form
+# at 1e-4 and the largest one below 1e16, the smallest normal and the
+# largest float.
+EDGE_VALUES = [-0.0, 9.999999999999999e-05, 1e-4, 9999999999999998.0,
+               2.2250738585072014e-308, 1.7976931348623157e308]
 NAN = float("nan")
 
 
@@ -138,6 +145,10 @@ def _assert_same(tmp_path, write, write_ref, crlf=False):
     assert got.read_bytes() == expected
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 def _matrices():
     rng = np.random.default_rng(3)
     values = np.array([VALUES, VALUES[::-1]])
@@ -145,6 +156,7 @@ def _matrices():
     yield values.T
     yield np.array([[123.456]])
     yield rng.uniform(0, 1, (4, 6)) * np.array([1e-300, 1e-9, 1.0, 1e6, 1e16, 5e-324])
+    yield np.array([EDGE_VALUES, EDGE_VALUES[::-1]])
 
 
 # -------------------------------------------------------------------- tests
@@ -153,6 +165,7 @@ def _matrices():
 def test_dense_csv_matches_reference(tmp_path, matrix):
     _assert_same(tmp_path, lambda p: save_dense_csv(matrix, p),
                  lambda p: _ref_save_dense_csv(matrix, p), crlf=True)
+    assert np.array_equal(_bits(load_dense_csv(tmp_path / "got.csv")), _bits(matrix))
 
 
 @pytest.mark.parametrize("matrix", list(_matrices()))
@@ -161,6 +174,9 @@ def test_masked_csv_matches_reference(tmp_path, matrix):
     for m in (MaskedMatrix(matrix, np.ones_like(matrix)), MaskedMatrix(matrix, mask)):
         _assert_same(tmp_path, lambda p: save_masked_csv(m, p),
                      lambda p: _ref_save_masked_csv(m, p), crlf=True)
+        back = load_masked_csv(tmp_path / "got.csv")
+        assert np.array_equal(_bits(back.values), _bits(m.values))
+        assert np.array_equal(back.mask, m.mask)
 
 
 def test_trace_csv_matches_reference(tmp_path):
@@ -203,3 +219,15 @@ def test_trials_csv_matches_reference(tmp_path):
     ]
     _assert_same(tmp_path, lambda p: write_trials_csv(rows, p),
                  lambda p: _ref_write_trials_csv(rows, p))
+
+
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+def test_table_cell_that_would_need_quoting_is_named_error(tmp_path, char):
+    # csv.writer would quote such a cell; pcnmf writes no quoted cell, and
+    # no file either.
+    row = TrialResult("none", None, 0, "pcnmf", 7, NAN, NAN, NAN, 0, 0.25, NAN,
+                      failed=True, error=f"bad{char}cell")
+    path = tmp_path / "trials.csv"
+    with pytest.raises(ValueError, match=r"CSV cell 'bad.+cell' would need quoting"):
+        write_trials_csv([row], path)
+    assert not path.exists()
