@@ -43,13 +43,21 @@ def check_dict(cls, d) -> None:
             raise ValueError(f"{cls.__name__} key {key!r} must be {noun}, got {value!r}")
 
 
-def check_finite(config) -> None:
-    """Raise ValueError naming the first float field of config that is NaN or ±inf."""
+def check_fields(config) -> None:
+    """Raise ValueError naming the first field of config that does not hold its kind.
+
+    A field annotated int must hold an int, and a bool is not one; a field
+    annotated float must not be NaN or ±inf.
+    """
     for f in fields(config):
         value = getattr(config, f.name)
-        if f.type == "float" and not math.isfinite(value):
-            raise ValueError(f"{type(config).__name__} field {f.name!r} must be finite, "
-                             f"got {value!r}")
+        if f.type == "int" and not _is(Integral, value):
+            problem = "must be an int"
+        elif f.type == "float" and not math.isfinite(value):
+            problem = "must be finite"
+        else:
+            continue
+        raise ValueError(f"{type(config).__name__} field {f.name!r} {problem}, got {value!r}")
 
 
 def number_pair(name: str, value) -> tuple[float, float]:

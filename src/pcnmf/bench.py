@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._config import check_dict, is_number
+from ._config import check_dict, check_fields, is_number
 from .matrices import FactorPair, csv_line, write_csv
 from .simulate import ScenarioConfig, generate_scenario
 from .solver import NumericFailureError, SolverConfig, infer_activations, solve, weighted_fit
@@ -48,6 +48,7 @@ class ExperimentConfig:
     methods: tuple[str, ...] = _METHODS
 
     def __post_init__(self):
+        check_fields(self)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 1 <= self.gamma_window <= self.scenario.t_slots:
@@ -168,7 +169,7 @@ def rmse_missing_pooled(reconstructed: np.ndarray, truth: np.ndarray,
 
 def transition_count(activations: np.ndarray, threshold: float) -> np.ndarray:
     """Per-row count of consecutive differences larger than threshold."""
-    if threshold <= 0:
+    if not threshold > 0:
         raise ValueError("threshold must be > 0")
     acts = np.asarray(activations, dtype=np.float64)
     return (np.abs(np.diff(acts, axis=1)) > threshold).sum(axis=1)
@@ -400,9 +401,7 @@ def _write_table(rows, cls, path) -> None:
     write_csv(path, names, [csv_line([_cell(getattr(row, n)) for n in names]) for row in rows])
 
 
-def write_summary_csv(rows: list[SummaryRow], path, include_timing: bool = True) -> None:
-    if not include_timing:
-        rows = [replace(row, mean_seconds=None) for row in rows]
+def write_summary_csv(rows: list[SummaryRow], path) -> None:
     _write_table(rows, SummaryRow, path)
 
 
@@ -456,9 +455,15 @@ def read_trials_csv(path) -> list[dict]:
 def write_benchmark_outputs(outdir, summary: list[SummaryRow],
                             trials: list[TrialResult],
                             include_timing: bool = True) -> None:
+    """Write summary.csv and trials.csv into outdir, creating it.
+
+    include_timing=False blanks every timing cell (mean_seconds, seconds),
+    so that two runs of one configuration write the same bytes.
+    """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    write_summary_csv(summary, out / "summary.csv", include_timing=include_timing)
     if not include_timing:
+        summary = [replace(row, mean_seconds=None) for row in summary]
         trials = [replace(r, seconds=None) for r in trials]
+    write_summary_csv(summary, out / "summary.csv")
     write_trials_csv(trials, out / "trials.csv")

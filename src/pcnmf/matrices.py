@@ -86,10 +86,6 @@ class MaskedMatrix:
     def n_cols(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def observed_count(self) -> int:
-        return int(self.mask.sum())
-
     def window(self, start: int, stop: int) -> "MaskedMatrix":
         """Column slice [start, stop) as a new MaskedMatrix."""
         return MaskedMatrix(self.values[:, start:stop], self.mask[:, start:stop])
@@ -121,46 +117,6 @@ class FactorPair:
     @property
     def rank(self) -> int:
         return self.gains.shape[1]
-
-
-@dataclass(frozen=True)
-class ReweightMatrix:
-    """Per-transition quadratic penalty weights, K x (T+1), units 1/power^2.
-
-    Column 0 and column T are identically zero so the first and last time
-    slots see no phantom neighbor.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        weights = _as_matrix(self.weights, "weights")
-        if weights.shape[1] < 2:
-            raise ShapeMismatchError("weights needs at least 2 columns (T >= 1)")
-        if not np.isfinite(weights).all() or (weights < 0).any():
-            raise ValueError("weights must be finite and nonnegative")
-        if weights[:, 0].any() or weights[:, -1].any():
-            raise ValueError("boundary weight columns must be zero")
-        object.__setattr__(self, "weights", _frozen(weights))
-
-    @property
-    def n_slots(self) -> int:
-        return self.weights.shape[1] - 1
-
-
-def reconstruct(pair: FactorPair) -> np.ndarray:
-    """Dense reconstruction gains @ activations (elementwise >= 0)."""
-    return pair.gains @ pair.activations
-
-
-def masked_product_residual(s: MaskedMatrix, pair: FactorPair) -> np.ndarray:
-    """W * (S - gains @ activations); exactly zero wherever mask == 0."""
-    if s.shape != (pair.gains.shape[0], pair.activations.shape[1]):
-        raise ShapeMismatchError(
-            f"measurements {s.shape} incompatible with factor product "
-            f"{(pair.gains.shape[0], pair.activations.shape[1])}"
-        )
-    return s.mask * (s.values - pair.gains @ pair.activations)
 
 
 # The characters for which csv.writer would quote a cell.

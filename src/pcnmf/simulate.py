@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._config import check_dict, check_finite, number_pair
+from ._config import check_dict, check_fields, number_pair
 from .matrices import MaskedMatrix, save_dense_csv, save_masked_csv, write_json
 
 # substream tags
@@ -53,7 +53,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.n_pu < 1 or self.n_su < 1 or self.t_slots < 1:
             raise ValueError("counts must be >= 1")
         if not 0 < self.duty < 1:
@@ -98,10 +98,6 @@ class ScenarioTruth:
     activity: np.ndarray         # (n_pu, t_slots) 0/1
     s_clean: np.ndarray          # (n_su, t_slots) noiseless received power
     observed: MaskedMatrix       # noisy, masked measurements
-
-    def gains_at(self, t: int = 0) -> np.ndarray:
-        """Channel-gain matrix frozen at slot t (n_su x n_pu)."""
-        return self.gamma_true[:, :, t]
 
 
 def place_network(cfg: ScenarioConfig,

@@ -32,12 +32,11 @@ activations and W the mask, one `solve` iteration computes six products:
 before its loop and two products per iteration: G^T (W ⊙ G P) and G P.
 The state at the end of an iteration (W ⊙ G P and d^2 = diff(P)^2) is
 carried into the next one: W ⊙ G P feeds the next curvature, and d^2 both
-the reported penalty and the next reweights. Inside the kernel the
-reweights are one K x (T-1) array, one weight per transition, and a slot
-reads its neighbors and their weights by slicing; only compute_reweights
-pads them into the K x (T+1) ReweightMatrix of the public step functions,
-which hand its interior columns back to the kernel. fit_after_p and fit
-are derived from these shared products in the same operation order as
+the reported penalty and the next reweights. The reweights are one
+K x (T-1) array, one weight per transition, everywhere: compute_reweights
+returns it, update_activations and surrogate_per_slot take it, and a slot
+reads its neighbors and their weights from it by slicing. fit_after_p and
+fit are derived from these shared products in the same operation order as
 the step functions, so the loops and the public functions agree bit for
 bit. The loops never evaluate the surrogate: surrogate_per_slot on
 solve(..., record_factors=True) iterates checks MM monotonicity after
@@ -72,9 +71,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._config import check_dict, check_finite
-from .matrices import (FactorPair, MaskedMatrix, ReweightMatrix, ShapeMismatchError,
-                       write_csv)
+from ._config import check_dict, check_fields
+from .matrices import FactorPair, MaskedMatrix, ShapeMismatchError, write_csv
 
 # Activations are floored here after every update: the diagonal majorizer
 # divides by the current activation, so an exact zero would lock the
@@ -118,7 +116,7 @@ class SolverConfig:
     guard: float = 1e-12
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
         if self.epsilon <= 0:
@@ -358,12 +356,16 @@ def _as_activations(a) -> np.ndarray:
     return acts
 
 
-def _check_reweights(y: ReweightMatrix, acts: np.ndarray) -> None:
-    if y.weights.shape != (acts.shape[0], acts.shape[1] + 1):
+def _as_reweights(w, acts: np.ndarray) -> np.ndarray:
+    """w as float64, checked against K x T activations: K x (T-1), finite, >= 0."""
+    weights = np.asarray(w, dtype=np.float64)
+    if weights.shape != (acts.shape[0], max(acts.shape[1] - 1, 0)):
         raise ShapeMismatchError(
-            f"reweights shape {y.weights.shape} does not match activations "
-            f"{acts.shape}"
+            f"reweights shape {weights.shape} does not match activations {acts.shape}"
         )
+    if not np.isfinite(weights).all() or (weights < 0).any():
+        raise ValueError("reweights must be finite and nonnegative")
+    return weights
 
 
 def weighted_fit(s: MaskedMatrix, pair: FactorPair) -> float:
@@ -402,34 +404,37 @@ def fit_gradient(s: MaskedMatrix, gains: np.ndarray, acts: np.ndarray) -> np.nda
 
     Per slot: -gains^T (w ⊙ s - w ⊙ (gains p)).
     """
+    acts = _as_activations(acts)
     _check_compatible(s, gains, acts)
     data, curv, _ = _expand_at(_Workspace(gains, acts), s, gains, acts)
     return curv - data
 
 
-def compute_reweights(p_prev: np.ndarray, epsilon: float) -> ReweightMatrix:
-    """Quadratic transition weights from the previous activations.
+def compute_reweights(p_prev: np.ndarray, epsilon: float) -> np.ndarray:
+    """Quadratic transition weights from the previous activations, K x (T-1).
 
-    Interior column t (1..T-1) is 1 / ((p[:,t] - p[:,t-1])^2 + epsilon);
-    columns 0 and T are zero so boundary slots have no phantom neighbor.
-    Note epsilon is added as-is here but squared in penalty_smoothed.
+    Column t is 1 / ((p[:,t+1] - p[:,t])^2 + epsilon), the weight of the
+    transition from slot t to slot t+1; the first and last slots have one
+    transition each, so no slot sees a phantom neighbor. Note epsilon is
+    added as-is here but squared in penalty_smoothed.
     """
     _check_epsilon(epsilon)
-    w = _reweights(_transitions(_as_activations(p_prev)), epsilon)
-    return ReweightMatrix(np.pad(w, ((0, 0), (1, 1))))
+    return _reweights(_transitions(_as_activations(p_prev)), epsilon)
 
 
 def update_activations(s: MaskedMatrix, gains: np.ndarray, p_i: np.ndarray,
-                       y: ReweightMatrix, cfg: SolverConfig) -> np.ndarray:
-    """One activation sweep over all time slots (neighbors read from p_i)."""
-    acts = np.asarray(p_i, dtype=np.float64)
+                       w: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    """One activation sweep over all time slots (neighbors read from p_i).
+
+    w holds the K x (T-1) transition weights, as compute_reweights returns them.
+    """
+    acts = _as_activations(p_i)
     _check_compatible(s, np.asarray(gains), acts)
-    _check_reweights(y, acts)
+    w = _as_reweights(w, acts)
     gains = np.asarray(gains, dtype=np.float64)
     ws = _Workspace(gains, acts)
     data, curv, _ = _expand_at(ws, s, gains, acts)
-    return _activation_step(ws, acts, data, curv, y.weights[:, 1:-1], cfg.beta,
-                            cfg.guard)[0]
+    return _activation_step(ws, acts, data, curv, w, cfg.beta, cfg.guard)[0]
 
 
 def update_gains(s: MaskedMatrix, f_i: FactorPair, cfg: SolverConfig) -> np.ndarray:
@@ -457,31 +462,30 @@ def rescale(pair: FactorPair) -> FactorPair:
 
 
 def surrogate_per_slot(s: MaskedMatrix, gains: np.ndarray, p_new: np.ndarray,
-                       p_ref: np.ndarray, y: ReweightMatrix, beta: float) -> np.ndarray:
+                       p_ref: np.ndarray, w: np.ndarray, beta: float) -> np.ndarray:
     """Penalized quadratic surrogate, one value per time slot.
 
     Second-order expansion of the slot fit around p_ref with the diagonal
     curvature curv/p_ref, plus the reweighted quadratic transition terms
     toward the slot's frozen neighbors (each slot sees both its adjacent
-    transitions). Touches the slot fit at p_new == p_ref when beta == 0;
-    the activation sweep cannot increase it.
+    transitions, weighted by the K x (T-1) w). Touches the slot fit at
+    p_new == p_ref when beta == 0; the activation sweep cannot increase it.
     """
     gains = np.asarray(gains, dtype=np.float64)
     p_new = np.asarray(p_new, dtype=np.float64)
-    p_ref = np.asarray(p_ref, dtype=np.float64)
+    p_ref = _as_activations(p_ref)
     _check_compatible(s, gains, p_ref)
     if p_new.shape != p_ref.shape:
         raise ShapeMismatchError(
             f"p_new shape {p_new.shape} does not match p_ref {p_ref.shape}"
         )
-    _check_reweights(y, p_ref)
+    w = _as_reweights(w, p_ref)
     data, curv, sq_resid = _expand_at(_Workspace(gains, p_ref), s, gains, p_ref)
     c_ref = 0.5 * sq_resid.sum(axis=0)
     grad = curv - data
     curvature = curv / p_ref
     d = p_new - p_ref
     quad = c_ref + (d * grad).sum(axis=0) + 0.5 * (curvature * d * d).sum(axis=0)
-    w = y.weights[:, 1:-1]
     trans = np.zeros_like(p_ref)
     trans[:, 1:] = w * np.square(p_new[:, 1:] - p_ref[:, :-1])
     trans[:, :-1] += w * np.square(p_ref[:, 1:] - p_new[:, :-1])

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from pcnmf.matrices import FactorPair, MaskedMatrix, ReweightMatrix, ShapeMismatchError
+from pcnmf.matrices import FactorPair, MaskedMatrix, ShapeMismatchError
 from pcnmf.solver import (
     ACTIVATION_FLOOR,
     IterateSnapshot,
@@ -53,7 +53,7 @@ def penalty_smoothed(activations: np.ndarray, epsilon: float) -> float:
     return float(np.sum(d2 / (d2 + epsilon * epsilon)))
 
 
-def compute_reweights(p_prev: np.ndarray, epsilon: float) -> ReweightMatrix:
+def compute_reweights(p_prev: np.ndarray, epsilon: float) -> np.ndarray:
     """Quadratic transition weights from the previous activations.
 
     Interior column t (1..T-1) is 1 / ((p[:,t] - p[:,t-1])^2 + epsilon);
@@ -66,7 +66,7 @@ def compute_reweights(p_prev: np.ndarray, epsilon: float) -> ReweightMatrix:
     weights = np.zeros((k, t + 1))
     if t >= 2:
         weights[:, 1:t] = 1.0 / (np.square(np.diff(acts, axis=1)) + epsilon)
-    return ReweightMatrix(weights)
+    return weights
 
 
 def _shift_right(acts: np.ndarray) -> np.ndarray:
@@ -114,7 +114,7 @@ def _activation_step(values, mask, gains, acts, weights, beta, guard):
 
 
 def surrogate_per_slot(s: MaskedMatrix, gains: np.ndarray, p_new: np.ndarray,
-                       p_ref: np.ndarray, y: ReweightMatrix, beta: float) -> np.ndarray:
+                       p_ref: np.ndarray, y: np.ndarray, beta: float) -> np.ndarray:
     """Penalized quadratic surrogate, one value per time slot.
 
     Second-order expansion of the slot fit around p_ref with the diagonal
@@ -134,8 +134,8 @@ def surrogate_per_slot(s: MaskedMatrix, gains: np.ndarray, p_new: np.ndarray,
     curvature = (gains.T @ (s.mask * (gains @ p_ref))) / p_ref
     d = p_new - p_ref
     quad = c_ref + np.sum(d * grad, axis=0) + 0.5 * np.sum(curvature * d * d, axis=0)
-    yl = y.weights[:, :t]
-    yr = y.weights[:, 1:]
+    yl = y[:, :t]
+    yr = y[:, 1:]
     left = yl * np.square(p_new - _shift_right(p_ref))
     right = yr * np.square(_shift_left(p_ref) - p_new)
     return quad + beta * np.sum(left + right, axis=0)
@@ -186,7 +186,7 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
     for iteration in range(1, cfg.max_iters + 1):
         reweights = compute_reweights(acts, cfg.epsilon)
         acts_new, clamped = _activation_step(
-            s.values, s.mask, gains, acts, reweights.weights, cfg.beta, cfg.guard
+            s.values, s.mask, gains, acts, reweights, cfg.beta, cfg.guard
         )
         fit_after_p = _weighted_fit(s.values, s.mask, gains, acts_new)
 
@@ -270,7 +270,7 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     for iteration in range(1, cfg.max_iters + 1):
         reweights = compute_reweights(acts, cfg.epsilon)
         acts, _ = _activation_step(
-            s.values, s.mask, gains, acts, reweights.weights, cfg.beta, cfg.guard
+            s.values, s.mask, gains, acts, reweights, cfg.beta, cfg.guard
         )
         _check_finite(iteration, acts)
         obj = _weighted_fit(s.values, s.mask, gains, acts) + cfg.beta * (

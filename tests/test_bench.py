@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import itertools
 import math
+import re
 import time
 
 import numpy as np
@@ -23,6 +24,7 @@ from pcnmf import (
     run_trial,
     scale_rows_to_reference,
     transition_count,
+    write_benchmark_outputs,
     write_summary_csv,
     write_trials_csv,
 )
@@ -104,6 +106,12 @@ def test_transition_count_matches_scan_oracle():
         1 for t in range(1, 40) if abs(row[0, t] - row[0, t - 1]) > threshold
     )
     assert transition_count(row, threshold)[0] == oracle
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
+def test_transition_count_rejects_threshold_not_above_zero(threshold):
+    with pytest.raises(ValueError, match="threshold must be > 0"):
+        transition_count(np.ones((1, 4)), threshold)
 
 
 def test_scale_rows_recovers_permuted_scaled_reference():
@@ -295,10 +303,11 @@ def test_sweep_parallel_equals_serial(tmp_path):
             np.isnan(a.mean_rmse) and np.isnan(b.mean_rmse)
         )
         assert a.trials_ok == b.trials_ok
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_summary_csv(summary_1, p1, include_timing=False)
-    write_summary_csv(summary_2, p2, include_timing=False)
-    assert p1.read_bytes() == p2.read_bytes()
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    write_benchmark_outputs(d1, summary_1, trials_1, include_timing=False)
+    write_benchmark_outputs(d2, summary_2, trials_2, include_timing=False)
+    for name in ("summary.csv", "trials.csv"):
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
     for ta, tb in zip(trials_1, trials_2):
         assert ta.rmse == tb.rmse or (np.isnan(ta.rmse) and np.isnan(tb.rmse))
 
@@ -375,6 +384,22 @@ def test_non_finite_config_field_is_named_error(cls, name, value):
     with pytest.raises(ValueError, match=f"field '{name}' must be finite"):
         cls(**{name: value})
     with pytest.raises(ValueError, match=f"field '{name}' must be finite"):
+        dataclasses.replace(cls(), **{name: value})
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (SolverConfig, "max_iters", math.inf),
+    (SolverConfig, "rank", 2.5),
+    (SolverConfig, "init_seed", True),
+    (ScenarioConfig, "n_su", 2.5),
+    (ExperimentConfig, "trials", 2.5),
+    (ExperimentConfig, "gamma_window", 20.0),
+])
+def test_non_integer_config_field_is_named_error(cls, name, value):
+    named = f"{cls.__name__} field '{name}' must be an int, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        cls(**{name: value})
+    with pytest.raises(ValueError, match=re.escape(named)):
         dataclasses.replace(cls(), **{name: value})
 
 

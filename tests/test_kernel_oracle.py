@@ -130,8 +130,8 @@ def test_numeric_failure_iteration_matches_reference():
     s = MaskedMatrix(big, np.ones_like(big))
     # This one overflows only after its first iteration.
     late = masked_instance(2, 4, 6, p_obs=0.8, scale=1e154)
-    # The reference cannot infer at 1e308: its calibrated start overflows
-    # before the loop, into a ReweightMatrix that refuses it.
+    # Inference runs at 1e200, where both calibrated starts are finite; at
+    # 1e308 the reference's overflows before its loop.
     s_infer = MaskedMatrix(big / 1e108, np.ones_like(big))
     gains = np.full((4, 2), 0.5)
     for beta in (0.0, 5e-3):
@@ -152,7 +152,7 @@ def test_repeated_calls_return_equal_unaliased_arrays():
         pair, trace = solve(s, cfg, record_factors=True)
         gains, acts = pair.gains, pair.activations
         y = compute_reweights(acts, cfg.epsilon)
-        out = [gains, acts, infer_activations(s, gains, cfg), y.weights,
+        out = [gains, acts, infer_activations(s, gains, cfg), y,
                update_activations(s, gains, acts, y, cfg), update_gains(s, pair, cfg),
                fit_gradient(s, gains, acts),
                surrogate_per_slot(s, gains, acts, acts, y, cfg.beta)]
@@ -179,12 +179,15 @@ def test_public_steps_match_reference(beta):
         cfg = SolverConfig(beta=beta, rank=3)
         gains, acts = pair.gains, pair.activations
         y = compute_reweights(acts, cfg.epsilon)
-        assert np.array_equal(y.weights, ref.compute_reweights(acts, cfg.epsilon).weights)
-        new_ref, _ = ref._activation_step(s.values, s.mask, gains, acts, y.weights,
+        # The reference pads its weights with a zero column on either side.
+        y_ref = ref.compute_reweights(acts, cfg.epsilon)
+        assert np.array_equal(y, y_ref[:, 1:-1])
+        assert not y_ref[:, 0].any() and not y_ref[:, -1].any()
+        new_ref, _ = ref._activation_step(s.values, s.mask, gains, acts, y_ref,
                                           beta, cfg.guard)
         assert np.array_equal(update_activations(s, gains, acts, y, cfg), new_ref)
         for p in (acts, p_new):
             assert np.array_equal(surrogate_per_slot(s, gains, p, acts, y, beta),
-                                  ref.surrogate_per_slot(s, gains, p, acts, y, beta))
+                                  ref.surrogate_per_slot(s, gains, p, acts, y_ref, beta))
         assert weighted_fit(s, pair) == ref._weighted_fit(s.values, s.mask, gains, acts)
         assert penalty_smoothed(acts, cfg.epsilon) == ref.penalty_smoothed(acts, cfg.epsilon)

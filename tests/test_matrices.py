@@ -1,4 +1,4 @@
-"""Data-model tests: masked matrices, factor pairs, elementwise ops, CSV I/O."""
+"""Data-model tests: masked matrices, factor pairs, CSV I/O."""
 
 import time
 import warnings
@@ -9,14 +9,13 @@ import pytest
 from pcnmf import (
     FactorPair,
     MaskedMatrix,
-    ReweightMatrix,
     ShapeMismatchError,
+    fit_gradient,
     load_dense_csv,
     load_masked_csv,
-    masked_product_residual,
-    reconstruct,
     save_dense_csv,
     save_masked_csv,
+    weighted_fit,
 )
 
 
@@ -57,79 +56,6 @@ def test_factor_pair_validation():
     assert pair.rank == 2
 
 
-def test_reweight_matrix_boundary_columns():
-    w = np.ones((2, 5))
-    with pytest.raises(ValueError):
-        ReweightMatrix(w)
-    w[:, 0] = 0.0
-    w[:, -1] = 0.0
-    r = ReweightMatrix(w)
-    assert r.n_slots == 4
-
-
-def test_residual_exact_fit_is_zero():
-    rng = np.random.default_rng(0)
-    gains = rng.uniform(0.1, 1.0, size=(3, 2))
-    acts = rng.uniform(0.1, 1.0, size=(2, 5))
-    s = MaskedMatrix(gains @ acts, np.ones((3, 5)))
-    assert np.array_equal(masked_product_residual(s, FactorPair(gains, acts)),
-                          np.zeros((3, 5)))
-
-
-def test_residual_fully_missing_is_zero():
-    rng = np.random.default_rng(1)
-    s = MaskedMatrix(rng.uniform(0, 1, (3, 5)), np.zeros((3, 5)))
-    pair = FactorPair(np.ones((3, 2)), np.ones((2, 5)))
-    assert np.array_equal(masked_product_residual(s, pair), np.zeros((3, 5)))
-
-
-def test_residual_scalar_case():
-    s = MaskedMatrix([[2.0]], [[1.0]])
-    pair = FactorPair([[1.0]], [[1.0]])
-    assert masked_product_residual(s, pair)[0, 0] == 1.0
-
-
-def test_residual_zero_at_masked_positions():
-    rng = np.random.default_rng(2)
-    mask = (rng.random((4, 6)) < 0.5).astype(float)
-    s = MaskedMatrix(rng.uniform(0, 2, (4, 6)), mask)
-    pair = FactorPair(rng.uniform(0, 1, (4, 2)), rng.uniform(0, 1, (2, 6)))
-    resid = masked_product_residual(s, pair)
-    assert (resid[mask == 0] == 0).all()
-
-
-def test_residual_shape_mismatch():
-    s = MaskedMatrix(np.ones((3, 5)), np.ones((3, 5)))
-    with pytest.raises(ShapeMismatchError):
-        masked_product_residual(s, FactorPair(np.ones((4, 2)), np.ones((2, 5))))
-
-
-def test_reconstruct_identity_gains():
-    acts = np.array([[1.0, 2.0], [3.0, 0.5]])
-    assert np.array_equal(reconstruct(FactorPair(np.eye(2), acts)), acts)
-
-
-def test_reconstruct_zero_column_contributes_nothing():
-    gains = np.array([[1.0, 0.0], [2.0, 0.0]])
-    acts = np.array([[1.0, 1.0], [5.0, 7.0]])
-    expected = np.outer(gains[:, 0], acts[0])
-    assert np.array_equal(reconstruct(FactorPair(gains, acts)), expected)
-
-
-def test_reconstruct_matches_triple_loop_oracle():
-    rng = np.random.default_rng(3)
-    gains = rng.uniform(0, 1, (2, 2))
-    acts = rng.uniform(0, 1, (2, 2))
-    oracle = np.zeros((2, 2))
-    for r in range(2):
-        for t in range(2):
-            for j in range(2):
-                oracle[r, t] += gains[r, j] * acts[j, t]
-    got = reconstruct(FactorPair(gains, acts))
-    assert np.allclose(got, oracle, rtol=0, atol=1e-15)
-    assert (got >= 0).all()
-
-
 def test_ops_insensitive_to_missing_placeholders():
     rng = np.random.default_rng(4)
     mask = (rng.random((5, 7)) < 0.6).astype(float)
@@ -139,8 +65,9 @@ def test_ops_insensitive_to_missing_placeholders():
     a = MaskedMatrix(base, mask)
     b = MaskedMatrix(garbage, mask)
     pair = FactorPair(rng.uniform(0, 1, (5, 3)), rng.uniform(0, 1, (3, 7)))
-    assert np.array_equal(masked_product_residual(a, pair),
-                          masked_product_residual(b, pair))
+    assert weighted_fit(a, pair) == weighted_fit(b, pair)
+    assert np.array_equal(fit_gradient(a, pair.gains, pair.activations),
+                          fit_gradient(b, pair.gains, pair.activations))
     assert np.array_equal(a.values, b.values)
 
 

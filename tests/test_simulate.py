@@ -126,7 +126,7 @@ def test_static_rank_one_scenario_is_exact():
     assert truth.activity.all()
     power = truth.p_true[0, 0]
     assert (truth.p_true == power).all()
-    gamma = truth.gains_at(0)[:, 0]
+    gamma = truth.gamma_true[:, 0, 0]
     for t in range(truth.s_clean.shape[1]):
         assert np.array_equal(truth.observed.values[:, t], power * gamma)
         assert np.array_equal(truth.s_clean[:, t], power * gamma)

@@ -10,7 +10,6 @@ from pcnmf import (
     FactorPair,
     MaskedMatrix,
     NumericFailureError,
-    ReweightMatrix,
     ShapeMismatchError,
     SolverConfig,
     compute_reweights,
@@ -54,14 +53,21 @@ def test_non_finite_solver_input_is_named_error(call, named, bad):
     (lambda s, g, a: surrogate_per_slot(s, g, a[:, :3], a, compute_reweights(a, 1e-6), 0.1),
      r"p_new shape \(2, 3\) does not match p_ref \(2, 4\)"),
     (lambda s, g, a: surrogate_per_slot(s, g, a, a, compute_reweights(np.ones((2, 6)), 1e-6), 0.1),
-     r"reweights shape \(2, 7\) does not match activations \(2, 4\)"),
+     r"reweights shape \(2, 5\) does not match activations \(2, 4\)"),
     (lambda s, g, a: update_activations(s, g, a, compute_reweights(np.ones((2, 6)), 1e-6),
                                         SolverConfig(rank=2)),
-     r"reweights shape \(2, 7\) does not match activations \(2, 4\)"),
+     r"reweights shape \(2, 5\) does not match activations \(2, 4\)"),
     (lambda s, g, a: penalty_smoothed(a[0], 1e-6), r"activations must be 2-D \(K x T\), got shape \(4,\)"),
     (lambda s, g, a: compute_reweights(a[0], 1e-6), r"activations must be 2-D \(K x T\), got shape \(4,\)"),
+    (lambda s, g, a: fit_gradient(s, g, a[0]), r"activations must be 2-D \(K x T\), got shape \(4,\)"),
+    (lambda s, g, a: update_activations(s, g, a[0], compute_reweights(a, 1e-6),
+                                        SolverConfig(rank=2)),
+     r"activations must be 2-D \(K x T\), got shape \(4,\)"),
+    (lambda s, g, a: surrogate_per_slot(s, g, a[0], a[0], compute_reweights(a, 1e-6), 0.1),
+     r"activations must be 2-D \(K x T\), got shape \(4,\)"),
 ], ids=["surrogate-p_new", "surrogate-reweights", "update_activations-reweights",
-        "penalty_smoothed-1d", "compute_reweights-1d"])
+        "penalty_smoothed-1d", "compute_reweights-1d", "fit_gradient-1d",
+        "update_activations-1d", "surrogate-1d"])
 def test_wrong_shaped_step_input_is_named_error(call, named):
     s, pair = random_instance(5)
     with pytest.raises(ShapeMismatchError, match=named):
@@ -172,23 +178,46 @@ def test_objective_is_fit_plus_scaled_penalty():
 
 def test_reweights_constant_row():
     acts = np.full((1, 5), 3.0)
-    y = compute_reweights(acts, 1e-2).weights
-    assert np.array_equal(y[:, 1:5], np.full((1, 4), 100.0))
-    assert y[0, 0] == 0.0 and y[0, 5] == 0.0
+    y = compute_reweights(acts, 1e-2)
+    # one weight per transition, none beyond either end
+    assert y.shape == (1, 4)
+    assert np.array_equal(y, np.full((1, 4), 100.0))
 
 
 def test_reweights_unit_step():
     acts = np.array([[0.0, 1.0]])
-    y = compute_reweights(acts, 1e-2).weights
-    assert y[0, 1] == pytest.approx(1.0 / 1.01, abs=1e-15)
+    y = compute_reweights(acts, 1e-2)
+    assert y.shape == (1, 1)
+    assert y[0, 0] == pytest.approx(1.0 / 1.01, abs=1e-15)
 
 
 def test_reweights_boundaries_always_zero():
+    # No transition is weighted beyond either end: with no data to fit, an
+    # edge slot moves to its one neighbor, not toward a phantom one.
     rng = np.random.default_rng(14)
+    s = MaskedMatrix(np.zeros((2, 7)), np.zeros((2, 7)))
+    cfg = SolverConfig(beta=1.0, rank=3)
     for _ in range(5):
         acts = rng.uniform(0, 10, (3, 7))
-        y = compute_reweights(acts, 1e-4).weights
-        assert not y[:, 0].any() and not y[:, -1].any()
+        y = compute_reweights(acts, 1e-4)
+        assert y.shape == (3, 6)
+        new = update_activations(s, rng.uniform(0.1, 1.0, (2, 3)), acts, y, cfg)
+        assert np.allclose(new[:, 0], acts[:, 1], rtol=1e-14, atol=0)
+        assert np.allclose(new[:, -1], acts[:, -2], rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("step", ["update_activations", "surrogate_per_slot"])
+def test_non_finite_or_negative_reweight_is_named_error(step, bad):
+    s, pair = random_instance(15)
+    gains, acts = pair.gains, pair.activations
+    y = compute_reweights(acts, 1e-6)
+    y[1, 2] = bad
+    with pytest.raises(ValueError, match="reweights must be finite and nonnegative"):
+        if step == "update_activations":
+            update_activations(s, gains, acts, y, SolverConfig(rank=2))
+        else:
+            surrogate_per_slot(s, gains, acts, acts, y, 0.1)
 
 
 # ---------------------------------------------------------- activation update
@@ -222,10 +251,9 @@ def test_activation_update_large_beta_pulls_to_neighbors():
     acts = np.array([[c, 0.4, c]])
     gains = np.array([[1.0], [0.8]])
     s = MaskedMatrix(np.ones((2, 3)), np.ones((2, 3)))
-    weights = np.zeros((1, 4))
-    weights[:, 1:3] = 1.0
+    weights = np.ones((1, 2))
     cfg = SolverConfig(beta=1e6, rank=1)
-    new = update_activations(s, gains, acts, ReweightMatrix(weights), cfg)
+    new = update_activations(s, gains, acts, weights, cfg)
     assert abs(new[0, 1] - c) < 1e-3 * c
 
 
@@ -236,11 +264,9 @@ def test_activation_update_missing_column_interpolates():
     mask = np.ones((2, 3))
     mask[:, 1] = 0.0
     s = MaskedMatrix(np.ones((2, 3)), mask)
-    weights = np.zeros((1, 4))
-    weights[0, 1] = 0.3
-    weights[0, 2] = 0.9
+    weights = np.array([[0.3, 0.9]])
     cfg = SolverConfig(beta=0.05, rank=1)
-    new = update_activations(s, gains, acts, ReweightMatrix(weights), cfg)
+    new = update_activations(s, gains, acts, weights, cfg)
     expected = (0.3 * 2.0 + 0.9 * 3.0) / (0.3 + 0.9)
     assert new[0, 1] == pytest.approx(expected, abs=1e-12)
 
