@@ -14,50 +14,35 @@ def _is(kind, value) -> bool:
     return isinstance(value, Integral) or math.isfinite(value)
 
 
-def is_number(value) -> bool:
-    """True for a finite int or float; a bool, NaN and ±inf are not numbers."""
-    return _is(Real, value)
-
-
-# The field annotations check_dict checks; the configuration modules postpone
+# The field annotations check_fields checks; the configuration modules postpone
 # annotation evaluation, so dataclass fields carry them as strings.
-_KINDS = {"int": (Integral, "an int"), "float": (Real, "a finite number")}
+_KINDS = {"int": (Integral, "an int"), "float": (Real, "finite")}
 
 
 def check_dict(cls, d) -> None:
-    """Raise ValueError unless d is a dict of fields of cls with valid types.
+    """Raise ValueError unless d is a dict whose keys are all fields of cls.
 
-    A field annotated int takes an int and one annotated float any finite
-    number; a bool is neither, and NaN and ±inf are not finite. The error
-    names the offending key.
+    Only the shape is checked here: the constructor checks the values.
     """
     if not isinstance(d, dict):
         raise ValueError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(set(d) - set(types))
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {', '.join(map(repr, unknown))}")
-    for key, value in d.items():
-        kind, noun = _KINDS.get(types[key], (None, None))
-        if kind is not None and not _is(kind, value):
-            raise ValueError(f"{cls.__name__} key {key!r} must be {noun}, got {value!r}")
 
 
 def check_fields(config) -> None:
     """Raise ValueError naming the first field of config that does not hold its kind.
 
-    A field annotated int must hold an int, and a bool is not one; a field
-    annotated float must not be NaN or ±inf.
+    A field annotated int holds an int and one annotated float a finite real
+    number; a bool is neither, and NaN and ±inf are not finite.
     """
     for f in fields(config):
+        kind, noun = _KINDS.get(f.type, (None, None))
         value = getattr(config, f.name)
-        if f.type == "int" and not _is(Integral, value):
-            problem = "must be an int"
-        elif f.type == "float" and not math.isfinite(value):
-            problem = "must be finite"
-        else:
-            continue
-        raise ValueError(f"{type(config).__name__} field {f.name!r} {problem}, got {value!r}")
+        if kind is not None and not _is(kind, value):
+            raise ValueError(f"{type(config).__name__} field {f.name!r} must be {noun}, "
+                             f"got {value!r}")
 
 
 def number_pair(name: str, value) -> tuple[float, float]:
@@ -66,7 +51,7 @@ def number_pair(name: str, value) -> tuple[float, float]:
         low, high = value
     except (TypeError, ValueError):
         low = high = None
-    if not (is_number(low) and is_number(high) and low <= high):
+    if not (_is(Real, low) and _is(Real, high) and low <= high):
         raise ValueError(f"{name} must be two numbers [low, high], finite and with low <= high, "
                          f"got {value!r}")
     return float(low), float(high)

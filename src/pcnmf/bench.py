@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._config import check_dict, check_fields, is_number
+from ._config import check_dict, check_fields
 from .matrices import FactorPair, csv_line, write_csv
 from .simulate import ScenarioConfig, generate_scenario
 from .solver import NumericFailureError, SolverConfig, infer_activations, solve, weighted_fit
@@ -49,6 +49,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
+        for name, kind in (("scenario", ScenarioConfig), ("solver", SolverConfig)):
+            if not isinstance(value := getattr(self, name), kind):
+                raise ValueError(f"ExperimentConfig field {name!r} must be a {kind.__name__}, "
+                                 f"got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 1 <= self.gamma_window <= self.scenario.t_slots:
@@ -103,15 +107,13 @@ def _check_sweep(sweep, scenario: ScenarioConfig) -> tuple[tuple[str, tuple[floa
         if not values:
             raise ValueError(f"sweep over {param!r} has no values")
         for value in values:
-            if not is_number(value):
-                raise ValueError(f"sweep value {value!r} for {param!r} must be a finite number")
-            if (param, value) in seen:
-                raise ValueError(f"sweep value {value!r} for {param!r} is repeated")
-            seen.add((param, value))
             try:
                 replace(scenario, **{param: value})
             except ValueError as exc:
                 raise ValueError(f"sweep value {value!r} for {param!r}: {exc}") from None
+            if (param, value) in seen:
+                raise ValueError(f"sweep value {value!r} for {param!r} is repeated")
+            seen.add((param, value))
     return tuple((param, tuple(float(v) for v in values)) for param, values in pairs)
 
 
@@ -134,6 +136,17 @@ class TrialResult:
     error: str = ""
 
 
+def _missing_entries(reconstructed, truth, mask):
+    """(rec, tru, missing): float64 arrays of one shape, and a nonempty mask of missing cells."""
+    rec, tru, msk = (np.asarray(a, dtype=np.float64) for a in (reconstructed, truth, mask))
+    if not rec.shape == tru.shape == msk.shape:
+        raise ValueError("shapes must match")
+    missing = msk == 0
+    if not missing.any():
+        raise UndefinedMetricError("no missing entries to evaluate")
+    return rec, tru, missing
+
+
 def rmse_missing(reconstructed: np.ndarray, truth: np.ndarray,
                  mask: np.ndarray) -> float:
     """Per-sensor RMS error over missing entries, averaged across sensors.
@@ -141,12 +154,7 @@ def rmse_missing(reconstructed: np.ndarray, truth: np.ndarray,
     Only sensors with at least one missing entry contribute. Raises
     UndefinedMetricError when nothing is missing anywhere.
     """
-    rec, tru, msk = (np.asarray(a, dtype=np.float64) for a in (reconstructed, truth, mask))
-    if not rec.shape == tru.shape == msk.shape:
-        raise ValueError("shapes must match")
-    missing = msk == 0
-    if not missing.any():
-        raise UndefinedMetricError("no missing entries to evaluate")
+    rec, tru, missing = _missing_entries(reconstructed, truth, mask)
     per_sensor = []
     for r in range(rec.shape[0]):
         sel = missing[r]
@@ -159,10 +167,7 @@ def rmse_missing(reconstructed: np.ndarray, truth: np.ndarray,
 def rmse_missing_pooled(reconstructed: np.ndarray, truth: np.ndarray,
                         mask: np.ndarray) -> float:
     """RMS error pooled over every missing entry, all sensors together."""
-    rec, tru, msk = (np.asarray(a, dtype=np.float64) for a in (reconstructed, truth, mask))
-    missing = msk == 0
-    if not missing.any():
-        raise UndefinedMetricError("no missing entries to evaluate")
+    rec, tru, missing = _missing_entries(reconstructed, truth, mask)
     err = rec[missing] - tru[missing]
     return float(np.sqrt(np.mean(err * err)))
 

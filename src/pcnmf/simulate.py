@@ -5,7 +5,8 @@ transmitters and sensors dropped uniformly in a square, power-law path
 gains, slowly varying Rayleigh fading through a first-order autoregressive
 recursion, two-state Markov on/off activity with a fresh uniform transmit
 power per activation run, additive Gaussian sensor noise, and Bernoulli
-observation masking.
+observation masking. `fading_step` runs the generator's one AR(1) step, and
+every `ScenarioConfig` that constructs generates on every seed.
 
 Every random quantity is drawn from a named substream keyed on the scenario
 seed, so scenarios are reproducible regardless of generation order and
@@ -74,6 +75,13 @@ class ScenarioConfig:
             raise ValueError("seed must be >= 0")
         for name in ("a_range", "power_range"):
             object.__setattr__(self, name, number_pair(name, getattr(self, name)))
+        low, high = self.a_range
+        if low < 0 or high > 1:
+            raise ValueError(f"a_range must lie in [0, 1], got {list(self.a_range)}")
+        # a_j <= a_range[1] on every seed, so this bounds every activation probability.
+        if activation_rate_for_duty(self.duty, high) > 1:
+            raise ValueError(f"duty {self.duty!r} and a_range {list(self.a_range)} give an "
+                             f"activation probability duty*a_range[1]/(1-duty) above 1")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -113,6 +121,16 @@ def path_gain(d, cfg: ScenarioConfig):
     return (dist / cfg.d0) ** (-cfg.alpha)
 
 
+def _cn01(rng: np.random.Generator, size=None):
+    """CN(0, 1) draws; size=None gives a Python scalar, not a 0-d array that rounds apart."""
+    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
+
+
+def _ar1(h_prev, eta: float, nu):
+    """The fading recursion eta*h + sqrt(1-eta^2)*nu."""
+    return eta * h_prev + np.sqrt(1.0 - eta * eta) * nu
+
+
 def fading_step(h_prev, eta: float, rng: np.random.Generator):
     """One autoregressive fading step: eta*h + sqrt(1-eta^2)*nu, nu ~ CN(0,1).
 
@@ -121,9 +139,7 @@ def fading_step(h_prev, eta: float, rng: np.random.Generator):
     """
     if not 0 <= eta <= 1:
         raise ValueError("eta must be in [0, 1]")
-    shape = np.shape(h_prev)
-    nu = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    return eta * h_prev + np.sqrt(1.0 - eta * eta) * nu
+    return _ar1(h_prev, eta, _cn01(rng, np.shape(h_prev)))
 
 
 def markov_activity(a_j: float, b_j: float, t_slots: int,
@@ -184,24 +200,17 @@ def generate_scenario(cfg: ScenarioConfig) -> ScenarioTruth:
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     static_gain = path_gain(dist, cfg)
 
-    # Per-pair fading trajectories from keyed substreams, stationary start.
+    # Per-pair fading trajectories from keyed substreams, stationary start;
+    # h[1:] holds each pair's innovations until the recursion overwrites them.
     n_pairs = cfg.n_su * cfg.n_pu
-    h0 = np.empty(n_pairs, dtype=np.complex128)
-    nu = np.empty((cfg.t_slots - 1, n_pairs), dtype=np.complex128) if cfg.t_slots > 1 else None
+    h = np.empty((cfg.t_slots, n_pairs), dtype=np.complex128)
     for idx in range(n_pairs):
         r, j = divmod(idx, cfg.n_pu)
         rng_pair = _substream(cfg.seed, _FADING, r, j)
-        h0[idx] = (rng_pair.standard_normal() + 1j * rng_pair.standard_normal()) / np.sqrt(2.0)
-        if cfg.t_slots > 1:
-            nu[:, idx] = (
-                rng_pair.standard_normal(cfg.t_slots - 1)
-                + 1j * rng_pair.standard_normal(cfg.t_slots - 1)
-            ) / np.sqrt(2.0)
-    h = np.empty((cfg.t_slots, n_pairs), dtype=np.complex128)
-    h[0] = h0
-    drive = np.sqrt(1.0 - cfg.eta * cfg.eta)
+        h[0, idx] = _cn01(rng_pair)
+        h[1:, idx] = _cn01(rng_pair, cfg.t_slots - 1)
     for t in range(1, cfg.t_slots):
-        h[t] = cfg.eta * h[t - 1] + drive * nu[t - 1]
+        h[t] = _ar1(h[t - 1], cfg.eta, h[t])
     fading_power = np.abs(h.reshape(cfg.t_slots, cfg.n_su, cfg.n_pu)) ** 2
     gamma_true = static_gain[None, :, :] * fading_power
     gamma_true = np.ascontiguousarray(np.moveaxis(gamma_true, 0, 2))

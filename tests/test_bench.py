@@ -89,6 +89,18 @@ def test_rmse_undefined_without_missing_entries():
         rmse_missing_pooled(ones, ones, ones)
 
 
+@pytest.mark.parametrize("scorer", [rmse_missing, rmse_missing_pooled])
+@pytest.mark.parametrize("shapes", [
+    ((2, 3), (2, 3), (2, 4)),
+    ((2, 3), (3, 3), (2, 3)),
+    ((2, 4), (2, 3), (2, 3)),
+])
+def test_rmse_shape_mismatch_is_named_error(scorer, shapes):
+    rec, tru, mask = (np.zeros(shape) for shape in shapes)
+    with pytest.raises(ValueError, match="shapes must match"):
+        scorer(rec, tru, mask)
+
+
 def test_transition_count_constant_row():
     assert transition_count(np.full((1, 8), 3.3), 0.5)[0] == 0
 
@@ -401,6 +413,51 @@ def test_non_integer_config_field_is_named_error(cls, name, value):
         cls(**{name: value})
     with pytest.raises(ValueError, match=re.escape(named)):
         dataclasses.replace(cls(), **{name: value})
+
+
+_NOT_A_NUMBER = ["0.1", None, True, [1], math.nan, math.inf]
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    *[(cls, name, value)
+      for cls, name in [(ScenarioConfig, "n_su"), (ScenarioConfig, "seed"),
+                        (SolverConfig, "rank"), (SolverConfig, "max_iters"),
+                        (ExperimentConfig, "trials"), (ExperimentConfig, "gamma_window")]
+      for value in [*_NOT_A_NUMBER, 2.5]],
+    *[(cls, name, value)
+      for cls, name in [(ScenarioConfig, "p_obs"), (ScenarioConfig, "noise_var"),
+                        (SolverConfig, "beta"), (SolverConfig, "rel_tol")]
+      for value in _NOT_A_NUMBER],
+])
+def test_bad_config_value_is_one_named_error_on_every_path(cls, name, value):
+    # The constructor, replace() and from_dict() all run the one field
+    # check, so each refuses the value with the same message.
+    paths = [lambda: cls(**{name: value}),
+             lambda: dataclasses.replace(cls(), **{name: value}),
+             lambda: cls.from_dict({name: value})]
+    messages = []
+    for path in paths:
+        with pytest.raises(ValueError) as info:
+            path()
+        messages.append(str(info.value))
+    noun = "an int" if isinstance(getattr(cls(), name), int) else "finite"
+    assert messages == [f"{cls.__name__} field '{name}' must be {noun}, got {value!r}"] * 3
+
+
+@pytest.mark.parametrize("name, value", [
+    ("scenario", {"seed": 1}), ("solver", {"rank": 2}),
+    ("scenario", SolverConfig()), ("solver", None),
+])
+def test_experiment_config_nested_config_of_wrong_type_is_named_error(name, value):
+    kind = {"scenario": "ScenarioConfig", "solver": "SolverConfig"}[name]
+    with pytest.raises(ValueError, match=f"ExperimentConfig field '{name}' must be a {kind}"):
+        ExperimentConfig(**{name: value})
+
+
+def test_unhashable_sweep_value_is_named_error():
+    with pytest.raises(ValueError, match=re.escape("sweep value [0.5] for 'p_obs': "
+                                                   "ScenarioConfig field 'p_obs'")):
+        tiny_experiment(sweep=(("p_obs", ([0.5],)),))
 
 
 @pytest.mark.parametrize("jobs", [0, -1])

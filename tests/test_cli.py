@@ -247,6 +247,19 @@ def test_non_finite_config_number_is_named_error(tmp_path, capsys, command,
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("config, named", [
+    ({"a_range": [-0.1, 0.1]}, ["a_range"]),
+    ({"duty": 0.9}, ["duty", "a_range"]),
+])
+def test_simulate_a_range_the_generator_cannot_run_is_named_error(tmp_path, capsys,
+                                                                  config, named):
+    for seed in range(3):
+        assert _run_with_config(tmp_path, "simulate", json.dumps({**config, "seed": seed})) == 1
+        err = capsys.readouterr().err
+        assert all(name in err for name in named), err
+    assert not (tmp_path / "x").exists()
+
+
 def test_simulate_huge_count_is_named_error(tmp_path, capsys):
     # The sensor positions alone would take 1.6 PB, more than a 64-bit
     # process can map, so the allocation fails at once on any machine.

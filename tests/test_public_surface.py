@@ -1,8 +1,12 @@
-"""The public surface: the names pcnmf exports, and the ones the traced benchmark wraps."""
+"""The public surface: the names pcnmf exports, the ones the traced benchmark wraps,
+and the README's library example."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
+
+import numpy as np
 
 import pcnmf
 
@@ -58,7 +62,8 @@ PUBLIC = [
     "write_trials_csv",
 ]
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_public_surface_is_pinned_and_traced_targets_resolve():
@@ -75,3 +80,14 @@ def test_public_surface_is_pinned_and_traced_targets_resolve():
     for module_name, attr, *_ in spans.TARGETS:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), \
             (module_name, attr)
+
+
+def test_readme_library_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quick start\n", 1)[1]
+    code = re.match(r"\s*```python\n(.*?)\n```\n", section, re.DOTALL).group(1)
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    truth, s_hat = namespace["truth"], namespace["s_hat"]
+    assert s_hat.shape == truth.observed.shape
+    assert np.isfinite(s_hat).all()

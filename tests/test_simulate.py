@@ -1,7 +1,10 @@
 """Scenario-generator tests: geometry, fading, activity, composition, statistics."""
 
+import re
+
 import numpy as np
 import pytest
+import reference_simulate as ref
 
 from pcnmf import (
     ScenarioConfig,
@@ -230,3 +233,46 @@ def test_config_ranges_are_two_ordered_numbers(pair):
     with pytest.raises(ValueError, match="power_range must be two numbers"):
         ScenarioConfig(power_range=pair)
     assert ScenarioConfig(a_range=[0.1, 0.1]).a_range == (0.1, 0.1)
+
+
+@pytest.mark.parametrize("overrides, named", [
+    ({"a_range": (-0.1, 0.1)}, "a_range must lie in [0, 1], got [-0.1, 0.1]"),
+    ({"a_range": (0.5, 1.5)}, "a_range must lie in [0, 1], got [0.5, 1.5]"),
+    ({"duty": 0.9}, "duty 0.9 and a_range [0.05, 0.15] give an activation probability"),
+    ({"duty": 0.6, "a_range": (0.0, 0.7)}, "duty 0.6 and a_range [0.0, 0.7]"),
+])
+def test_config_refuses_a_range_the_generator_cannot_run(overrides, named):
+    # markov_activity refuses the transition probabilities these give, on
+    # some seeds only, so the constructor must refuse the configuration.
+    with pytest.raises(ValueError, match=re.escape(named)):
+        ScenarioConfig(**overrides)
+
+
+def test_config_accepts_activation_probability_of_one():
+    cfg = ScenarioConfig(duty=0.5, a_range=(1.0, 1.0), n_su=2, t_slots=20)
+    activity = generate_scenario(cfg).activity
+    assert (np.abs(np.diff(activity, axis=1)) == 1).all()
+
+
+_ORACLE_CONFIGS = [
+    *[ScenarioConfig(seed=seed) for seed in range(20)],
+    ScenarioConfig(n_su=100, t_slots=3000, seed=1),
+    ScenarioConfig(t_slots=1, seed=2),
+    ScenarioConfig(t_slots=2, seed=3),
+    ScenarioConfig(eta=0.0, t_slots=50, seed=4),
+    ScenarioConfig(eta=1.0, t_slots=50, seed=5),
+    ScenarioConfig(n_pu=9, t_slots=200, seed=6),
+    ScenarioConfig(n_pu=1, n_su=1, t_slots=7, area_side=0.0, noise_var=0.0, seed=7),
+]
+
+
+@pytest.mark.parametrize("cfg", _ORACLE_CONFIGS)
+def test_generator_matches_reference_bit_for_bit(cfg):
+    got, want = generate_scenario(cfg), ref.generate_scenario(cfg)
+    for name in ("pu_positions", "su_positions", "gamma_true", "p_true", "activity",
+                 "s_clean"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    for name in ("values", "mask"):
+        a, b = getattr(got.observed, name), getattr(want.observed, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
