@@ -190,29 +190,31 @@ def _read_csv(path, header, dtype, ndmin: int, parse_records):
 
     header is the first row as csv.reader splits it, or None for a file
     without one; any other first row raises ValueError. numpy's C reader
-    parses the rest of the open file, skipping blank lines. If it fails, or
-    the file holds a byte it may read differently, parse_records(reader)
-    parses the file again through csv.reader with int()/float(): it raises
-    ValueError naming the first bad line, or returns the array for a file
-    only it reads (a quoted field, "1_0"). numpy and float() read every
-    decimal to the same double, so both paths accept the same files and
-    return the same values.
+    then parses the file from its path, in blocks, skipping the header's
+    line and blank lines. If it fails, or the file holds a byte it may read
+    differently, parse_records(reader) parses the file again through
+    csv.reader with int()/float(): it raises ValueError naming the first bad
+    line, or returns the array for a file only it reads (a quoted field,
+    "1_0"). numpy and float() read every decimal to the same double, and
+    both split lines at CR, LF and CRLF, so both paths accept the same files
+    and return the same values.
     """
-    with open(path, newline="") as fh:
-        if header is not None:
+    if header is not None:
+        with open(path, newline="") as fh:
             first = next(csv.reader(fh), None)
-            if first != header:
-                raise ValueError(f"unexpected header {first!r}")
-        if _plain_text(path):
-            try:
-                with warnings.catch_warnings():
-                    # A file without records is the caller's named error.
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                            UserWarning)
-                    return np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
-                                      ndmin=ndmin)
-            except (ValueError, OverflowError):
-                pass
+        if first != header:
+            raise ValueError(f"unexpected header {first!r}")
+    if _plain_text(path):
+        try:
+            with warnings.catch_warnings():
+                # A file without records is the caller's named error.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                # A header that matched holds no line end: it is line one.
+                return np.loadtxt(path, dtype=dtype, delimiter=",", comments=None,
+                                  skiprows=int(header is not None), ndmin=ndmin)
+        except (ValueError, OverflowError):
+            pass
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if header is not None:
@@ -253,21 +255,25 @@ def load_masked_csv(path) -> MaskedMatrix:
     # record off it names the first bad cell, and no grid-sized array is
     # allocated however large an index the file gives. Below table.size,
     # dividing by min(n_cols, table.size) gives the same cells and fits int64.
-    order = np.lexsort((t, r))
+    # save_masked_csv writes in that order; the stable sort would leave such
+    # a file as it is, so it is skipped.
+    if not ((r[1:] > r[:-1]) | ((r[1:] == r[:-1]) & (t[1:] >= t[:-1]))).all():
+        table = table[np.lexsort((t, r))]
+        r, t = table["r"], table["t"]
     cell, width = np.arange(table.size), min(n_cols, table.size)
-    off = np.flatnonzero((r[order] != cell // width) | (t[order] != cell % width))
+    off = np.flatnonzero((r != cell // width) | (t != cell % width))
     i = int(off[0]) if off.size else table.size
     if i < table.size or table.size < n_rows * n_cols:
         # Record i either repeats cell i - 1, the last one matched, or skips cell i.
         kind, bad = "missing", i
-        if 0 < i < table.size and (r[order[i]], t[order[i]]) == divmod(i - 1, n_cols):
+        if 0 < i < table.size and (r[i], t[i]) == divmod(i - 1, n_cols):
             kind, bad = "duplicate", i - 1
         bad_r, bad_t = divmod(bad, n_cols)
         raise ValueError(
             f"incomplete {n_rows}x{n_cols} grid: {kind} cell (r={bad_r}, t={bad_t})"
         )
-    return MaskedMatrix(table["value"][order].reshape(n_rows, n_cols),
-                        table["observed"][order].reshape(n_rows, n_cols))
+    return MaskedMatrix(table["value"].reshape(n_rows, n_cols),
+                        table["observed"].reshape(n_rows, n_cols))
 
 
 def save_dense_csv(matrix: np.ndarray, path) -> None:

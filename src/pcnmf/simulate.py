@@ -11,6 +11,12 @@ every `ScenarioConfig` that constructs generates on every seed.
 Every random quantity is drawn from a named substream keyed on the scenario
 seed, so scenarios are reproducible regardless of generation order and
 independent scenarios can be produced in parallel.
+
+`save_scenario` exports a scenario directory on two CPUs where the platform
+can fork: a forked child writes the three truth files from the arrays it
+inherits, nothing pickled, while the caller writes observed.csv. Every file
+and every error is the same as from the writes made one after another; a
+failure can leave a partial directory.
 """
 
 from __future__ import annotations
@@ -247,14 +253,76 @@ def generate_scenario(cfg: ScenarioConfig) -> ScenarioTruth:
     )
 
 
+def _save_truth(truth: ScenarioTruth, out) -> None:
+    save_dense_csv(truth.s_clean, out / "truth_s.csv")
+    save_dense_csv(truth.p_true, out / "truth_p.csv")
+    save_dense_csv(truth.activity.astype(float), out / "activity.csv")
+
+
+def _report(conn, fn, *args) -> None:
+    """Run fn(*args) and send through conn the exception it raised, or None."""
+    try:
+        fn(*args)
+    except Exception as exc:
+        conn.send(exc)
+    else:
+        conn.send(None)
+
+
+def _can_fork() -> bool:
+    # A daemonic process may not start children, and in a process running
+    # other threads a forked child could wait forever on a lock one held.
+    import multiprocessing
+    import threading
+
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon
+            and threading.active_count() == 1)
+
+
+def _join(child, reader, out) -> Exception | None:
+    """Join child; return the exception it sent, None, or OSError if it sent nothing."""
+    try:
+        return reader.recv()
+    except EOFError:
+        pass
+    finally:
+        child.join()
+    return OSError(f"the process writing truth_s.csv, truth_p.csv and activity.csv "
+                   f"in {out} exited with code {child.exitcode} before reporting")
+
+
 def save_scenario(truth: ScenarioTruth, cfg: ScenarioConfig, outdir) -> None:
-    """Export a scenario directory: observed/truth CSVs plus config echo."""
+    """Export a scenario directory: observed/truth CSVs plus config echo.
+
+    Where the process can fork, a forked child writes truth_s.csv,
+    truth_p.csv and activity.csv, inheriting the arrays, while this process
+    writes observed.csv; elsewhere this process writes all of them. The
+    child is joined before config.json is written, and before any error is
+    raised: observed.csv's, else the truth files', as the same writes made
+    one after another would raise it. A failure can leave a partial
+    directory.
+    """
     from pathlib import Path
 
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    save_masked_csv(truth.observed, out / "observed.csv")
-    save_dense_csv(truth.s_clean, out / "truth_s.csv")
-    save_dense_csv(truth.p_true, out / "truth_p.csv")
-    save_dense_csv(truth.activity.astype(float), out / "activity.csv")
+    if _can_fork():
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_report, args=(writer, _save_truth, truth, out))
+        with reader:
+            with writer:
+                child.start()
+            try:
+                save_masked_csv(truth.observed, out / "observed.csv")
+            finally:
+                error = _join(child, reader, out)
+        if error is not None:
+            raise error
+    else:
+        save_masked_csv(truth.observed, out / "observed.csv")
+        _save_truth(truth, out)
     write_json(out / "config.json", cfg.to_dict())

@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -316,3 +317,15 @@ def test_benchmark_no_timing_trials_are_byte_reproducible(tmp_path):
     seconds = header.split(",").index("seconds")
     assert len(rows) == 2 * 2 * 2
     assert all(row.split(",")[seconds] == "" for row in rows)
+
+
+@pytest.mark.parametrize("blocked", ["observed.csv", "truth_s.csv"])
+def test_simulate_unwritable_file_is_named_error(tmp_path, capsys, blocked):
+    # observed.csv is written by this process, truth_s.csv by a forked child.
+    out = tmp_path / "scenario"
+    (out / blocked).mkdir(parents=True)
+    assert main(["simulate", "--seed", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"{blocked}'" in err
+    assert not (out / "config.json").exists()
+    assert multiprocessing.active_children() == []

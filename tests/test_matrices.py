@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pcnmf import matrices
 from pcnmf import (
     FactorPair,
     MaskedMatrix,
@@ -219,3 +220,68 @@ def test_masked_csv_one_cell_grid_round_trips(tmp_path, observed):
     save_masked_csv(m, path)
     back = load_masked_csv(path)
     assert np.array_equal(back.values, m.values) and np.array_equal(back.mask, m.mask)
+
+
+def _load_both_ways(monkeypatch, load, path):
+    """load(path) through numpy's reader, then through csv.reader: (array or
+    (error type, message)) for each."""
+    results = []
+    for plain in (True, False):
+        if not plain:
+            monkeypatch.setattr(matrices, "_plain_text", lambda path: False)
+        try:
+            got = load(path)
+        except ValueError as exc:
+            results.append((type(exc), str(exc)))
+        else:
+            arrays = (got.values, got.mask) if isinstance(got, MaskedMatrix) else (got,)
+            results.append([(a.shape, a.tobytes()) for a in arrays])
+    return results
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("load, text", [
+    (load_masked_csv, "r,t,value,observed|0,0,0.5,1|0,1,2.0,0|1,0,3.0,1|1,1,4.5,1|"),
+    (load_masked_csv, '"r","t","value","observed"||0,0,0.5,1|0,1,2.0,0||1,0,3.0,1|1,1,4.5,1||'),
+    (load_masked_csv, "r,t,value,observed|0,0,0.5,1|0,1,2.0,0|1,1,4.5,1"),
+    (load_masked_csv, "r,t,value|0,0,0.5,1|"),
+    (load_dense_csv, "0.5,2.0|3.0,4.5|"),
+    (load_dense_csv, "|0.5,2.0||3.0,4.5||"),
+    (load_dense_csv, "0.5,2.0|3.0|"),
+])
+def test_csv_line_ends_read_alike_on_both_paths(tmp_path, monkeypatch, end, load, text):
+    path = tmp_path / "file.csv"
+    path.write_bytes(text.replace("|", end).encode())
+    by_numpy, by_csv = _load_both_ways(monkeypatch, load, path)
+    assert by_numpy == by_csv
+
+
+def _shuffled(lines, seed):
+    records = lines[1:]
+    order = np.random.default_rng(seed).permutation(len(records))
+    return [lines[0]] + [records[i] for i in order]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_masked_csv_shuffled_records_load_as_sorted(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    m = MaskedMatrix(rng.uniform(0, 1, (6, 9)), (rng.random((6, 9)) < 0.6).astype(float))
+    path = tmp_path / "observed.csv"
+    save_masked_csv(m, path)
+    want = load_masked_csv(path)
+    path.write_text("\n".join(_shuffled(path.read_text().splitlines(), seed)) + "\n")
+    got = load_masked_csv(path)
+    assert got.values.tobytes() == want.values.tobytes() == m.values.tobytes()
+    assert got.mask.tobytes() == want.mask.tobytes() == m.mask.tobytes()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines + [lines[7]], r"3x4 grid: duplicate cell \(r=1, t=2\)"),
+    (lambda lines: lines[:7] + lines[8:], r"3x4 grid: missing cell \(r=1, t=2\)"),
+])
+def test_masked_csv_shuffled_grid_errors_name_the_sorted_cell(tmp_path, edit, message):
+    path, lines = _saved_lines(tmp_path)
+    for seed in range(3):
+        path.write_text("\n".join(_shuffled(edit(lines), seed)) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_masked_csv(path)

@@ -1,6 +1,9 @@
 """Scenario-generator tests: geometry, fading, activity, composition, statistics."""
 
+import multiprocessing
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +17,12 @@ from pcnmf import (
     markov_activity,
     path_gain,
     place_network,
+    save_dense_csv,
+    save_masked_csv,
+    save_scenario,
 )
+from pcnmf import simulate
+from pcnmf.matrices import write_json
 
 
 def _always_on_cfg(**overrides):
@@ -276,3 +284,136 @@ def test_generator_matches_reference_bit_for_bit(cfg):
     for name in ("values", "mask"):
         a, b = getattr(got.observed, name), getattr(want.observed, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+# --------------------------------------------------------------------- export
+
+_FILES = ("observed.csv", "truth_s.csv", "truth_p.csv", "activity.csv", "config.json")
+_HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+def _write_one_by_one(truth, cfg, out):
+    """The scenario directory written by direct calls, one file after another."""
+    out.mkdir(parents=True, exist_ok=True)
+    save_masked_csv(truth.observed, out / "observed.csv")
+    save_dense_csv(truth.s_clean, out / "truth_s.csv")
+    save_dense_csv(truth.p_true, out / "truth_p.csv")
+    save_dense_csv(truth.activity.astype(float), out / "activity.csv")
+    write_json(out / "config.json", cfg.to_dict())
+
+
+def _assert_same_bytes(got, want, names):
+    for name in names:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def _raised(fn, *args) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.fixture(scope="module")
+def large():
+    cfg = ScenarioConfig(n_su=100, t_slots=3000, seed=1)
+    return generate_scenario(cfg), cfg
+
+
+@pytest.fixture(params=["fork", "caller"])
+def forks(request, monkeypatch):
+    """Which way save_scenario writes: "fork" runs the truth files in a forked
+    child, "caller" hides fork as on a platform without it. Yields the list of
+    contexts save_scenario asks for."""
+    if request.param == "fork" and not _HAS_FORK:
+        pytest.skip("fork start method unavailable")
+    if request.param == "caller":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    asked = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method=None: asked.append(method) or get_context(method))
+    yield asked
+    assert asked == (["fork"] if request.param == "fork" else [])
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("shape", ["t_slots=1", "n_pu=9", "100x3000"])
+def test_save_scenario_writes_the_bytes_of_direct_writes(tmp_path, forks, large, shape):
+    if shape == "100x3000":
+        truth, cfg = large
+    else:
+        key, value = shape.split("=")
+        cfg = ScenarioConfig(**{key: int(value)}, seed=5)
+        truth = generate_scenario(cfg)
+    save_scenario(truth, cfg, tmp_path / "got")
+    _write_one_by_one(truth, cfg, tmp_path / "want")
+    assert sorted(p.name for p in (tmp_path / "got").iterdir()) == sorted(_FILES)
+    _assert_same_bytes(tmp_path / "got", tmp_path / "want", _FILES)
+
+
+def test_save_scenario_truth_file_error_is_the_serial_one(tmp_path, forks):
+    cfg = ScenarioConfig(t_slots=20, seed=2)
+    truth = generate_scenario(cfg)
+    (tmp_path / "truth_s.csv").mkdir()
+    want = _raised(save_dense_csv, truth.s_clean, tmp_path / "truth_s.csv")
+    assert _raised(save_scenario, truth, cfg, tmp_path) == want
+    assert want[0] is IsADirectoryError and "truth_s.csv" in want[1]
+    assert not (tmp_path / "config.json").exists()
+
+
+@pytest.mark.parametrize("truth_fails", [False, True])
+def test_save_scenario_observed_error_wins_after_the_child_is_joined(tmp_path, forks, large,
+                                                                    truth_fails):
+    # The child writes 100x3000 truth files while observed.csv fails at once,
+    # so the files are complete on return only if the child was joined.
+    truth, cfg = large
+    (tmp_path / "observed.csv").mkdir()
+    if truth_fails:
+        (tmp_path / "activity.csv").mkdir()
+    want = _raised(save_masked_csv, truth.observed, tmp_path / "observed.csv")
+    assert _raised(save_scenario, truth, cfg, tmp_path) == want
+    if not truth_fails and forks == ["fork"]:  # the child wrote the truth files
+        _write_one_by_one(truth, cfg, tmp_path / "want")
+        _assert_same_bytes(tmp_path, tmp_path / "want", _FILES[1:4])
+    assert not (tmp_path / "config.json").exists()
+
+
+@pytest.mark.skipif(not _HAS_FORK, reason="fork start method unavailable")
+def test_save_scenario_child_that_dies_silently_is_named_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulate, "_save_truth", lambda truth, out: os._exit(3))
+    cfg = ScenarioConfig(t_slots=20, seed=2)
+    with pytest.raises(OSError, match=r"truth_s\.csv, truth_p\.csv and activity\.csv "
+                                      r"in .* exited with code 3"):
+        save_scenario(generate_scenario(cfg), cfg, tmp_path)
+    assert (tmp_path / "observed.csv").exists() and not (tmp_path / "config.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(not _HAS_FORK, reason="fork start method unavailable")
+def test_save_scenario_writes_in_the_caller_beside_other_threads(tmp_path, monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: pytest.fail(
+        "forked beside another thread"))
+    cfg = ScenarioConfig(t_slots=20, seed=2)
+    truth = generate_scenario(cfg)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        save_scenario(truth, cfg, tmp_path / "got")
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    _write_one_by_one(truth, cfg, tmp_path / "want")
+    _assert_same_bytes(tmp_path / "got", tmp_path / "want", _FILES)
+
+
+@pytest.mark.skipif(not _HAS_FORK, reason="fork start method unavailable")
+def test_save_scenario_runs_in_a_daemonic_pool_worker(tmp_path):
+    # A daemonic process may not start children: the worker writes in place.
+    cfg = ScenarioConfig(t_slots=20, seed=2)
+    truth = generate_scenario(cfg)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        pool.apply(save_scenario, (truth, cfg, tmp_path / "got"))
+    _write_one_by_one(truth, cfg, tmp_path / "want")
+    _assert_same_bytes(tmp_path / "got", tmp_path / "want", _FILES)
