@@ -12,6 +12,13 @@ Every random quantity is drawn from a named substream keyed on the scenario
 seed, so scenarios are reproducible regardless of generation order and
 independent scenarios can be produced in parallel.
 
+`generate_scenario` holds about 3x `gamma_true` at its peak: the complex
+fading array h (2x) and `gamma_true`, which is written through its
+transposed view and squared and scaled in place. h is freed before the
+noise and the mask are drawn. The innovations are drawn as two real rows
+and multiplied by 1/sqrt(2), the same bits as numpy's complex division
+(re + 1j*im) / sqrt(2), which multiplies by that rounded reciprocal.
+
 `save_scenario` exports a scenario directory on two CPUs where the platform
 can fork: a forked child writes the three truth files from the arrays it
 inherits, nothing pickled, while the caller writes observed.csv. Every file
@@ -22,10 +29,11 @@ failure can leave a partial directory.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from numbers import Integral
 
 import numpy as np
 
-from ._config import check_dict, check_fields, number_pair
+from ._config import _is, check_dict, check_fields, number_pair
 from .matrices import MaskedMatrix, save_dense_csv, save_masked_csv, write_json
 
 # substream tags
@@ -88,6 +96,8 @@ class ScenarioConfig:
         if activation_rate_for_duty(self.duty, high) > 1:
             raise ValueError(f"duty {self.duty!r} and a_range {list(self.a_range)} give an "
                              f"activation probability duty*a_range[1]/(1-duty) above 1")
+        if self.power_range[0] < 0:
+            raise ValueError(f"power_range must not be negative, got {list(self.power_range)}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -128,13 +138,19 @@ def path_gain(d, cfg: ScenarioConfig):
 
 
 def _cn01(rng: np.random.Generator, size=None):
-    """CN(0, 1) draws; size=None gives a Python scalar, not a 0-d array that rounds apart."""
+    """CN(0, 1) draws; size=None gives a Python scalar, not a 0-d array that rounds apart.
+
+    `generate_scenario` draws its innovations as real rows instead, and must
+    stay bit-equal to this.
+    """
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
 
 
-def _ar1(h_prev, eta: float, nu):
-    """The fading recursion eta*h + sqrt(1-eta^2)*nu."""
-    return eta * h_prev + np.sqrt(1.0 - eta * eta) * nu
+def _ar1(h_prev, eta: float, nu, out=None):
+    """The fading recursion eta*h + sqrt(1-eta^2)*nu, written into out if given (out may be nu)."""
+    out = np.multiply(nu, np.sqrt(1.0 - eta * eta), out=out)
+    out += eta * h_prev
+    return out
 
 
 def fading_step(h_prev, eta: float, rng: np.random.Generator):
@@ -153,19 +169,21 @@ def markov_activity(a_j: float, b_j: float, t_slots: int,
     """Two-state on/off chain: a_j = P(1 -> 0), b_j = P(0 -> 1).
 
     The first slot is drawn from the stationary law b/(a+b) unless an
-    initial state is given. a_j = b_j = 0 freezes the chain in its initial
-    state (we default that degenerate start to inactive).
+    initial state (0 or 1) is given. a_j = b_j = 0 freezes the chain in its
+    initial state (we default that degenerate start to inactive).
     """
     if not 0 <= a_j <= 1 or not 0 <= b_j <= 1:
         raise ValueError("transition probabilities must be in [0, 1]")
-    if t_slots < 1:
-        raise ValueError("t_slots must be >= 1")
-    seq = np.zeros(t_slots, dtype=np.int64)
+    if not _is(Integral, t_slots) or t_slots < 1:
+        raise ValueError(f"t_slots must be an int >= 1, got {t_slots!r}")
+    if initial is not None and not (_is(Integral, initial) and initial in (0, 1)):
+        raise ValueError(f"initial must be None, 0 or 1, got {initial!r}")
     if initial is None:
         lam = b_j / (a_j + b_j) if a_j + b_j > 0 else 0.0
         state = int(rng.random() < lam)
     else:
-        state = 1 if initial else 0
+        state = int(initial)
+    seq = np.zeros(t_slots, dtype=np.int64)
     seq[0] = state
     u = rng.random(t_slots - 1)
     for t in range(1, t_slots):
@@ -187,14 +205,13 @@ def activation_rate_for_duty(duty: float, a_j: float) -> float:
 def _piecewise_powers(activity: np.ndarray, rng: np.random.Generator,
                       lo: float, hi: float) -> np.ndarray:
     """Constant power per active run, redrawn at each 0 -> 1 transition."""
-    powers = np.zeros(activity.shape[0])
-    level = 0.0
-    prev = 0
-    for t, on in enumerate(activity):
-        if on and not prev:
-            level = rng.uniform(lo, hi)
-        powers[t] = level if on else 0.0
-        prev = on
+    on = np.asarray(activity) != 0
+    starts = on.copy()
+    starts[1:] &= ~on[:-1]
+    # One vector draw gives the levels the per-run scalar draws would, in order.
+    levels = rng.uniform(lo, hi, size=np.count_nonzero(starts))
+    powers = np.zeros(on.shape[0])
+    powers[on] = levels[np.cumsum(starts)[on] - 1]
     return powers
 
 
@@ -210,16 +227,27 @@ def generate_scenario(cfg: ScenarioConfig) -> ScenarioTruth:
     # h[1:] holds each pair's innovations until the recursion overwrites them.
     n_pairs = cfg.n_su * cfg.n_pu
     h = np.empty((cfg.t_slots, n_pairs), dtype=np.complex128)
+    re = np.empty(cfg.t_slots - 1)
+    im = np.empty(cfg.t_slots - 1)
+    scale = 1.0 / np.sqrt(2.0)
     for idx in range(n_pairs):
         r, j = divmod(idx, cfg.n_pu)
         rng_pair = _substream(cfg.seed, _FADING, r, j)
         h[0, idx] = _cn01(rng_pair)
-        h[1:, idx] = _cn01(rng_pair, cfg.t_slots - 1)
+        rng_pair.standard_normal(out=re)
+        rng_pair.standard_normal(out=im)
+        np.multiply(re, scale, out=h.real[1:, idx])
+        np.multiply(im, scale, out=h.imag[1:, idx])
     for t in range(1, cfg.t_slots):
-        h[t] = _ar1(h[t - 1], cfg.eta, h[t])
-    fading_power = np.abs(h.reshape(cfg.t_slots, cfg.n_su, cfg.n_pu)) ** 2
-    gamma_true = static_gain[None, :, :] * fading_power
-    gamma_true = np.ascontiguousarray(np.moveaxis(gamma_true, 0, 2))
+        _ar1(h[t - 1], cfg.eta, h[t], out=h[t])
+
+    # gamma_true[r, j, t] = static_gain[r, j] * |h[t, r*n_pu + j]|^2, built in
+    # place through its (t, pair) view; h is freed before the noise and mask.
+    gamma_true = np.empty((cfg.n_su, cfg.n_pu, cfg.t_slots))
+    np.abs(h, out=gamma_true.reshape(n_pairs, cfg.t_slots).T)
+    del h
+    np.square(gamma_true, out=gamma_true)
+    gamma_true *= static_gain[:, :, None]
 
     activity = np.zeros((cfg.n_pu, cfg.t_slots), dtype=np.int64)
     p_true = np.zeros((cfg.n_pu, cfg.t_slots))
@@ -234,12 +262,13 @@ def generate_scenario(cfg: ScenarioConfig) -> ScenarioTruth:
 
     s_clean = np.einsum("rjt,jt->rt", gamma_true, p_true)
 
-    noise = _substream(cfg.seed, _NOISE).normal(
+    values = _substream(cfg.seed, _NOISE).normal(
         0.0, np.sqrt(cfg.noise_var), size=s_clean.shape
     )
     # Noise can push tiny powers slightly negative; observations are powers,
     # so clamp at zero.
-    values = np.maximum(s_clean + noise, 0.0)
+    values += s_clean
+    np.maximum(values, 0.0, out=values)
     mask = (_substream(cfg.seed, _MASK).random(s_clean.shape) < cfg.p_obs).astype(float)
 
     return ScenarioTruth(

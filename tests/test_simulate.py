@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,6 +131,39 @@ def test_markov_rejects_bad_probabilities():
         markov_activity(1.5, 0.1, 10, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("t_slots", [0, -3, 2.5, True, "10", None])
+def test_markov_rejects_bad_t_slots(t_slots):
+    with pytest.raises(ValueError, match=re.escape(f"t_slots must be an int >= 1, got {t_slots!r}")):
+        markov_activity(0.1, 0.1, t_slots, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("initial", ["no", 2, -1, 0.5, 1.0, True])
+def test_markov_rejects_bad_initial(initial):
+    with pytest.raises(ValueError, match=re.escape(f"initial must be None, 0 or 1, got {initial!r}")):
+        markov_activity(0.1, 0.1, 10, np.random.default_rng(0), initial=initial)
+
+
+def test_markov_and_powers_match_reference_on_random_chains():
+    # The run levels are drawn in one call; the chain and the levels must give
+    # the reference's per-slot arrays and leave the streams where the
+    # reference leaves them, also for an explicit initial state.
+    pick = np.random.default_rng(2024)
+    for case in range(300):
+        a_j, b_j = (float(pick.choice([0.0, 1.0, pick.uniform()])) for _ in range(2))
+        t_slots = int(pick.integers(1, 401))
+        initial = [None, 0, 1][case % 3]
+        got_rng, want_rng = np.random.default_rng(case), np.random.default_rng(case)
+        got = markov_activity(a_j, b_j, t_slots, got_rng, initial)
+        want = ref.markov_activity(a_j, b_j, t_slots, want_rng, initial)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (a_j, b_j, t_slots)
+        assert got_rng.random() == want_rng.random()
+        got_rng, want_rng = np.random.default_rng(case + 1000), np.random.default_rng(case + 1000)
+        got = simulate._piecewise_powers(got, got_rng, 100.0, 200.0)
+        want = ref._piecewise_powers(want, want_rng, 100.0, 200.0)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (a_j, b_j, t_slots)
+        assert got_rng.random() == want_rng.random()
+
+
 # ----------------------------------------------------------------- generation
 
 def test_static_rank_one_scenario_is_exact():
@@ -228,6 +262,16 @@ def test_config_validation():
         ScenarioConfig(seed=-1)
 
 
+@pytest.mark.parametrize("power_range", [(-5.0, -1.0), (-1e-9, 100.0)])
+def test_config_refuses_negative_power(power_range):
+    named = f"power_range must not be negative, got {list(power_range)}"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        ScenarioConfig(power_range=power_range)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        ScenarioConfig.from_dict({"power_range": list(power_range)})
+    assert ScenarioConfig(power_range=(0.0, 0.0)).power_range == (0.0, 0.0)
+
+
 def test_config_dict_round_trip():
     cfg = ScenarioConfig(seed=9, noise_var=2e-4, a_range=(0.01, 0.02))
     assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
@@ -271,6 +315,8 @@ _ORACLE_CONFIGS = [
     ScenarioConfig(eta=1.0, t_slots=50, seed=5),
     ScenarioConfig(n_pu=9, t_slots=200, seed=6),
     ScenarioConfig(n_pu=1, n_su=1, t_slots=7, area_side=0.0, noise_var=0.0, seed=7),
+    ScenarioConfig(a_range=(0.0, 0.0), t_slots=100, seed=8),
+    ScenarioConfig(duty=0.5, a_range=(1.0, 1.0), t_slots=100, seed=9),
 ]
 
 
@@ -284,6 +330,25 @@ def test_generator_matches_reference_bit_for_bit(cfg):
     for name in ("values", "mask"):
         a, b = getattr(got.observed, name), getattr(want.observed, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def test_generator_transient_stays_within_four_gamma_arrays():
+    # The fading array h is the one large transient: 2x gamma_true, freed
+    # before the noise and the mask. A copy of it, or a view that keeps it
+    # alive past that point, breaks the bound.
+    cfg = ScenarioConfig(n_su=100, t_slots=3000, seed=1)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        truth = generate_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak <= 4 * truth.gamma_true.nbytes, peak
 
 
 # --------------------------------------------------------------------- export
