@@ -53,7 +53,7 @@ def _cmd_solve(args) -> int:
         "epsilon": cfg.epsilon,
         "rank": cfg.rank,
         "iterations_run": trace.iterations,
-        "final_objective": trace.records[-1].objective if trace.records else None,
+        "final_objective": trace.records[-1].objective,
     }
     write_json(out / "solve.json", sidecar)
     print(

@@ -38,9 +38,15 @@ returns it, update_activations and surrogate_per_slot take it, and a slot
 reads its neighbors and their weights from it by slicing. fit_after_p and
 fit are derived from these shared products in the same operation order as
 the step functions, so the loops and the public functions agree bit for
-bit. The loops never evaluate the surrogate: surrogate_per_slot on
-solve(..., record_factors=True) iterates checks MM monotonicity after
-the fact.
+bit.
+
+One MM loop. solve and infer_activations each hand their iteration body to
+_descend as a step that returns the traced objective it reached; the
+driver alone holds the previous objective, the iteration counter and the
+relative-change stop test. Each step checks its iterates for non-finite
+values itself, before it rescales or records them. No step evaluates the
+surrogate: surrogate_per_slot on solve(..., record_factors=True) iterates
+checks MM monotonicity after the fact.
 
 One workspace per call. solve and infer_activations each size one
 _Workspace from (N, K, T) before their loop, and the helpers write every
@@ -101,8 +107,10 @@ class SolverConfig:
     epsilon  : smoothing constant; added as-is to the squared transition in
                the reweight denominator, squared inside the penalty kernel.
     rank     : number of factors K.
-    max_iters, rel_tol : stop after max_iters outer iterations or when the
-               relative objective change drops below rel_tol.
+    max_iters, rel_tol : stop after max_iters outer iterations, or after the
+               first whose relative change of the traced objective is below
+               rel_tol (so rel_tol = 0 runs exactly max_iters). That objective
+               is not guaranteed to decrease; see the module's epsilon note.
     init_seed: seed for the uniform (0.1, 1.1) factor initialization.
     guard    : tiny positive value protecting denominators.
     """
@@ -337,7 +345,7 @@ def _rescale(gains, acts, rng=None):
         dead = np.flatnonzero(norms == 0)
         if rng is None:
             raise DegenerateFactorError(f"gains columns {dead.tolist()} have zero norm")
-        gains[:, dead] = rng.uniform(0.1, 1.1, size=(gains.shape[0], dead.size))
+        gains[:, dead] = _init_draw(rng, (gains.shape[0], dead.size))
         norms = _column_norms(gains)
     return gains / norms, acts * norms[:, None]
 
@@ -354,6 +362,20 @@ def _as_activations(a) -> np.ndarray:
     if acts.ndim != 2:
         raise ShapeMismatchError(f"activations must be 2-D (K x T), got shape {acts.shape}")
     return acts
+
+
+def _as_gains(g, s: MaskedMatrix) -> np.ndarray:
+    """g as float64, checked against s: 2-D, one row per sensor, finite, >= 0."""
+    gains = np.asarray(g, dtype=np.float64)
+    if gains.ndim != 2 or gains.shape[0] != s.n_rows:
+        raise ShapeMismatchError(
+            f"gains shape {gains.shape} incompatible with {s.n_rows} sensor rows"
+        )
+    if not np.isfinite(gains).all():
+        raise ValueError("gains must be finite")
+    if (gains < 0).any():
+        raise ValueError("gains must be nonnegative")
+    return gains
 
 
 def _as_reweights(w, acts: np.ndarray) -> np.ndarray:
@@ -404,7 +426,7 @@ def fit_gradient(s: MaskedMatrix, gains: np.ndarray, acts: np.ndarray) -> np.nda
 
     Per slot: -gains^T (w ⊙ s - w ⊙ (gains p)).
     """
-    acts = _as_activations(acts)
+    gains, acts = _as_gains(gains, s), _as_activations(acts)
     _check_compatible(s, gains, acts)
     data, curv, _ = _expand_at(_Workspace(gains, acts), s, gains, acts)
     return curv - data
@@ -428,10 +450,9 @@ def update_activations(s: MaskedMatrix, gains: np.ndarray, p_i: np.ndarray,
 
     w holds the K x (T-1) transition weights, as compute_reweights returns them.
     """
-    acts = _as_activations(p_i)
-    _check_compatible(s, np.asarray(gains), acts)
+    gains, acts = _as_gains(gains, s), _as_activations(p_i)
+    _check_compatible(s, gains, acts)
     w = _as_reweights(w, acts)
-    gains = np.asarray(gains, dtype=np.float64)
     ws = _Workspace(gains, acts)
     data, curv, _ = _expand_at(ws, s, gains, acts)
     return _activation_step(ws, acts, data, curv, w, cfg.beta, cfg.guard)[0]
@@ -471,9 +492,8 @@ def surrogate_per_slot(s: MaskedMatrix, gains: np.ndarray, p_new: np.ndarray,
     transitions, weighted by the K x (T-1) w). Touches the slot fit at
     p_new == p_ref when beta == 0; the activation sweep cannot increase it.
     """
-    gains = np.asarray(gains, dtype=np.float64)
+    gains, p_ref = _as_gains(gains, s), _as_activations(p_ref)
     p_new = np.asarray(p_new, dtype=np.float64)
-    p_ref = _as_activations(p_ref)
     _check_compatible(s, gains, p_ref)
     if p_new.shape != p_ref.shape:
         raise ShapeMismatchError(
@@ -494,13 +514,18 @@ def surrogate_per_slot(s: MaskedMatrix, gains: np.ndarray, p_new: np.ndarray,
 
 # --------------------------------------------------------------------- loops
 
-def _init_factors(rng: np.random.Generator, n_rows: int, rank: int,
-                  n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+def _init_draw(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     # Strictly positive init keeps the multiplicative updates alive; the
     # 0.1 offset keeps the initial curvature estimates finite.
-    gains = rng.uniform(0.1, 1.1, size=(n_rows, rank))
-    acts = rng.uniform(0.1, 1.1, size=(rank, n_cols))
-    return gains, acts
+    return rng.uniform(0.1, 1.1, size=shape)
+
+
+def _descend(step, obj: float, cfg: SolverConfig) -> None:
+    """Run step(1), step(2), ... from objective obj until cfg's stop rule."""
+    for iteration in range(1, cfg.max_iters + 1):
+        prev, obj = obj, step(iteration)
+        if abs(prev - obj) / max(abs(prev), cfg.guard) < cfg.rel_tol:
+            break
 
 
 def _check_finite(iteration: int, *arrays: np.ndarray) -> None:
@@ -514,10 +539,9 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
     """Alternate activation and gains updates until convergence.
 
     Each outer iteration: recompute transition weights from the previous
-    activations, sweep all activation slots, update the gains, renormalize.
-    Stops when the relative objective change falls below cfg.rel_tol or
-    after cfg.max_iters iterations. Returns the final pair and a trace;
-    with record_factors=True the trace also keeps every iterate.
+    activations, sweep all activation slots, update the gains, renormalize,
+    until cfg's stop rule. Returns the final pair and a trace; with
+    record_factors=True the trace also keeps every iterate.
     """
     silent = np.flatnonzero(s.mask.sum(axis=1) == 0)
     if silent.size:
@@ -529,15 +553,15 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
 
     values, mask, beta, eps, guard = s.values, s.mask, cfg.beta, cfg.epsilon, cfg.guard
     rng = np.random.default_rng(cfg.init_seed)
-    gains, acts = _init_factors(rng, s.n_rows, cfg.rank, s.n_cols)
+    gains, acts = _init_draw(rng, (s.n_rows, cfg.rank)), _init_draw(rng, (cfg.rank, s.n_cols))
     trace = SolveTrace(iterates=[] if record_factors else None)
     if record_factors:
         trace.initial = FactorPair(gains, acts)
     ws = _Workspace(gains, acts)
     fit, pen = _state(ws, values, mask, gains, acts, eps)
-    prev_obj = fit + beta * pen
 
-    for iteration in range(1, cfg.max_iters + 1):
+    def step(iteration):
+        nonlocal gains, acts
         acts_new, clamped = _activation_step(
             ws, acts, np.matmul(gains.T, values, out=ws.data),
             np.matmul(gains.T, ws.wgp, out=ws.curv),
@@ -552,30 +576,16 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
 
         fit, pen = _state(ws, values, mask, gains, acts, eps)
         obj = fit + beta * pen
-        trace.records.append(
-            IterationRecord(
-                iteration=iteration,
-                fit_after_p=fit_after_p,
-                fit=fit,
-                penalty=pen,
-                objective=obj,
-                clamped=clamped,
-            )
-        )
+        trace.records.append(IterationRecord(
+            iteration=iteration, fit_after_p=fit_after_p, fit=fit, penalty=pen,
+            objective=obj, clamped=clamped))
         if record_factors:
-            trace.iterates.append(
-                IterateSnapshot(
-                    activations_updated=acts_new.copy(),
-                    gains_updated=gains_new.copy(),
-                    pair=FactorPair(gains, acts),
-                )
-            )
+            trace.iterates.append(IterateSnapshot(
+                activations_updated=acts_new.copy(), gains_updated=gains_new.copy(),
+                pair=FactorPair(gains, acts)))
+        return obj
 
-        rel = abs(prev_obj - obj) / max(abs(prev_obj), guard)
-        prev_obj = obj
-        if rel < cfg.rel_tol:
-            break
-
+    _descend(step, fit + beta * pen, cfg)
     return FactorPair(gains, acts), trace
 
 
@@ -615,35 +625,24 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
                       cfg: SolverConfig) -> np.ndarray:
     """Estimate activations for frozen gains (no gains update, no rescale).
 
-    Runs the reweight + activation sweep loop with the given gains until the
-    relative objective change drops below cfg.rel_tol or cfg.max_iters.
+    Runs the reweight + activation sweep with the given gains until cfg's
+    stop rule.
     """
-    gains = np.asarray(gains_fixed, dtype=np.float64)
-    if gains.ndim != 2 or gains.shape[0] != s.n_rows:
-        raise ShapeMismatchError(
-            f"gains shape {gains.shape} incompatible with {s.n_rows} sensor rows"
-        )
-    if not np.isfinite(gains).all():
-        raise ValueError("gains must be finite")
-    if (gains < 0).any():
-        raise ValueError("gains must be nonnegative")
-
+    gains = _as_gains(gains_fixed, s)
     values, mask, beta, eps, guard = s.values, s.mask, cfg.beta, cfg.epsilon, cfg.guard
-    rng = np.random.default_rng(cfg.init_seed)
-    acts = rng.uniform(0.1, 1.1, size=(gains.shape[1], s.n_cols))
+    acts = _init_draw(np.random.default_rng(cfg.init_seed), (gains.shape[1], s.n_cols))
     ws = _Workspace(gains, acts)
     acts = _calibrated(ws, values, mask, gains, acts)
     data = np.matmul(gains.T, values, out=ws.data)
     fit, pen = _state(ws, values, mask, gains, acts, eps)
-    prev_obj = fit + beta * pen
-    for iteration in range(1, cfg.max_iters + 1):
+
+    def step(iteration):
+        nonlocal acts
         acts, _ = _activation_step(ws, acts, data, np.matmul(gains.T, ws.wgp, out=ws.curv),
                                    _reweights(ws.d2, eps, out=ws.scratch), beta, guard)
         _check_finite(iteration, acts)
         fit, pen = _state(ws, values, mask, gains, acts, eps)
-        obj = fit + beta * pen
-        rel = abs(prev_obj - obj) / max(abs(prev_obj), guard)
-        prev_obj = obj
-        if rel < cfg.rel_tol:
-            break
+        return fit + beta * pen
+
+    _descend(step, fit + beta * pen, cfg)
     return acts

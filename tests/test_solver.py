@@ -42,11 +42,32 @@ def test_solver_config_out_of_range_field_is_named_error(field, value):
      "gains must be finite"),
     (lambda s, g, a, bad: penalty_smoothed(a, bad), "epsilon must be a finite number > 0"),
     (lambda s, g, a, bad: compute_reweights(a, bad), "epsilon must be a finite number > 0"),
-], ids=["infer_activations", "penalty_smoothed", "compute_reweights"])
+    (lambda s, g, a, bad: update_activations(s, np.where(g > 0.5, bad, g), a,
+                                             compute_reweights(a, 1e-6), SolverConfig(rank=2)),
+     "gains must be finite"),
+    (lambda s, g, a, bad: fit_gradient(s, np.where(g > 0.5, bad, g), a), "gains must be finite"),
+    (lambda s, g, a, bad: surrogate_per_slot(s, np.where(g > 0.5, bad, g), a, a,
+                                             compute_reweights(a, 1e-6), 0.1),
+     "gains must be finite"),
+], ids=["infer_activations", "penalty_smoothed", "compute_reweights",
+        "update_activations-gains", "fit_gradient-gains", "surrogate-gains"])
 def test_non_finite_solver_input_is_named_error(call, named, bad):
     s, pair = random_instance(5, n_rows=4, n_cols=6)
     with pytest.raises(ValueError, match=named):
         call(s, pair.gains, pair.activations, bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, g, a: update_activations(s, g, a, compute_reweights(a, 1e-6), SolverConfig(rank=2)),
+    lambda s, g, a: fit_gradient(s, g, a),
+    lambda s, g, a: surrogate_per_slot(s, g, a, a, compute_reweights(a, 1e-6), 0.1),
+], ids=["update_activations", "fit_gradient", "surrogate"])
+def test_negative_gains_is_named_error(call):
+    s, pair = random_instance(5, n_rows=4, n_cols=6)
+    gains = pair.gains.copy()
+    gains[1, 0] = -0.5
+    with pytest.raises(ValueError, match="gains must be nonnegative"):
+        call(s, gains, pair.activations)
 
 
 @pytest.mark.parametrize("call, named", [
@@ -65,9 +86,17 @@ def test_non_finite_solver_input_is_named_error(call, named, bad):
      r"activations must be 2-D \(K x T\), got shape \(4,\)"),
     (lambda s, g, a: surrogate_per_slot(s, g, a[0], a[0], compute_reweights(a, 1e-6), 0.1),
      r"activations must be 2-D \(K x T\), got shape \(4,\)"),
+    (lambda s, g, a: fit_gradient(s, g[:2].tolist(), a),
+     r"gains shape \(2, 2\) incompatible with 3 sensor rows"),
+    (lambda s, g, a: update_activations(s, g[:, 0], a, compute_reweights(a, 1e-6),
+                                        SolverConfig(rank=2)),
+     r"gains shape \(3,\) incompatible with 3 sensor rows"),
+    (lambda s, g, a: surrogate_per_slot(s, g[:2], a, a, compute_reweights(a, 1e-6), 0.1),
+     r"gains shape \(2, 2\) incompatible with 3 sensor rows"),
 ], ids=["surrogate-p_new", "surrogate-reweights", "update_activations-reweights",
         "penalty_smoothed-1d", "compute_reweights-1d", "fit_gradient-1d",
-        "update_activations-1d", "surrogate-1d"])
+        "update_activations-1d", "surrogate-1d", "fit_gradient-list-gains",
+        "update_activations-1d-gains", "surrogate-gains-rows"])
 def test_wrong_shaped_step_input_is_named_error(call, named):
     s, pair = random_instance(5)
     with pytest.raises(ShapeMismatchError, match=named):
@@ -391,6 +420,13 @@ def test_fit_gradient_matches_finite_differences():
         assert grad[j, t] == pytest.approx(fd, rel=1e-5)
 
 
+def test_fit_gradient_accepts_nested_lists():
+    s = MaskedMatrix(np.full((3, 4), 2.0), np.ones((3, 4)))
+    grad = fit_gradient(s, [[1.0], [1.0], [1.0]], [[1.0] * 4])
+    assert np.array_equal(grad, fit_gradient(s, np.ones((3, 1)), np.ones((1, 4))))
+    assert np.array_equal(grad, np.full((1, 4), -3.0))
+
+
 def test_surrogate_majorizes_slot_fit():
     # G(p, p_ref) >= C(p) for sampled positive p, equality at p = p_ref
     rng = np.random.default_rng(52)
@@ -542,6 +578,54 @@ def test_solve_stops_on_relative_tolerance():
     cfg = SolverConfig(beta=0.0, rank=2, max_iters=5000, rel_tol=1e-6)
     _, trace = solve(s, cfg)
     assert trace.iterations < 5000
+
+
+# ------------------------------------------------------------ MM loop driver
+
+def scripted(objectives):
+    """A step that returns the given objectives in turn and logs its calls."""
+    calls = []
+
+    def step(iteration):
+        calls.append(iteration)
+        return objectives[len(calls) - 1]
+    return step, calls
+
+
+def test_descend_stops_at_first_relative_change_below_tolerance():
+    # Relative changes 0.5, 0.5 (not below 0.5), 1e-3: stop after step 3.
+    step, calls = scripted([2.0, 1.0, 0.999, 0.5, 0.25])
+    solver._descend(step, 4.0, SolverConfig(max_iters=10, rel_tol=0.5))
+    assert calls == [1, 2, 3]
+
+
+def test_descend_runs_exactly_max_iters_at_zero_tolerance():
+    step, calls = scripted([1.0] * 7)
+    solver._descend(step, 1.0, SolverConfig(max_iters=7, rel_tol=0.0))
+    assert calls == list(range(1, 8))
+
+
+def test_descend_divides_by_guard_at_zero_objective():
+    # From 0, a change of 1e-13 is 0.1 relative to guard = 1e-12, so no stop
+    # at rel_tol = 0.05; the next, zero change stops.
+    step, calls = scripted([1e-13, 1e-13, 5.0])
+    solver._descend(step, 0.0, SolverConfig(max_iters=10, rel_tol=0.05, guard=1e-12))
+    assert calls == [1, 2]
+    step, calls = scripted([0.0, 5.0])
+    solver._descend(step, 0.0, SolverConfig(max_iters=10, rel_tol=0.05))
+    assert calls == [1]
+    # Below guard, |prev| is not the divisor: 1e-14 / 1e-12 = 0.01 stops.
+    step, calls = scripted([2e-14, 5.0])
+    solver._descend(step, 1e-14, SolverConfig(max_iters=10, rel_tol=0.05, guard=1e-12))
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_descend_never_stops_early_on_non_finite_objective(bad):
+    # The relative change is inf or NaN, and neither is below any rel_tol.
+    step, calls = scripted([bad] * 5)
+    solver._descend(step, 1.0, SolverConfig(max_iters=5, rel_tol=1.0))
+    assert calls == [1, 2, 3, 4, 5]
 
 
 # ------------------------------------------------------------------- inference
