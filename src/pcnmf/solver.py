@@ -6,11 +6,14 @@ Minimizes, over nonnegative gains and activations,
     fit     = sum_{r,t} w_rt * 0.5 * (s_rt - sum_j gains_rj * act_jt)^2
     penalty = sum_{j, t>=2} rho(act_jt - act_j(t-1)),  rho(x) = x^2/(x^2+eps^2)
 
-by majorization-minimization: each outer iteration recomputes quadratic
-transition weights from the previous activations (iterative reweighting),
-takes one closed-form activation sweep, one multiplicative gains update, and
-renormalizes the gains columns to unit 2-norm (absorbing scale into the
-activations) to stop the penalty from draining the activations to zero.
+by majorization-minimization: each outer iteration of solve recomputes
+quadratic transition weights from the previous activations (iterative
+reweighting), takes one closed-form activation sweep, one multiplicative
+gains update, and renormalizes the gains columns to unit 2-norm (absorbing
+scale into the activations) to stop the penalty from draining the
+activations to zero. infer_activations, with the gains frozen, minimizes the
+same two majorizers jointly along time instead of slot by slot: one
+tridiagonal solve per activation row, which at beta = 0 is the sweep.
 
 With beta = 0 and a full mask the updates coincide, in exact arithmetic and
 elementwise in floating point, with the classical Euclidean multiplicative
@@ -29,7 +32,10 @@ activations and W the mask, one `solve` iteration computes six products:
     G P after the rescale                      the new state
 
 `infer_activations` freezes the gains, so it computes G^T (W ⊙ S) once
-before its loop and two products per iteration: G^T (W ⊙ G P) and G P.
+before its loop and two products per iteration, G^T (W ⊙ G P) and G P.
+At beta > 0 its joint step then reduces the K tridiagonal systems in
+ceil(log2 T) levels of fourteen elementwise passes over K x T each; at the
+paper shape (K = 5, T = 600) those levels cost more than both products.
 The state at the end of an iteration (W ⊙ G P and d^2 = diff(P)^2) is
 carried into the next one: W ⊙ G P feeds the next curvature, and d^2 both
 the reported penalty and the next reweights. The reweights are one
@@ -52,11 +58,12 @@ One workspace per call. solve and infer_activations each size one
 _Workspace from (N, K, T) before their loop, and the helpers write every
 intermediate into it through ufunc out= and np.matmul(..., out=): two
 N x T buffers (W ⊙ G P, the residual), two K x (T-1) ones (d^2, the
-reweights) and the K x T ones of the sweep. An iteration allocates only
-its new iterates, which may outlive it (returned pairs, snapshots) and so
-are never workspace buffers. Besides its six products, a solve iteration
-makes eight elementwise passes over N x T (mask, residual, square and sum,
-after the sweep and after the rescale); infer_activations makes four. The
+reweights) and the K x T ones of the sweep and of the joint step. An
+iteration allocates only its new iterates, which may outlive it (returned
+pairs, snapshots) and so are never workspace buffers. Besides its six
+products, a solve iteration makes eight elementwise passes over N x T
+(mask, residual, square and sum, after the sweep and after the rescale);
+infer_activations makes four, besides its reduction levels over K x T. The
 public step functions give the same helpers a fresh workspace per call.
 Each in-place operation does the arithmetic of the plain numpy expression
 it spells out, in the same order, so the iterates equal those of the
@@ -226,6 +233,9 @@ class _Workspace:
         self.wsum = np.empty((rank, n_cols))
         self.den = np.empty((rank, n_cols))
         self.low = np.empty((rank, n_cols), dtype=bool)
+        self.lower = np.empty((rank, n_cols))           # joint step's couplings
+        self.upper = np.empty((rank, n_cols))
+        self.flat = np.empty((4, rank * n_cols))        # its reduction factors
         self.gains_num = np.empty((n_rows, rank))
         self.gains_den = np.empty((n_rows, rank))
 
@@ -318,6 +328,76 @@ def _activation_step(ws, p, data, curv, w, beta: float, guard: float):
     return np.maximum(new, ACTIVATION_FLOOR, out=new), clamped
 
 
+def _joint_activation_step(ws, p, data, curv, w, beta: float, guard: float):
+    """One reweighted activation step solved jointly along time; returns new acts.
+
+    Minimizes the two majorizers of _activation_step, the diagonal fit
+    majorizer with curvature c = max(curv, guard) / p and the reweighted
+    quadratic beta * sum w * d^2, over all slots at once instead of slot by
+    slot with frozen neighbors. Per component row that is the tridiagonal
+    system (diag(c) + 2*beta*L_w) new = data, L_w the path Laplacian with
+    weights w, solved here with each row t multiplied by p_t:
+
+        -lower_t new_(t-1) + diag_t new_t - upper_t new_(t+1) = data_t p_t
+        lower[:, 1:] = 2*beta * w * p[:, 1:],  upper[:, :-1] = 2*beta * w * p[:, :-1]
+        diag = max(curv, guard) + lower + upper
+
+    diag is _activation_step's denominator, with the guard taken on curv
+    alone so that every row stays strictly diagonally dominant, also a row
+    that sees no data (curv = 0), where the system would be singular. The
+    matrix is then an M-matrix and the right side is >= 0, so new >= 0. At
+    beta = 0 the rows decouple and no reduction level runs: new is data * p
+    / max(curv, guard), _activation_step's beta = 0 result bit for bit.
+    Writes ws.den, ws.pull, ws.lower, ws.upper and ws.flat; the new acts are
+    a fresh array.
+    """
+    diag = np.maximum(curv, guard, out=ws.den)
+    rhs = np.multiply(data, p, out=ws.pull)
+    if beta:
+        two_beta, lower, upper = 2.0 * beta, ws.lower, ws.upper
+        lower[:, :1] = 0.0
+        np.multiply(w, p[:, 1:], out=lower[:, 1:])
+        np.multiply(two_beta, lower, out=lower)
+        upper[:, -1:] = 0.0
+        np.multiply(w, p[:, :-1], out=upper[:, :-1])
+        np.multiply(two_beta, upper, out=upper)
+        np.add(diag, lower, out=diag)
+        np.add(diag, upper, out=diag)
+        _reduce_rows(ws, p.shape[1])
+    new = np.divide(rhs, diag)
+    return np.maximum(new, ACTIVATION_FLOOR, out=new)
+
+
+def _reduce_rows(ws, n_cols: int) -> None:
+    """Decouple the tridiagonal rows in ws by parallel cyclic reduction.
+
+    Level s adds to each equation the multiples of the equations s slots
+    before and after it that cancel its couplings to those slots, which
+    couples it to the slots 2s away instead. Once s reaches T no coupling
+    is left and new = rhs / diag. All K rows are reduced at once on the flat
+    K*T layout: lower is zero in a row's first s slots and upper in its last
+    s, so the factors that would reach into a neighboring row are exact
+    zeros. Overwrites ws.lower, ws.den, ws.upper and ws.pull in place.
+    """
+    lower, diag, upper, rhs = (a.reshape(-1) for a in (ws.lower, ws.den, ws.upper, ws.pull))
+    s = 1
+    while s < n_cols:
+        k_lo, k_up, add_lo, add_up = ws.flat[:, :lower.size - s]
+        np.divide(lower[s:], diag[:-s], out=k_lo)   # cancels new_(t-s)
+        np.divide(upper[:-s], diag[s:], out=k_up)   # cancels new_(t+s)
+        diag[s:] -= np.multiply(k_lo, upper[:-s], out=add_lo)
+        diag[:-s] -= np.multiply(k_up, lower[s:], out=add_up)
+        np.multiply(k_lo, rhs[:-s], out=add_lo)
+        np.multiply(k_up, rhs[s:], out=add_up)
+        rhs[s:] += add_lo
+        rhs[:-s] += add_up
+        np.multiply(k_lo, lower[:-s], out=add_lo)  # couplings 2s away
+        np.multiply(k_up, upper[s:], out=add_up)
+        lower[s:] = add_lo
+        upper[:-s] = add_up
+        s *= 2
+
+
 def _gains_step(ws, values, gains, acts, guard):
     """gains * ((W ⊙ S) P^T) / ((W ⊙ G P) P^T + guard), W ⊙ G P from ws.wgp.
 
@@ -358,9 +438,14 @@ def _check_epsilon(epsilon) -> None:
 
 
 def _as_activations(a) -> np.ndarray:
+    """a as float64, checked: 2-D, finite, >= 0."""
     acts = np.asarray(a, dtype=np.float64)
     if acts.ndim != 2:
         raise ShapeMismatchError(f"activations must be 2-D (K x T), got shape {acts.shape}")
+    if not np.isfinite(acts).all():
+        raise ValueError("activations must be finite")
+    if (acts < 0).any():
+        raise ValueError("activations must be nonnegative")
     return acts
 
 
@@ -492,8 +577,7 @@ def surrogate_per_slot(s: MaskedMatrix, gains: np.ndarray, p_new: np.ndarray,
     transitions, weighted by the K x (T-1) w). Touches the slot fit at
     p_new == p_ref when beta == 0; the activation sweep cannot increase it.
     """
-    gains, p_ref = _as_gains(gains, s), _as_activations(p_ref)
-    p_new = np.asarray(p_new, dtype=np.float64)
+    gains, p_ref, p_new = _as_gains(gains, s), _as_activations(p_ref), _as_activations(p_new)
     _check_compatible(s, gains, p_ref)
     if p_new.shape != p_ref.shape:
         raise ShapeMismatchError(
@@ -625,8 +709,11 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
                       cfg: SolverConfig) -> np.ndarray:
     """Estimate activations for frozen gains (no gains update, no rescale).
 
-    Runs the reweight + activation sweep with the given gains until cfg's
-    stop rule.
+    Each iteration recomputes the reweights and takes one joint activation
+    step (_joint_activation_step): the fit majorizer and the reweighted
+    quadratic minimized over all slots at once, one tridiagonal solve per
+    activation row. At beta = 0 that step is solve's activation sweep, bit
+    for bit. Runs until cfg's stop rule.
     """
     gains = _as_gains(gains_fixed, s)
     values, mask, beta, eps, guard = s.values, s.mask, cfg.beta, cfg.epsilon, cfg.guard
@@ -638,8 +725,8 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
 
     def step(iteration):
         nonlocal acts
-        acts, _ = _activation_step(ws, acts, data, np.matmul(gains.T, ws.wgp, out=ws.curv),
-                                   _reweights(ws.d2, eps, out=ws.scratch), beta, guard)
+        acts = _joint_activation_step(ws, acts, data, np.matmul(gains.T, ws.wgp, out=ws.curv),
+                                      _reweights(ws.d2, eps, out=ws.scratch), beta, guard)
         _check_finite(iteration, acts)
         fit, pen = _state(ws, values, mask, gains, acts, eps)
         return fit + beta * pen

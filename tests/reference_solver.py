@@ -5,6 +5,10 @@ before the shared MM kernel in `pcnmf.solver`, with the step functions they
 called, copied without change. Every iterate, trace record and stop
 iteration of the kernel must equal what these loops produce, bit for bit.
 Do not edit this file to follow the solver: a difference is a solver bug.
+
+At beta > 0, infer_activations takes a joint step along time instead of
+the sweep; infer_activations_joint at the end of this file is its
+reference, and infer_activations here stays the beta = 0 one.
 """
 
 from __future__ import annotations
@@ -270,6 +274,102 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     for iteration in range(1, cfg.max_iters + 1):
         reweights = compute_reweights(acts, cfg.epsilon)
         acts, _ = _activation_step(
+            s.values, s.mask, gains, acts, reweights, cfg.beta, cfg.guard
+        )
+        _check_finite(iteration, acts)
+        obj = _weighted_fit(s.values, s.mask, gains, acts) + cfg.beta * (
+            penalty_smoothed(acts, cfg.epsilon)
+        )
+        rel = abs(prev_obj - obj) / max(abs(prev_obj), cfg.guard)
+        prev_obj = obj
+        if rel < cfg.rel_tol:
+            break
+    return acts
+
+
+# --------------------------------------------------------------- joint step
+#
+# infer_activations solves each activation row jointly along time at
+# beta > 0. The functions below are that step written out plainly: the same
+# row-scaled tridiagonal system and the same parallel cyclic reduction
+# levels, one row per array row, with zeros wherever a slot has no
+# neighbor s slots away. At beta = 0 the kernel must still equal the
+# infer_activations above.
+
+def _shifted(x: np.ndarray, s: int, fill: float = 0.0) -> np.ndarray:
+    # column t holds x[:, t - s] for s > 0 and x[:, t + |s|] for s < 0;
+    # fill where that slot does not exist
+    out = np.full_like(x, fill)
+    if s > 0:
+        out[:, s:] = x[:, :-s]
+    else:
+        out[:, :s] = x[:, -s:]
+    return out
+
+
+def _joint_activation_step(values, mask, gains, acts, weights, beta, guard):
+    """Minimize the fit majorizer and the reweighted quadratic jointly over t.
+
+    Row j of the K tridiagonal systems, multiplied by acts[j, t] at slot t:
+
+        -lower_t new_(t-1) + diag_t new_t - upper_t new_(t+1) = data_t acts_t
+
+    with lower = 2*beta*yl*acts, upper = 2*beta*yr*acts and diag =
+    max(curv, guard) + lower + upper. Each reduction level s adds to every
+    equation the multiples of the equations s slots before and after it
+    that cancel its couplings to them.
+    """
+    t = acts.shape[1]
+    data = gains.T @ values
+    curv = gains.T @ (mask * (gains @ acts))
+    yl = weights[:, :t]
+    yr = weights[:, 1:]
+    two_beta = 2.0 * beta
+    diag = np.maximum(curv, guard)
+    rhs = data * acts
+    if beta:
+        lower = two_beta * (yl * acts)
+        upper = two_beta * (yr * acts)
+        diag = diag + lower + upper
+        s = 1
+        while s < t:
+            # lower is zero in the first s slots and upper in the last s,
+            # where the diagonal they would divide by is a fill of ones
+            k_lo = lower / _shifted(diag, s, 1.0)
+            k_up = upper / _shifted(diag, -s, 1.0)
+            diag = diag - k_lo * _shifted(upper, s) - k_up * _shifted(lower, -s)
+            rhs = rhs + k_lo * _shifted(rhs, s) + k_up * _shifted(rhs, -s)
+            lower = k_lo * _shifted(lower, s)
+            upper = k_up * _shifted(upper, -s)
+            s *= 2
+    return np.maximum(rhs / diag, ACTIVATION_FLOOR)
+
+
+def infer_activations_joint(s: MaskedMatrix, gains_fixed: np.ndarray,
+                            cfg: SolverConfig) -> np.ndarray:
+    """infer_activations with _joint_activation_step in place of the sweep."""
+    gains = np.asarray(gains_fixed, dtype=np.float64)
+    if gains.ndim != 2 or gains.shape[0] != s.n_rows:
+        raise ShapeMismatchError(
+            f"gains shape {gains.shape} incompatible with {s.n_rows} sensor rows"
+        )
+    if (gains < 0).any():
+        raise ValueError("gains must be nonnegative")
+
+    rng = np.random.default_rng(cfg.init_seed)
+    acts = rng.uniform(0.1, 1.1, size=(gains.shape[1], s.n_cols))
+    observed = s.mask.sum()
+    if observed > 0:
+        rec_mean = float((s.mask * (gains @ acts)).sum() / observed)
+        if rec_mean > 0:
+            acts = acts * (float(s.values.sum() / observed) / rec_mean)
+            acts = np.maximum(acts, ACTIVATION_FLOOR)
+    prev_obj = _weighted_fit(s.values, s.mask, gains, acts) + cfg.beta * (
+        penalty_smoothed(acts, cfg.epsilon)
+    )
+    for iteration in range(1, cfg.max_iters + 1):
+        reweights = compute_reweights(acts, cfg.epsilon)
+        acts = _joint_activation_step(
             s.values, s.mask, gains, acts, reweights, cfg.beta, cfg.guard
         )
         _check_finite(iteration, acts)

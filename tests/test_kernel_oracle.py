@@ -1,8 +1,10 @@
 """Bit-identity of the shared MM kernel against the reference solver loops.
 
 reference_solver.py keeps the solve/infer_activations loops as they were
-written before the kernel shared its products. Every iterate, trace record,
-stop iteration and inferred activation must be exactly equal.
+written before the kernel shared its products, and the plain form of the
+joint activation step that infer_activations takes at beta > 0. Every
+iterate, trace record, stop iteration and inferred activation must be
+exactly equal.
 """
 
 import dataclasses
@@ -62,6 +64,12 @@ def assert_same_solve(s, cfg):
     return pair, trace
 
 
+def reference_infer(s, gains, cfg):
+    """The sweep's reference at beta = 0, the joint step's above it."""
+    infer = ref.infer_activations_joint if cfg.beta else ref.infer_activations
+    return infer(s, gains, cfg)
+
+
 @pytest.mark.parametrize("beta", BETAS)
 @pytest.mark.parametrize("seed", range(4))
 def test_solve_and_infer_match_reference(seed, beta):
@@ -74,7 +82,7 @@ def test_solve_and_infer_match_reference(seed, beta):
                        init_seed=seed)
     pair, _ = assert_same_solve(s, cfg)
     assert np.array_equal(infer_activations(s, pair.gains, cfg),
-                          ref.infer_activations(s, pair.gains, cfg))
+                          reference_infer(s, pair.gains, cfg))
 
 
 @pytest.mark.parametrize("beta", [0.0, 5e-3])
@@ -83,7 +91,7 @@ def test_paper_window_matches_reference(beta):
     cfg = SolverConfig(beta=beta, rank=5, max_iters=200, rel_tol=0.0)
     pair, _ = assert_same_solve(s, cfg)
     assert np.array_equal(infer_activations(s, pair.gains, cfg),
-                          ref.infer_activations(s, pair.gains, cfg))
+                          reference_infer(s, pair.gains, cfg))
 
 
 # With two slots, both are boundary slots. The explicit ids name each
@@ -97,7 +105,7 @@ def test_single_slot_matches_reference(beta, n_cols):
     cfg = SolverConfig(beta=beta, rank=2, max_iters=20, rel_tol=0.0)
     pair, _ = assert_same_solve(s, cfg)
     assert np.array_equal(infer_activations(s, pair.gains, cfg),
-                          ref.infer_activations(s, pair.gains, cfg))
+                          reference_infer(s, pair.gains, cfg))
 
 
 def test_relative_tolerance_stop_matches_reference():
@@ -106,7 +114,7 @@ def test_relative_tolerance_stop_matches_reference():
     pair, trace = assert_same_solve(s, cfg)
     assert trace.iterations < cfg.max_iters
     assert np.array_equal(infer_activations(s, pair.gains, cfg),
-                          ref.infer_activations(s, pair.gains, cfg))
+                          reference_infer(s, pair.gains, cfg))
 
 
 def test_dead_column_restart_matches_reference():

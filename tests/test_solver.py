@@ -10,10 +10,12 @@ from pcnmf import (
     FactorPair,
     MaskedMatrix,
     NumericFailureError,
+    ScenarioConfig,
     ShapeMismatchError,
     SolverConfig,
     compute_reweights,
     fit_gradient,
+    generate_scenario,
     infer_activations,
     objective,
     penalty_smoothed,
@@ -49,8 +51,25 @@ def test_solver_config_out_of_range_field_is_named_error(field, value):
     (lambda s, g, a, bad: surrogate_per_slot(s, np.where(g > 0.5, bad, g), a, a,
                                              compute_reweights(a, 1e-6), 0.1),
      "gains must be finite"),
+    (lambda s, g, a, bad: penalty_smoothed(np.where(a > 0.5, bad, a), 1e-6),
+     "activations must be finite"),
+    (lambda s, g, a, bad: compute_reweights(np.where(a > 0.5, bad, a), 1e-6),
+     "activations must be finite"),
+    (lambda s, g, a, bad: update_activations(s, g, np.where(a > 0.5, bad, a),
+                                             compute_reweights(a, 1e-6), SolverConfig(rank=2)),
+     "activations must be finite"),
+    (lambda s, g, a, bad: fit_gradient(s, g, np.where(a > 0.5, bad, a)),
+     "activations must be finite"),
+    (lambda s, g, a, bad: surrogate_per_slot(s, g, a, np.where(a > 0.5, bad, a),
+                                             compute_reweights(a, 1e-6), 0.1),
+     "activations must be finite"),
+    (lambda s, g, a, bad: surrogate_per_slot(s, g, np.where(a > 0.5, bad, a), a,
+                                             compute_reweights(a, 1e-6), 0.1),
+     "activations must be finite"),
 ], ids=["infer_activations", "penalty_smoothed", "compute_reweights",
-        "update_activations-gains", "fit_gradient-gains", "surrogate-gains"])
+        "update_activations-gains", "fit_gradient-gains", "surrogate-gains",
+        "penalty_smoothed-acts", "compute_reweights-acts", "update_activations-acts",
+        "fit_gradient-acts", "surrogate-p_ref", "surrogate-p_new"])
 def test_non_finite_solver_input_is_named_error(call, named, bad):
     s, pair = random_instance(5, n_rows=4, n_cols=6)
     with pytest.raises(ValueError, match=named):
@@ -68,6 +87,24 @@ def test_negative_gains_is_named_error(call):
     gains[1, 0] = -0.5
     with pytest.raises(ValueError, match="gains must be nonnegative"):
         call(s, gains, pair.activations)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, g, a: penalty_smoothed(a, 1e-6),
+    lambda s, g, a: compute_reweights(a, 1e-6),
+    lambda s, g, a: update_activations(s, g, a, compute_reweights(np.abs(a), 1e-6),
+                                       SolverConfig(rank=2)),
+    lambda s, g, a: fit_gradient(s, g, a),
+    lambda s, g, a: surrogate_per_slot(s, g, np.abs(a), a, compute_reweights(np.abs(a), 1e-6), 0.1),
+    lambda s, g, a: surrogate_per_slot(s, g, a, np.abs(a), compute_reweights(np.abs(a), 1e-6), 0.1),
+], ids=["penalty_smoothed", "compute_reweights", "update_activations", "fit_gradient",
+        "surrogate-p_ref", "surrogate-p_new"])
+def test_negative_activations_is_named_error(call):
+    s, pair = random_instance(5, n_rows=4, n_cols=6)
+    acts = pair.activations.copy()
+    acts[0, 1] = -0.5
+    with pytest.raises(ValueError, match="activations must be nonnegative"):
+        call(s, pair.gains, acts)
 
 
 @pytest.mark.parametrize("call, named", [
@@ -677,3 +714,82 @@ def test_infer_calibrated_start_is_finite_when_the_data_sum_overflows():
     start = solver._calibrated(solver._Workspace(gains, acts), big, np.ones_like(big),
                                gains, acts)
     assert np.isfinite(start).all() and (start > 1e307).any()
+
+
+# -------------------------------------------------- joint activation step
+
+def majorized(s, gains, acts, cfg):
+    """fit + beta * sum log1p(d^2 / epsilon): sum log(d^2 + epsilon) less its constant."""
+    d2 = np.square(np.diff(acts, axis=1))
+    return (weighted_fit(s, FactorPair(gains, acts))
+            + cfg.beta * float(np.log1p(d2 / cfg.epsilon).sum()))
+
+
+@pytest.mark.parametrize("beta", [5e-3, 1.0])
+def test_infer_joint_step_never_raises_the_majorized_objective(beta):
+    # Both majorizers of the joint step touch this objective at the current
+    # activations, so their joint minimizer cannot raise it.
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n_rows, n_cols, rank = (int(rng.integers(2, 10)), int(rng.integers(2, 40)),
+                                int(rng.integers(1, 4)))
+        mask = (rng.random((n_rows, n_cols)) < rng.uniform(0.3, 1.0)).astype(float)
+        s = MaskedMatrix(rng.uniform(0.0, 2.0, (n_rows, n_cols)), mask)
+        gains = rng.uniform(0.1, 1.5, (n_rows, rank))
+        cfgs = [SolverConfig(beta=beta, rank=rank, max_iters=k, rel_tol=0.0, init_seed=seed)
+                for k in range(1, 11)]
+        values = np.array([majorized(s, gains, infer_activations(s, gains, cfg), cfg)
+                           for cfg in cfgs])
+        rises = np.diff(values) / np.abs(values[:-1])
+        assert rises.max() <= 1e-12, (seed, rises.max())
+
+
+@pytest.mark.parametrize("beta", [5e-3, 1.0])
+@pytest.mark.parametrize("case, n_cols", [
+    ("all-missing", 12), ("all-missing", 2), ("zero-gains-column", 12),
+    ("zero-gains-column", 2), ("unobserved-slot", 12), ("one-slot", 1), ("no-slots", 0),
+])
+def test_infer_joint_step_degenerate_input_stays_finite(case, n_cols, beta):
+    # A component row that sees no data makes the joint system singular,
+    # unless its diagonal is guarded. With two slots an unguarded reduction
+    # divides zero by zero.
+    rng = np.random.default_rng(7)
+    values, mask = rng.uniform(0.1, 2.0, (5, n_cols)), np.ones((5, n_cols))
+    gains = rng.uniform(0.1, 1.5, (5, 3))
+    if case == "all-missing":
+        mask[:] = 0.0
+    elif case == "zero-gains-column":
+        gains[:, 1] = 0.0
+    elif case == "unobserved-slot":
+        mask[:, 4] = 0.0
+    cfg = SolverConfig(beta=beta, rank=3, max_iters=50, rel_tol=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        acts = infer_activations(MaskedMatrix(values, mask), gains, cfg)
+    assert acts.shape == (3, n_cols)
+    assert np.isfinite(acts).all() and (acts >= solver.ACTIVATION_FLOOR).all()
+
+
+def test_joint_step_matches_banded_solve():
+    from scipy.linalg import solve_banded
+
+    s = generate_scenario(ScenarioConfig(seed=3)).observed
+    pair, _ = solve(s.window(0, 300), SolverConfig(rank=5, max_iters=200))
+    gains, beta, guard = pair.gains, 5e-3, 1e-12
+    for iters in (1, 20):
+        p = infer_activations(s, gains, SolverConfig(rank=5, max_iters=iters))
+        w = compute_reweights(p, 1e-6)
+        ws = solver._Workspace(gains, p)
+        data, curv, _ = solver._expand_at(ws, s, gains, p)
+        new = solver._joint_activation_step(ws, p, data, curv, w, beta, guard)
+        # The system before its rows are scaled by p:
+        # (diag(max(curv, guard) / p) + 2 beta L_w) x = data.
+        for row in range(p.shape[0]):
+            couple = 2.0 * beta * w[row]
+            bands = np.zeros((3, p.shape[1]))
+            bands[0, 1:] = bands[2, :-1] = -couple
+            bands[1] = np.maximum(curv[row], guard) / p[row]
+            bands[1, 1:] += couple
+            bands[1, :-1] += couple
+            x = solve_banded((1, 1), bands, data[row])
+            assert np.max(np.abs(new[row] - x) / x) <= 1e-12, (iters, row)
