@@ -4,7 +4,9 @@ The measurement matrix holds received powers for N_R sensors over T time
 slots together with a binary availability mask. Missing entries are stored
 as 0 internally so they can never leak into downstream arithmetic; every
 operation multiplies by the mask before the data is used. Factor pairs hold
-the nonnegative (gains, activations) state of a factorization.
+the nonnegative (gains, activations) state of a factorization. One check,
+nonnegative, decides what a valid nonnegative matrix is, for both and for
+the solver's inputs.
 
 Every CSV file pcnmf writes goes through write_csv, fed a row of text at a
 time, and the two matrix loaders share one parse: numpy's C reader, with
@@ -26,10 +28,20 @@ class ShapeMismatchError(ValueError):
     """Raised when matrix dimensions are incompatible."""
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
-    arr = np.array(a, dtype=np.float64, copy=True)
+def nonnegative(a, name: str, copy: bool = False) -> np.ndarray:
+    """a as a 2-D float64 array whose entries are finite and >= 0.
+
+    The array is a copy when copy is set, else a itself wherever it already
+    is one. Raises ShapeMismatchError unless a is 2-D, and ValueError naming
+    it unless every entry is finite and nonnegative.
+    """
+    arr = np.array(a, dtype=np.float64, copy=True) if copy else np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    if (arr < 0).any():
+        raise ValueError(f"{name} must be nonnegative")
     return arr
 
 
@@ -55,22 +67,21 @@ class MaskedMatrix:
     mask: np.ndarray
 
     def __post_init__(self):
-        values = _as_matrix(self.values, "values")
-        mask = _as_matrix(self.mask, "mask")
+        values = np.asarray(self.values, dtype=np.float64)
+        mask = np.array(self.mask, dtype=np.float64, copy=True)
+        for name, arr in (("values", values), ("mask", mask)):
+            if arr.ndim != 2:
+                raise ShapeMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
         if values.shape != mask.shape:
             raise ShapeMismatchError(
                 f"values shape {values.shape} != mask shape {mask.shape}"
             )
-        if not np.isin(mask, (0.0, 1.0)).all():
-            raise ValueError("mask entries must be exactly 0 or 1")
         observed = mask == 1.0
-        seen = values[observed]
-        if not np.isfinite(seen).all():
-            raise ValueError("observed entries must be finite")
-        if (seen < 0).any():
-            raise ValueError("observed entries must be nonnegative")
-        # Zero out missing entries: the stored placeholder is never read.
-        values[~observed] = 0.0
+        if not (observed | (mask == 0.0)).all():
+            raise ValueError("mask entries must be exactly 0 or 1")
+        # One new array, with +0.0 at missing entries: the caller's
+        # placeholder is never read, and the caller's array never written.
+        values = nonnegative(np.where(observed, values, 0.0), "observed entries")
         object.__setattr__(self, "values", _frozen(values))
         object.__setattr__(self, "mask", _frozen(mask))
 
@@ -99,18 +110,13 @@ class FactorPair:
     activations: np.ndarray
 
     def __post_init__(self):
-        gains = _as_matrix(self.gains, "gains")
-        activations = _as_matrix(self.activations, "activations")
+        gains = nonnegative(self.gains, "gains", copy=True)
+        activations = nonnegative(self.activations, "activations", copy=True)
         if gains.shape[1] != activations.shape[0]:
             raise ShapeMismatchError(
                 f"gains has {gains.shape[1]} columns but activations has "
                 f"{activations.shape[0]} rows"
             )
-        for name, arr in (("gains", gains), ("activations", activations)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} entries must be finite")
-            if (arr < 0).any():
-                raise ValueError(f"{name} entries must be nonnegative")
         object.__setattr__(self, "gains", _frozen(gains))
         object.__setattr__(self, "activations", _frozen(activations))
 

@@ -81,11 +81,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
-from ._config import check_dict, check_fields
-from .matrices import FactorPair, MaskedMatrix, ShapeMismatchError, write_csv
+from ._config import _is, check_dict, check_fields
+from .matrices import FactorPair, MaskedMatrix, ShapeMismatchError, nonnegative, write_csv
 
 # Activations are floored here after every update: the diagonal majorizer
 # divides by the current activation, so an exact zero would lock the
@@ -433,45 +434,28 @@ def _rescale(gains, acts, rng=None):
 # ------------------------------------------------------- public step functions
 
 def _check_epsilon(epsilon) -> None:
-    if not (epsilon > 0 and math.isfinite(epsilon)):
+    """ValueError unless epsilon is a finite real number > 0, as in SolverConfig."""
+    if not (_is(Real, epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be a finite number > 0, got {epsilon!r}")
 
 
-def _as_activations(a) -> np.ndarray:
-    """a as float64, checked: 2-D, finite, >= 0."""
-    acts = np.asarray(a, dtype=np.float64)
-    if acts.ndim != 2:
-        raise ShapeMismatchError(f"activations must be 2-D (K x T), got shape {acts.shape}")
-    if not np.isfinite(acts).all():
-        raise ValueError("activations must be finite")
-    if (acts < 0).any():
-        raise ValueError("activations must be nonnegative")
-    return acts
-
-
 def _as_gains(g, s: MaskedMatrix) -> np.ndarray:
-    """g as float64, checked against s: 2-D, one row per sensor, finite, >= 0."""
-    gains = np.asarray(g, dtype=np.float64)
-    if gains.ndim != 2 or gains.shape[0] != s.n_rows:
+    """g as nonnegative float64 gains with one row per sensor of s."""
+    gains = nonnegative(g, "gains")
+    if gains.shape[0] != s.n_rows:
         raise ShapeMismatchError(
             f"gains shape {gains.shape} incompatible with {s.n_rows} sensor rows"
         )
-    if not np.isfinite(gains).all():
-        raise ValueError("gains must be finite")
-    if (gains < 0).any():
-        raise ValueError("gains must be nonnegative")
     return gains
 
 
 def _as_reweights(w, acts: np.ndarray) -> np.ndarray:
-    """w as float64, checked against K x T activations: K x (T-1), finite, >= 0."""
-    weights = np.asarray(w, dtype=np.float64)
+    """w as nonnegative float64 reweights, K x (T-1) for K x T activations."""
+    weights = nonnegative(w, "reweights")
     if weights.shape != (acts.shape[0], max(acts.shape[1] - 1, 0)):
         raise ShapeMismatchError(
             f"reweights shape {weights.shape} does not match activations {acts.shape}"
         )
-    if not np.isfinite(weights).all() or (weights < 0).any():
-        raise ValueError("reweights must be finite and nonnegative")
     return weights
 
 
@@ -489,7 +473,7 @@ def penalty_smoothed(activations: np.ndarray, epsilon: float) -> float:
     which is 0 for a flat pair and approaches 1 for any clear transition.
     """
     _check_epsilon(epsilon)
-    return _penalty(_transitions(_as_activations(activations)), epsilon)
+    return _penalty(_transitions(nonnegative(activations, "activations")), epsilon)
 
 
 def objective(s: MaskedMatrix, pair: FactorPair, cfg: SolverConfig) -> float:
@@ -511,7 +495,7 @@ def fit_gradient(s: MaskedMatrix, gains: np.ndarray, acts: np.ndarray) -> np.nda
 
     Per slot: -gains^T (w ⊙ s - w ⊙ (gains p)).
     """
-    gains, acts = _as_gains(gains, s), _as_activations(acts)
+    gains, acts = _as_gains(gains, s), nonnegative(acts, "activations")
     _check_compatible(s, gains, acts)
     data, curv, _ = _expand_at(_Workspace(gains, acts), s, gains, acts)
     return curv - data
@@ -526,7 +510,7 @@ def compute_reweights(p_prev: np.ndarray, epsilon: float) -> np.ndarray:
     added as-is here but squared in penalty_smoothed.
     """
     _check_epsilon(epsilon)
-    return _reweights(_transitions(_as_activations(p_prev)), epsilon)
+    return _reweights(_transitions(nonnegative(p_prev, "activations")), epsilon)
 
 
 def update_activations(s: MaskedMatrix, gains: np.ndarray, p_i: np.ndarray,
@@ -535,7 +519,7 @@ def update_activations(s: MaskedMatrix, gains: np.ndarray, p_i: np.ndarray,
 
     w holds the K x (T-1) transition weights, as compute_reweights returns them.
     """
-    gains, acts = _as_gains(gains, s), _as_activations(p_i)
+    gains, acts = _as_gains(gains, s), nonnegative(p_i, "activations")
     _check_compatible(s, gains, acts)
     w = _as_reweights(w, acts)
     ws = _Workspace(gains, acts)
@@ -577,7 +561,8 @@ def surrogate_per_slot(s: MaskedMatrix, gains: np.ndarray, p_new: np.ndarray,
     transitions, weighted by the K x (T-1) w). Touches the slot fit at
     p_new == p_ref when beta == 0; the activation sweep cannot increase it.
     """
-    gains, p_ref, p_new = _as_gains(gains, s), _as_activations(p_ref), _as_activations(p_new)
+    gains = _as_gains(gains, s)
+    p_ref, p_new = nonnegative(p_ref, "activations"), nonnegative(p_new, "activations")
     _check_compatible(s, gains, p_ref)
     if p_new.shape != p_ref.shape:
         raise ShapeMismatchError(
@@ -691,10 +676,10 @@ def _observed_mean(x: np.ndarray, observed) -> float:
 def _calibrated(ws, values, mask, gains, acts):
     """acts scaled so the masked reconstruction's mean matches the data's.
 
-    With frozen gains there is no rescaling channel, and once the
-    reweighted penalty saturates it freezes the multiplicative scale
-    adaptation, so an init orders of magnitude off would never recover
-    within the budget.
+    The joint step would recover the scale from the raw draw within about
+    10 iterations. The calibration stays because WNMF (beta = 0) inference
+    and tests/reference_solver.py start from the calibrated draw, bit for
+    bit.
     """
     observed = mask.sum()
     if observed > 0:

@@ -147,8 +147,10 @@ def test_numeric_failure_iteration_matches_reference():
         assert failure_iteration(solve, s, cfg) == failure_iteration(ref.solve, s, cfg)
         caught = failure_iteration(solve, late, cfg)
         assert caught > 1 and caught == failure_iteration(ref.solve, late, cfg)
+        # At beta > 0 inference takes the joint step; at beta = 0 that step is the sweep.
+        ref_infer = ref.infer_activations_joint if beta > 0 else ref.infer_activations
         assert (failure_iteration(infer_activations, s_infer, gains, cfg)
-                == failure_iteration(ref.infer_activations, s_infer, gains, cfg))
+                == failure_iteration(ref_infer, s_infer, gains, cfg))
 
 
 def test_repeated_calls_return_equal_unaliased_arrays():

@@ -28,6 +28,31 @@ def test_masked_matrix_zeroes_missing_placeholders():
     assert m.values[0, 0] == 1.0 and m.values[1, 1] == 4.0
 
 
+def test_construction_never_writes_or_shares_caller_arrays():
+    rng = np.random.default_rng(8)
+    mask = (rng.random((4, 9)) < 0.6).astype(float)
+    values = rng.uniform(0.1, 2.0, (4, 9))
+    missing = np.flatnonzero(mask == 0)
+    assert missing.size >= 3
+    values.flat[missing] = np.resize([np.nan, np.inf, -1e6], missing.size)
+    gains, acts = rng.uniform(0, 1, (4, 2)), rng.uniform(0, 1, (2, 9))
+    before = [a.copy() for a in (values, mask, gains, acts)]
+    m = MaskedMatrix(values, mask)
+    w = m.window(2, 7)
+    pair = FactorPair(gains, acts)
+    for caller, snapshot in zip((values, mask, gains, acts), before):
+        assert np.array_equal(caller, snapshot, equal_nan=True)
+    for stored, callers in (((m.values, m.mask), (values, mask)),
+                            ((w.values, w.mask), (m.values, m.mask)),
+                            ((pair.gains, pair.activations), (gains, acts))):
+        for a in stored:
+            assert not any(np.shares_memory(a, b) for b in callers)
+    placeholders = m.values[mask == 0]
+    assert not placeholders.any() and not np.signbit(placeholders).any()
+    assert np.array_equal(m.values[mask == 1], values[mask == 1])
+    assert np.array_equal(w.values, m.values[:, 2:7])
+
+
 def test_masked_matrix_rejects_bad_input():
     ones = np.ones((2, 2))
     with pytest.raises(ShapeMismatchError):

@@ -38,6 +38,18 @@ def test_solver_config_out_of_range_field_is_named_error(field, value):
         SolverConfig(**{field: value})
 
 
+@pytest.mark.parametrize("epsilon", [True, "1e-6"])
+@pytest.mark.parametrize("step", [penalty_smoothed, compute_reweights],
+                         ids=["penalty_smoothed", "compute_reweights"])
+def test_epsilon_that_solver_config_refuses_is_named_error(step, epsilon):
+    # The step functions hold epsilon to SolverConfig's rule: no bool, no str.
+    with pytest.raises(ValueError, match="field 'epsilon' must be finite"):
+        SolverConfig(epsilon=epsilon)
+    acts = random_instance(5)[1].activations
+    with pytest.raises(ValueError, match=f"^epsilon must be a finite number > 0, got {epsilon!r}$"):
+        step(acts, epsilon)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("call, named", [
     (lambda s, g, a, bad: infer_activations(s, np.where(g > 0.5, bad, g), SolverConfig()),
@@ -115,19 +127,19 @@ def test_negative_activations_is_named_error(call):
     (lambda s, g, a: update_activations(s, g, a, compute_reweights(np.ones((2, 6)), 1e-6),
                                         SolverConfig(rank=2)),
      r"reweights shape \(2, 5\) does not match activations \(2, 4\)"),
-    (lambda s, g, a: penalty_smoothed(a[0], 1e-6), r"activations must be 2-D \(K x T\), got shape \(4,\)"),
-    (lambda s, g, a: compute_reweights(a[0], 1e-6), r"activations must be 2-D \(K x T\), got shape \(4,\)"),
-    (lambda s, g, a: fit_gradient(s, g, a[0]), r"activations must be 2-D \(K x T\), got shape \(4,\)"),
+    (lambda s, g, a: penalty_smoothed(a[0], 1e-6), r"activations must be 2-D, got shape \(4,\)"),
+    (lambda s, g, a: compute_reweights(a[0], 1e-6), r"activations must be 2-D, got shape \(4,\)"),
+    (lambda s, g, a: fit_gradient(s, g, a[0]), r"activations must be 2-D, got shape \(4,\)"),
     (lambda s, g, a: update_activations(s, g, a[0], compute_reweights(a, 1e-6),
                                         SolverConfig(rank=2)),
-     r"activations must be 2-D \(K x T\), got shape \(4,\)"),
+     r"activations must be 2-D, got shape \(4,\)"),
     (lambda s, g, a: surrogate_per_slot(s, g, a[0], a[0], compute_reweights(a, 1e-6), 0.1),
-     r"activations must be 2-D \(K x T\), got shape \(4,\)"),
+     r"activations must be 2-D, got shape \(4,\)"),
     (lambda s, g, a: fit_gradient(s, g[:2].tolist(), a),
      r"gains shape \(2, 2\) incompatible with 3 sensor rows"),
     (lambda s, g, a: update_activations(s, g[:, 0], a, compute_reweights(a, 1e-6),
                                         SolverConfig(rank=2)),
-     r"gains shape \(3,\) incompatible with 3 sensor rows"),
+     r"gains must be 2-D, got shape \(3,\)"),
     (lambda s, g, a: surrogate_per_slot(s, g[:2], a, a, compute_reweights(a, 1e-6), 0.1),
      r"gains shape \(2, 2\) incompatible with 3 sensor rows"),
 ], ids=["surrogate-p_new", "surrogate-reweights", "update_activations-reweights",
@@ -279,7 +291,8 @@ def test_non_finite_or_negative_reweight_is_named_error(step, bad):
     gains, acts = pair.gains, pair.activations
     y = compute_reweights(acts, 1e-6)
     y[1, 2] = bad
-    with pytest.raises(ValueError, match="reweights must be finite and nonnegative"):
+    named = "reweights must be nonnegative" if bad < 0 else "reweights must be finite"
+    with pytest.raises(ValueError, match=f"^{named}$"):
         if step == "update_activations":
             update_activations(s, gains, acts, y, SolverConfig(rank=2))
         else:
