@@ -17,11 +17,12 @@ import csv
 import time
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
-from ._config import check_dict, check_fields
+from ._config import _is, check_dict, check_fields
 from .matrices import FactorPair, csv_line, write_csv
 from .simulate import ScenarioConfig, generate_scenario
 from .solver import NumericFailureError, SolverConfig, infer_activations, solve, weighted_fit
@@ -174,7 +175,7 @@ def rmse_missing_pooled(reconstructed: np.ndarray, truth: np.ndarray,
 
 def transition_count(activations: np.ndarray, threshold: float) -> np.ndarray:
     """Per-row count of consecutive differences larger than threshold."""
-    if not threshold > 0:
+    if not (_is(Real, threshold) and threshold > 0):
         raise ValueError("threshold must be > 0")
     acts = np.asarray(activations, dtype=np.float64)
     return (np.abs(np.diff(acts, axis=1)) > threshold).sum(axis=1)

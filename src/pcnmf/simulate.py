@@ -29,7 +29,7 @@ failure can leave a partial directory.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -159,7 +159,7 @@ def fading_step(h_prev, eta: float, rng: np.random.Generator):
     Preserves a unit stationary second moment: if E|h_prev|^2 = 1 then the
     output has E|h|^2 = 1 for any eta in [0, 1].
     """
-    if not 0 <= eta <= 1:
+    if not (_is(Real, eta) and 0 <= eta <= 1):
         raise ValueError("eta must be in [0, 1]")
     return _ar1(h_prev, eta, _cn01(rng, np.shape(h_prev)))
 
@@ -172,7 +172,7 @@ def markov_activity(a_j: float, b_j: float, t_slots: int,
     initial state (0 or 1) is given. a_j = b_j = 0 freezes the chain in its
     initial state (we default that degenerate start to inactive).
     """
-    if not 0 <= a_j <= 1 or not 0 <= b_j <= 1:
+    if not all(_is(Real, p) and 0 <= p <= 1 for p in (a_j, b_j)):
         raise ValueError("transition probabilities must be in [0, 1]")
     if not _is(Integral, t_slots) or t_slots < 1:
         raise ValueError(f"t_slots must be an int >= 1, got {t_slots!r}")
@@ -197,7 +197,7 @@ def markov_activity(a_j: float, b_j: float, t_slots: int,
 
 def activation_rate_for_duty(duty: float, a_j: float) -> float:
     """Activation probability giving the requested duty cycle b/(a+b) = duty."""
-    if not 0 < duty < 1:
+    if not (_is(Real, duty) and 0 < duty < 1):
         raise ValueError("duty must be in (0, 1)")
     return duty * a_j / (1.0 - duty)
 

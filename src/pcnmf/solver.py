@@ -202,14 +202,6 @@ class SolveTrace:
                    for rec in self.records))
 
 
-def _check_compatible(s: MaskedMatrix, gains: np.ndarray, acts: np.ndarray) -> None:
-    if s.shape != (gains.shape[0], acts.shape[1]) or gains.shape[1] != acts.shape[0]:
-        raise ShapeMismatchError(
-            f"measurements {s.shape}, gains {gains.shape}, "
-            f"activations {acts.shape} are incompatible"
-        )
-
-
 # ------------------------------------------------------------------ MM kernel
 
 class _Workspace:
@@ -439,30 +431,24 @@ def _check_epsilon(epsilon) -> None:
         raise ValueError(f"epsilon must be a finite number > 0, got {epsilon!r}")
 
 
-def _as_gains(g, s: MaskedMatrix) -> np.ndarray:
-    """g as nonnegative float64 gains with one row per sensor of s."""
-    gains = nonnegative(g, "gains")
-    if gains.shape[0] != s.n_rows:
-        raise ShapeMismatchError(
-            f"gains shape {gains.shape} incompatible with {s.n_rows} sensor rows"
-        )
-    return gains
+def _operand(a, name: str, rows: int, cols: int | None = None) -> np.ndarray:
+    """a through nonnegative; ShapeMismatchError unless rows x cols (cols None: any)."""
+    arr = nonnegative(a, name)
+    if arr.shape != (rows, arr.shape[1] if cols is None else cols):
+        raise ShapeMismatchError(f"{name} shape {arr.shape} does not match "
+                                 f"{rows} x {'K' if cols is None else cols}")
+    return arr
 
 
-def _as_reweights(w, acts: np.ndarray) -> np.ndarray:
-    """w as nonnegative float64 reweights, K x (T-1) for K x T activations."""
-    weights = nonnegative(w, "reweights")
-    if weights.shape != (acts.shape[0], max(acts.shape[1] - 1, 0)):
-        raise ShapeMismatchError(
-            f"reweights shape {weights.shape} does not match activations {acts.shape}"
-        )
-    return weights
+def _pair(s: MaskedMatrix, gains, acts) -> tuple[np.ndarray, np.ndarray]:
+    """(gains, acts) as operands: N x K gains for the N sensors of s, K x T acts."""
+    gains = _operand(gains, "gains", s.n_rows)
+    return gains, _operand(acts, "activations", gains.shape[1], s.n_cols)
 
 
 def weighted_fit(s: MaskedMatrix, pair: FactorPair) -> float:
     """Half the mask-weighted squared reconstruction error."""
-    gains, acts = pair.gains, pair.activations
-    _check_compatible(s, gains, acts)
+    gains, acts = _pair(s, pair.gains, pair.activations)
     return _masked_fit(_Workspace(gains, acts), s.values, s.mask, gains, acts)
 
 
@@ -495,8 +481,7 @@ def fit_gradient(s: MaskedMatrix, gains: np.ndarray, acts: np.ndarray) -> np.nda
 
     Per slot: -gains^T (w ⊙ s - w ⊙ (gains p)).
     """
-    gains, acts = _as_gains(gains, s), nonnegative(acts, "activations")
-    _check_compatible(s, gains, acts)
+    gains, acts = _pair(s, gains, acts)
     data, curv, _ = _expand_at(_Workspace(gains, acts), s, gains, acts)
     return curv - data
 
@@ -519,9 +504,8 @@ def update_activations(s: MaskedMatrix, gains: np.ndarray, p_i: np.ndarray,
 
     w holds the K x (T-1) transition weights, as compute_reweights returns them.
     """
-    gains, acts = _as_gains(gains, s), nonnegative(p_i, "activations")
-    _check_compatible(s, gains, acts)
-    w = _as_reweights(w, acts)
+    gains, acts = _pair(s, gains, p_i)
+    w = _operand(w, "reweights", acts.shape[0], max(s.n_cols - 1, 0))
     ws = _Workspace(gains, acts)
     data, curv, _ = _expand_at(ws, s, gains, acts)
     return _activation_step(ws, acts, data, curv, w, cfg.beta, cfg.guard)[0]
@@ -535,8 +519,7 @@ def update_gains(s: MaskedMatrix, f_i: FactorPair, cfg: SolverConfig) -> np.ndar
     Nonnegativity is preserved and zero entries stay zero. The guard keeps
     masked-out rows from producing 0/0.
     """
-    _check_compatible(s, f_i.gains, f_i.activations)
-    gains, acts = f_i.gains, f_i.activations
+    gains, acts = _pair(s, f_i.gains, f_i.activations)
     ws = _Workspace(gains, acts)
     _masked_product(ws, s.mask, gains, acts)
     return _gains_step(ws, s.values, gains, acts, cfg.guard)
@@ -561,14 +544,9 @@ def surrogate_per_slot(s: MaskedMatrix, gains: np.ndarray, p_new: np.ndarray,
     transitions, weighted by the K x (T-1) w). Touches the slot fit at
     p_new == p_ref when beta == 0; the activation sweep cannot increase it.
     """
-    gains = _as_gains(gains, s)
-    p_ref, p_new = nonnegative(p_ref, "activations"), nonnegative(p_new, "activations")
-    _check_compatible(s, gains, p_ref)
-    if p_new.shape != p_ref.shape:
-        raise ShapeMismatchError(
-            f"p_new shape {p_new.shape} does not match p_ref {p_ref.shape}"
-        )
-    w = _as_reweights(w, p_ref)
+    gains, p_ref = _pair(s, gains, p_ref)
+    p_new = _operand(p_new, "activations", *p_ref.shape)
+    w = _operand(w, "reweights", p_ref.shape[0], max(s.n_cols - 1, 0))
     data, curv, sq_resid = _expand_at(_Workspace(gains, p_ref), s, gains, p_ref)
     c_ref = 0.5 * sq_resid.sum(axis=0)
     grad = curv - data
@@ -700,7 +678,7 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     activation row. At beta = 0 that step is solve's activation sweep, bit
     for bit. Runs until cfg's stop rule.
     """
-    gains = _as_gains(gains_fixed, s)
+    gains = _operand(gains_fixed, "gains", s.n_rows)
     values, mask, beta, eps, guard = s.values, s.mask, cfg.beta, cfg.epsilon, cfg.guard
     acts = _init_draw(np.random.default_rng(cfg.init_seed), (gains.shape[1], s.n_cols))
     ws = _Workspace(gains, acts)

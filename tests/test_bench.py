@@ -120,7 +120,7 @@ def test_transition_count_matches_scan_oracle():
     assert transition_count(row, threshold)[0] == oracle
 
 
-@pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf, True, "1"])
 def test_transition_count_rejects_threshold_not_above_zero(threshold):
     with pytest.raises(ValueError, match="threshold must be > 0"):
         transition_count(np.ones((1, 4)), threshold)
@@ -210,6 +210,13 @@ def test_scale_rows_rank_12_is_fast():
     scaled = scale_rows_to_reference(est, ref)
     assert time.perf_counter() - start < 1.0
     assert np.allclose(scaled, ref[order], rtol=1e-12)
+
+
+@pytest.mark.parametrize("shapes", [((2, 3), (3, 3)), ((2, 3), (2, 4)), ((6,), (2, 3))])
+def test_scale_rows_shape_mismatch_is_named_error(shapes):
+    est, ref = (np.ones(shape) for shape in shapes)
+    with pytest.raises(ValueError, match="estimate and reference must have the same shape"):
+        scale_rows_to_reference(est, ref)
 
 
 @pytest.mark.parametrize("argument", ["estimate", "reference"])

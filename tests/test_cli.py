@@ -178,6 +178,8 @@ def test_non_object_config_is_hard_error(tmp_path, capsys):
     ("simulate", {"a_range": [0.05]}, "a_range"),
     ("benchmark", {"trials": 2.0}, "trials"),
     ("benchmark", {"scenario": {"seed": 1.5}}, "seed"),
+    ("benchmark", {"scenario": [1]}, "ScenarioConfig must be a JSON object, got list"),
+    ("benchmark", {"solver": 5}, "SolverConfig must be a JSON object, got int"),
 ])
 def test_wrong_config_type_is_named_error(tmp_path, capsys, command, config, key):
     cfg_path = tmp_path / "cfg.json"
@@ -212,6 +214,7 @@ def _run_with_config(tmp_path, command, config_text):
     ({"sweep": 3}, "sweep"),
     ({"sweep": [["p_obs", 5]]}, "sweep"),
     ({"sweep": [["p_obs"]]}, "sweep"),
+    ({"sweep": [["p_obs", []]]}, "sweep over 'p_obs' has no values"),
     ({"methods": 5}, "methods"),
     ({"methods": ["pcnmf", "pcnmf"]}, "methods"),
     ({"sweep": [["p_obs", [0.5, 0.5]]]}, "sweep value 0.5 for 'p_obs' is repeated"),

@@ -1,5 +1,6 @@
 """Data-model tests: masked matrices, factor pairs, CSV I/O."""
 
+import re
 import time
 import warnings
 
@@ -63,6 +64,21 @@ def test_masked_matrix_rejects_bad_input():
         MaskedMatrix(-ones, ones)
     with pytest.raises(ValueError):
         MaskedMatrix(np.full((2, 2), np.nan), ones)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda tmp_path: MaskedMatrix(np.ones(3), np.ones((1, 3))), "values must be 2-D, got shape (3,)"),
+    (lambda tmp_path: MaskedMatrix(np.ones((1, 3)), np.ones((1, 1, 3))),
+     "mask must be 2-D, got shape (1, 1, 3)"),
+    (lambda tmp_path: save_dense_csv(np.ones(3), tmp_path / "a.csv"),
+     "expected 2-D matrix, got shape (3,)"),
+    (lambda tmp_path: save_dense_csv(np.ones((2, 2, 2)), tmp_path / "a.csv"),
+     "expected 2-D matrix, got shape (2, 2, 2)"),
+], ids=["masked-values-1d", "masked-mask-3d", "dense-1d", "dense-3d"])
+def test_non_2d_matrix_is_named_error(tmp_path, call, named):
+    with pytest.raises(ShapeMismatchError, match=re.escape(named)):
+        call(tmp_path)
+    assert not (tmp_path / "a.csv").exists()
 
 
 def test_masked_matrix_is_immutable():

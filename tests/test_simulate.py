@@ -131,6 +131,30 @@ def test_markov_rejects_bad_probabilities():
         markov_activity(1.5, 0.1, 10, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("call, named", [
+    (lambda: fading_step(0.1 + 0j, 1.5, np.random.default_rng(0)), "eta must be in [0, 1]"),
+    (lambda: fading_step(0.1 + 0j, -0.1, np.random.default_rng(0)), "eta must be in [0, 1]"),
+    (lambda: fading_step(0.1 + 0j, True, np.random.default_rng(0)), "eta must be in [0, 1]"),
+    (lambda: fading_step(0.1 + 0j, "0.5", np.random.default_rng(0)), "eta must be in [0, 1]"),
+    (lambda: markov_activity(True, 0.5, 5, np.random.default_rng(0)),
+     "transition probabilities must be in [0, 1]"),
+    (lambda: markov_activity(0.1, True, 5, np.random.default_rng(0)),
+     "transition probabilities must be in [0, 1]"),
+    (lambda: markov_activity("0.1", 0.5, 5, np.random.default_rng(0)),
+     "transition probabilities must be in [0, 1]"),
+    (lambda: activation_rate_for_duty(1.0, 0.1), "duty must be in (0, 1)"),
+    (lambda: activation_rate_for_duty(0.0, 0.1), "duty must be in (0, 1)"),
+    (lambda: activation_rate_for_duty("0.3", 0.1), "duty must be in (0, 1)"),
+], ids=["fading-eta-high", "fading-eta-low", "fading-eta-bool", "fading-eta-str",
+        "markov-a-bool", "markov-b-bool", "markov-a-str",
+        "duty-one", "duty-zero", "duty-str"])
+def test_scalar_that_scenario_config_refuses_is_named_error(call, named):
+    # The public simulator helpers hold their scalars to the config's number
+    # rule: a real number, not a bool or a str, in range.
+    with pytest.raises(ValueError, match=re.escape(named)):
+        call()
+
+
 @pytest.mark.parametrize("t_slots", [0, -3, 2.5, True, "10", None])
 def test_markov_rejects_bad_t_slots(t_slots):
     with pytest.raises(ValueError, match=re.escape(f"t_slots must be an int >= 1, got {t_slots!r}")):
@@ -251,15 +275,23 @@ def test_generation_is_deterministic():
     assert np.array_equal(a.observed.mask, b.observed.mask)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ScenarioConfig(duty=1.0)
-    with pytest.raises(ValueError):
-        ScenarioConfig(p_obs=1.5)
-    with pytest.raises(ValueError):
-        ScenarioConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        ScenarioConfig(seed=-1)
+@pytest.mark.parametrize("field, value, named", [
+    ("duty", 1.0, "duty must be in (0, 1)"),
+    ("p_obs", 1.5, "p_obs must be in [0, 1]"),
+    ("alpha", 0.0, "alpha must be > 0"),
+    ("seed", -1, "seed must be >= 0"),
+    ("n_pu", 0, "counts must be >= 1"),
+    ("n_su", 0, "counts must be >= 1"),
+    ("t_slots", 0, "counts must be >= 1"),
+    ("eta", 1.5, "eta must be in [0, 1]"),
+    ("d0", 0.0, "d0 must be > 0"),
+    ("area_side", -1.0, "area_side must be >= 0"),
+    ("noise_var", -1e-9, "noise_var must be >= 0"),
+], ids=["duty", "p_obs", "alpha", "seed", "n_pu", "n_su", "t_slots", "eta", "d0", "area_side",
+        "noise_var"])
+def test_config_validation(field, value, named):
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        ScenarioConfig(**{field: value})
 
 
 @pytest.mark.parametrize("power_range", [(-5.0, -1.0), (-1e-9, 100.0)])

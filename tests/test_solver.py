@@ -121,12 +121,12 @@ def test_negative_activations_is_named_error(call):
 
 @pytest.mark.parametrize("call, named", [
     (lambda s, g, a: surrogate_per_slot(s, g, a[:, :3], a, compute_reweights(a, 1e-6), 0.1),
-     r"p_new shape \(2, 3\) does not match p_ref \(2, 4\)"),
+     r"activations shape \(2, 3\) does not match 2 x 4"),
     (lambda s, g, a: surrogate_per_slot(s, g, a, a, compute_reweights(np.ones((2, 6)), 1e-6), 0.1),
-     r"reweights shape \(2, 5\) does not match activations \(2, 4\)"),
+     r"reweights shape \(2, 5\) does not match 2 x 3"),
     (lambda s, g, a: update_activations(s, g, a, compute_reweights(np.ones((2, 6)), 1e-6),
                                         SolverConfig(rank=2)),
-     r"reweights shape \(2, 5\) does not match activations \(2, 4\)"),
+     r"reweights shape \(2, 5\) does not match 2 x 3"),
     (lambda s, g, a: penalty_smoothed(a[0], 1e-6), r"activations must be 2-D, got shape \(4,\)"),
     (lambda s, g, a: compute_reweights(a[0], 1e-6), r"activations must be 2-D, got shape \(4,\)"),
     (lambda s, g, a: fit_gradient(s, g, a[0]), r"activations must be 2-D, got shape \(4,\)"),
@@ -136,16 +136,41 @@ def test_negative_activations_is_named_error(call):
     (lambda s, g, a: surrogate_per_slot(s, g, a[0], a[0], compute_reweights(a, 1e-6), 0.1),
      r"activations must be 2-D, got shape \(4,\)"),
     (lambda s, g, a: fit_gradient(s, g[:2].tolist(), a),
-     r"gains shape \(2, 2\) incompatible with 3 sensor rows"),
+     r"gains shape \(2, 2\) does not match 3 x K"),
     (lambda s, g, a: update_activations(s, g[:, 0], a, compute_reweights(a, 1e-6),
                                         SolverConfig(rank=2)),
      r"gains must be 2-D, got shape \(3,\)"),
     (lambda s, g, a: surrogate_per_slot(s, g[:2], a, a, compute_reweights(a, 1e-6), 0.1),
-     r"gains shape \(2, 2\) incompatible with 3 sensor rows"),
+     r"gains shape \(2, 2\) does not match 3 x K"),
+    (lambda s, g, a: weighted_fit(s, FactorPair(g[:2], a)),
+     r"gains shape \(2, 2\) does not match 3 x K"),
+    (lambda s, g, a: weighted_fit(s, FactorPair(g, a[:, :3])),
+     r"activations shape \(2, 3\) does not match 2 x 4"),
+    (lambda s, g, a: update_gains(s, FactorPair(g[:2], a), SolverConfig(rank=2)),
+     r"gains shape \(2, 2\) does not match 3 x K"),
+    (lambda s, g, a: update_gains(s, FactorPair(g, a[:, :3]), SolverConfig(rank=2)),
+     r"activations shape \(2, 3\) does not match 2 x 4"),
+    (lambda s, g, a: fit_gradient(s, g, a[:, :3]),
+     r"activations shape \(2, 3\) does not match 2 x 4"),
+    (lambda s, g, a: fit_gradient(s, g, np.vstack([a, a])),
+     r"activations shape \(4, 4\) does not match 2 x 4"),
+    (lambda s, g, a: update_activations(s, g, a[:, :3], compute_reweights(a[:, :3], 1e-6),
+                                        SolverConfig(rank=2)),
+     r"activations shape \(2, 3\) does not match 2 x 4"),
+    (lambda s, g, a: update_activations(s, g, a[:1], compute_reweights(a[:1], 1e-6),
+                                        SolverConfig(rank=2)),
+     r"activations shape \(1, 4\) does not match 2 x 4"),
+    (lambda s, g, a: infer_activations(s, g[:2], SolverConfig(rank=2)),
+     r"gains shape \(2, 2\) does not match 3 x K"),
 ], ids=["surrogate-p_new", "surrogate-reweights", "update_activations-reweights",
         "penalty_smoothed-1d", "compute_reweights-1d", "fit_gradient-1d",
         "update_activations-1d", "surrogate-1d", "fit_gradient-list-gains",
-        "update_activations-1d-gains", "surrogate-gains-rows"])
+        "update_activations-1d-gains", "surrogate-gains-rows",
+        "weighted_fit-pair-rows", "weighted_fit-pair-cols",
+        "update_gains-pair-rows", "update_gains-pair-cols",
+        "fit_gradient-wrong-T", "fit_gradient-wrong-K",
+        "update_activations-wrong-T", "update_activations-wrong-K",
+        "infer_activations-gains-rows"])
 def test_wrong_shaped_step_input_is_named_error(call, named):
     s, pair = random_instance(5)
     with pytest.raises(ShapeMismatchError, match=named):
