@@ -1,4 +1,4 @@
-"""Validation shared by the configuration dataclasses."""
+"""Validation shared by the configuration dataclasses and the trial API."""
 
 from __future__ import annotations
 
@@ -43,6 +43,14 @@ def check_fields(config) -> None:
         if kind is not None and not _is(kind, value):
             raise ValueError(f"{type(config).__name__} field {f.name!r} must be {noun}, "
                              f"got {value!r}")
+
+
+def check_int(name: str, value, low: int) -> None:
+    """Raise ValueError naming name unless value is an int (not a bool) >= low."""
+    if not _is(Integral, value):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
 
 
 def number_pair(name: str, value) -> tuple[float, float]:

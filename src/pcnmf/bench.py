@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._config import _is, check_dict, check_fields
-from .matrices import FactorPair, csv_line, write_csv
+from ._config import _is, check_dict, check_fields, check_int
+from .matrices import FactorPair, csv_line, matrix, write_csv
 from .simulate import ScenarioConfig, generate_scenario
 from .solver import NumericFailureError, SolverConfig, infer_activations, solve, weighted_fit
 
@@ -31,6 +31,11 @@ _METHODS = ("pcnmf", "wnmf")
 _TRIAL_SCENARIO = 11
 _TRIAL_INIT = 12
 _NAN = float("nan")
+_PARTS = {"scenario": ScenarioConfig, "solver": SolverConfig}  # the nested configs
+# Sweep parameter -> (part, field), by the rule in ExperimentConfig's docstring.
+_SWEEPABLE = {("solver." if part == "solver" else "") + f.name: (part, f)
+              for part, kind in _PARTS.items() for f in fields(kind)
+              if f.type in ("int", "float") and "seed" not in f.name}
 
 
 class UndefinedMetricError(ValueError):
@@ -39,7 +44,11 @@ class UndefinedMetricError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Benchmark protocol: scenario, solver, trial count, window, sweep."""
+    """Benchmark protocol: scenario, solver, trial count, window, sweep.
+
+    Each sweep value is one cell: it sets an int or float field of the scenario, by its bare
+    name, or of the solver, as solver.<field>, but no seed; a float field stores float(value).
+    """
 
     scenario: ScenarioConfig = ScenarioConfig()
     solver: SolverConfig = SolverConfig()
@@ -50,16 +59,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
-        for name, kind in (("scenario", ScenarioConfig), ("solver", SolverConfig)):
+        for name, kind in _PARTS.items():
             if not isinstance(value := getattr(self, name), kind):
                 raise ValueError(f"ExperimentConfig field {name!r} must be a {kind.__name__}, "
                                  f"got {value!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        check_int("trials", self.trials, 1)
         if not 1 <= self.gamma_window <= self.scenario.t_slots:
             raise ValueError("gamma_window must be in [1, t_slots]")
         object.__setattr__(self, "methods", _check_methods(self.methods))
-        object.__setattr__(self, "sweep", _check_sweep(self.sweep, self.scenario))
+        object.__setattr__(self, "sweep", _check_sweep(self))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -67,12 +75,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         check_dict(cls, d)
-        d = dict(d)
-        if "scenario" in d:
-            d["scenario"] = ScenarioConfig.from_dict(d["scenario"])
-        if "solver" in d:
-            d["solver"] = SolverConfig.from_dict(d["solver"])
-        return cls(**d)
+        return cls(**{k: _PARTS[k].from_dict(v) if k in _PARTS else v for k, v in d.items()})
 
 
 def _check_methods(methods) -> tuple[str, ...]:
@@ -88,34 +91,43 @@ def _check_methods(methods) -> tuple[str, ...]:
     return checked
 
 
-def _check_sweep(sweep, scenario: ScenarioConfig) -> tuple[tuple[str, tuple[float, ...]], ...]:
-    """sweep as ((param, (value, ...)), ...) with float values.
+def _check_sweep(cfg: ExperimentConfig) -> tuple[tuple[str, tuple[float, ...]], ...]:
+    """cfg.sweep as ((param, (value, ...)), ...), each value as _swept stores it.
 
-    Raises ValueError, naming the entry, unless every entry is a supported
-    parameter with a nonempty list of finite numbers that the scenario
-    accepts, and no (parameter, value) cell repeats.
+    Raises ValueError naming an entry with no values or a cell that repeats.
     """
     try:
         pairs = tuple((param, tuple(values))
-                      for param, values in (() if sweep is None else sweep))
+                      for param, values in (() if cfg.sweep is None else cfg.sweep))
     except (TypeError, ValueError):
         raise ValueError(f"sweep must be a list of [parameter, [values...]] pairs, "
-                         f"got {sweep!r}") from None
-    seen = set()
-    for param, values in pairs:
-        if param not in ("noise_var", "p_obs"):
-            raise ValueError(f"unsupported sweep parameter {param!r}")
+                         f"got {cfg.sweep!r}") from None
+    checked = tuple((param, tuple(_swept(cfg, param, value)[1] for value in values))
+                    for param, values in pairs)
+    for param, values in checked:
         if not values:
             raise ValueError(f"sweep over {param!r} has no values")
-        for value in values:
-            try:
-                replace(scenario, **{param: value})
-            except ValueError as exc:
-                raise ValueError(f"sweep value {value!r} for {param!r}: {exc}") from None
-            if (param, value) in seen:
-                raise ValueError(f"sweep value {value!r} for {param!r} is repeated")
-            seen.add((param, value))
-    return tuple((param, tuple(float(v) for v in values)) for param, values in pairs)
+    cells = [(param, value) for param, values in checked for value in values]
+    for index, (param, value) in enumerate(cells):
+        if (param, value) in cells[:index]:
+            raise ValueError(f"sweep value {value!r} for {param!r} is repeated")
+    return checked
+
+
+def _swept(cfg: ExperimentConfig, param, value) -> tuple[ExperimentConfig, float]:
+    """(cfg of the sweep cell param = value, with no sweep; the value it stores).
+
+    Every constructor check runs on the cell; a refusal is a ValueError naming param or value.
+    """
+    if not isinstance(param, str) or param not in _SWEEPABLE:
+        raise ValueError(f"unsupported sweep parameter {param!r}")
+    part, field = _SWEEPABLE[param]
+    stored = float(value) if field.type == "float" and _is(Real, value) else value
+    try:
+        config = replace(getattr(cfg, part), **{field.name: stored})
+        return replace(cfg, sweep=(), **{part: config}), stored
+    except ValueError as exc:
+        raise ValueError(f"sweep value {value!r} for {param!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -138,10 +150,12 @@ class TrialResult:
 
 
 def _missing_entries(reconstructed, truth, mask):
-    """(rec, tru, missing): float64 arrays of one shape, and a nonempty mask of missing cells."""
+    """(rec, tru, missing): 2-D float64 arrays of one shape and a nonempty missing-cell mask."""
     rec, tru, msk = (np.asarray(a, dtype=np.float64) for a in (reconstructed, truth, mask))
     if not rec.shape == tru.shape == msk.shape:
         raise ValueError("shapes must match")
+    if not np.isin(matrix(msk, "mask"), (0, 1)).all():  # one shape, so all are 2-D
+        raise ValueError("mask entries must be exactly 0 or 1")
     missing = msk == 0
     if not missing.any():
         raise UndefinedMetricError("no missing entries to evaluate")
@@ -177,7 +191,9 @@ def transition_count(activations: np.ndarray, threshold: float) -> np.ndarray:
     """Per-row count of consecutive differences larger than threshold."""
     if not (_is(Real, threshold) and threshold > 0):
         raise ValueError("threshold must be > 0")
-    acts = np.asarray(activations, dtype=np.float64)
+    acts = matrix(activations, "activations")
+    if not np.isfinite(acts).all():
+        raise ValueError("activations has non-finite entries")
     return (np.abs(np.diff(acts, axis=1)) > threshold).sum(axis=1)
 
 
@@ -235,10 +251,9 @@ def scale_rows_to_reference(estimate: np.ndarray, reference: np.ndarray) -> np.n
     necessarily the lexicographically first, which a K! enumeration would
     return. Requires equal row counts and finite entries.
     """
-    est = np.asarray(estimate, dtype=np.float64)
-    ref = np.asarray(reference, dtype=np.float64)
-    if est.shape != ref.shape:
+    if np.shape(estimate) != np.shape(reference):
         raise ValueError("estimate and reference must have the same shape")
+    est, ref = matrix(estimate, "estimate"), matrix(reference, "reference")
     for name, arr in (("estimate", est), ("reference", ref)):
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} has non-finite entries")
@@ -255,9 +270,10 @@ def scale_rows_to_reference(estimate: np.ndarray, reference: np.ndarray) -> np.n
 
 def derive_trial_seeds(master_seed: int, trial_index: int) -> tuple[int, int]:
     """(scenario seed, solver init seed) for one trial, keyed on the master seed."""
-    scen = int(np.random.SeedSequence((master_seed, _TRIAL_SCENARIO, trial_index)).generate_state(1)[0])
-    init = int(np.random.SeedSequence((master_seed, _TRIAL_INIT, trial_index)).generate_state(1)[0])
-    return scen, init
+    check_int("master_seed", master_seed, 0)
+    check_int("trial_index", trial_index, 0)
+    return tuple(int(np.random.SeedSequence((master_seed, key, trial_index)).generate_state(1)[0])
+                 for key in (_TRIAL_SCENARIO, _TRIAL_INIT))
 
 
 def _estimate_transitions(acts: np.ndarray, p_true: np.ndarray,
@@ -278,14 +294,14 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
               trace_tag: str = "") -> list[TrialResult]:
     """Run every configured method on one freshly generated scenario.
 
-    With trace_dir set, the gains-learning trace of each method is written
-    to trace_<tag><trial>_<method>.csv in that directory.
+    Any (sweep_param, sweep_value) but ("none", None) runs the cell it makes of cfg by
+    ExperimentConfig's sweep rule, or raises its ValueError. With trace_dir set, each
+    method's gains-learning trace is written there, to trace_<tag><trial>_<method>.csv.
     """
+    if sweep_param != "none" or sweep_value is not None:
+        cfg, sweep_value = _swept(cfg, sweep_param, sweep_value)
     scen_seed, init_seed = derive_trial_seeds(cfg.scenario.seed, trial_index)
-    scen_cfg = replace(cfg.scenario, seed=scen_seed)
-    if sweep_value is not None and sweep_param != "none":
-        scen_cfg = replace(scen_cfg, **{sweep_param: sweep_value})
-    truth = generate_scenario(scen_cfg)
+    truth = generate_scenario(replace(cfg.scenario, seed=scen_seed))
     s_full = truth.observed
     s_window = s_full.window(0, cfg.gamma_window)
 
@@ -345,8 +361,7 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
     enables per-trial trace export (file names gain a c<cell>_ prefix when
     sweeping over several cells).
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    check_int("jobs", jobs, 1)
     cells = [(param, value) for param, values in cfg.sweep for value in values]
     cells = cells or [("none", None)]
     tasks = [

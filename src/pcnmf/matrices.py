@@ -6,7 +6,8 @@ as 0 internally so they can never leak into downstream arithmetic; every
 operation multiplies by the mask before the data is used. Factor pairs hold
 the nonnegative (gains, activations) state of a factorization. One check,
 nonnegative, decides what a valid nonnegative matrix is, for both and for
-the solver's inputs.
+the solver's inputs; it builds on matrix, the one 2-D check, which the
+benchmark's scorers also run.
 
 Every CSV file pcnmf writes goes through write_csv, fed a row of text at a
 time, and the two matrix loaders share one parse: numpy's C reader, with
@@ -28,16 +29,21 @@ class ShapeMismatchError(ValueError):
     """Raised when matrix dimensions are incompatible."""
 
 
-def nonnegative(a, name: str, copy: bool = False) -> np.ndarray:
-    """a as a 2-D float64 array whose entries are finite and >= 0.
+def matrix(a, name: str, copy: bool = False) -> np.ndarray:
+    """a as a 2-D float64 array; ShapeMismatchError naming it unless a is 2-D.
 
     The array is a copy when copy is set, else a itself wherever it already
-    is one. Raises ShapeMismatchError unless a is 2-D, and ValueError naming
-    it unless every entry is finite and nonnegative.
+    is one.
     """
     arr = np.array(a, dtype=np.float64, copy=True) if copy else np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
+    return arr
+
+
+def nonnegative(a, name: str, copy: bool = False) -> np.ndarray:
+    """matrix(a, name, copy), and ValueError naming it unless every entry is finite and >= 0."""
+    arr = matrix(a, name, copy)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     if (arr < 0).any():
@@ -67,11 +73,7 @@ class MaskedMatrix:
     mask: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        mask = np.array(self.mask, dtype=np.float64, copy=True)
-        for name, arr in (("values", values), ("mask", mask)):
-            if arr.ndim != 2:
-                raise ShapeMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
+        values, mask = matrix(self.values, "values"), matrix(self.mask, "mask", copy=True)
         if values.shape != mask.shape:
             raise ShapeMismatchError(
                 f"values shape {values.shape} != mask shape {mask.shape}"

@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import itertools
+import json
 import math
 import re
 import time
@@ -11,10 +12,12 @@ import numpy as np
 import pytest
 
 import pcnmf.bench as bench
+from pcnmf.cli import main
 from pcnmf import (
     ExperimentConfig,
     NumericFailureError,
     ScenarioConfig,
+    ShapeMismatchError,
     SolverConfig,
     UndefinedMetricError,
     read_trials_csv,
@@ -230,6 +233,29 @@ def test_scale_rows_rejects_non_finite_input(argument, bad):
         scale_rows_to_reference(**arrays)
 
 
+@pytest.mark.parametrize("call, error, named", [
+    (lambda: rmse_missing(np.ones(3), np.ones(3), np.zeros(3)), ShapeMismatchError,
+     "mask must be 2-D, got shape (3,)"),
+    (lambda: rmse_missing_pooled(np.ones((1, 2, 3)), np.ones((1, 2, 3)), np.zeros((1, 2, 3))),
+     ShapeMismatchError, "mask must be 2-D, got shape (1, 2, 3)"),
+    (lambda: rmse_missing(np.ones((2, 3)), np.ones((2, 3)), np.full((2, 3), 0.5)), ValueError,
+     "mask entries must be exactly 0 or 1"),
+    (lambda: rmse_missing_pooled(np.ones((1, 2)), np.ones((1, 2)), [[0.0, np.nan]]), ValueError,
+     "mask entries must be exactly 0 or 1"),
+    (lambda: transition_count(np.ones(4), 0.5), ShapeMismatchError,
+     "activations must be 2-D, got shape (4,)"),
+    (lambda: transition_count([[1.0, np.nan, 1.0]], 0.5), ValueError,
+     "activations has non-finite entries"),
+    (lambda: transition_count([[1.0, np.inf]], 0.5), ValueError,
+     "activations has non-finite entries"),
+    (lambda: scale_rows_to_reference(np.ones(3), np.ones(3)), ShapeMismatchError,
+     "estimate must be 2-D, got shape (3,)"),
+])
+def test_scorer_refuses_input_that_is_not_a_matrix(call, error, named):
+    with pytest.raises(error, match=re.escape(named)):
+        call()
+
+
 # --------------------------------------------------------------------- trials
 
 def test_trial_degenerate_full_observation():
@@ -381,8 +407,6 @@ def test_experiment_config_validation_and_round_trip():
         tiny_experiment(gamma_window=31)
     with pytest.raises(ValueError):
         tiny_experiment(methods=("pcnmf", "bogus"))
-    with pytest.raises(ValueError):
-        tiny_experiment(sweep=(("alpha", (2.0,)),))
     with pytest.raises(ValueError, match=r"sweep value 1\.5 for 'p_obs'"):
         tiny_experiment(sweep=(("p_obs", (0.5, 1.5)),))
     cfg = tiny_experiment(sweep=(("noise_var", (1e-6, 1e-5)),))
@@ -540,6 +564,106 @@ def test_failed_method_row_holds_metric_defaults(monkeypatch):
         assert res.iterations == 0 and res.seconds >= 0
         assert all(np.isnan(v) for v in (res.rmse, res.rmse_pooled, res.fit,
                                           res.transitions))
+
+
+# ----------------------------------------------------------------- sweep rule
+
+@pytest.mark.parametrize("param", [
+    "seed", "solver.init_seed", "a_range", "bogus", "solver.bogus", "trials",
+    "scenario.p_obs", None,
+])
+def test_unsupported_sweep_parameter_is_named_error(param):
+    with pytest.raises(ValueError, match=re.escape(f"unsupported sweep parameter {param!r}")):
+        tiny_experiment(sweep=((param, (1,)),))
+
+
+def test_sweep_cell_that_breaks_the_window_is_refused_before_any_trial(tmp_path, capsys,
+                                                                        monkeypatch):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(bench, "generate_scenario", no_trial)
+    cfg = {**tiny_experiment().to_dict(), "sweep": [["t_slots", [10]]]}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["benchmark", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert ("sweep value 10 for 't_slots': gamma_window must be in [1, t_slots]"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("param, value, named", [
+    ("seed", 5, "unsupported sweep parameter 'seed'"),
+    ("t_slots", 10, "sweep value 10 for 't_slots': gamma_window must be in [1, t_slots]"),
+    ("bogus", 1.0, "unsupported sweep parameter 'bogus'"),
+    ("p_obs", None, "sweep value None for 'p_obs': ScenarioConfig field 'p_obs' must be "
+                    "finite, got None"),
+    ("none", 0.5, "unsupported sweep parameter 'none'"),
+    ("n_su", 6.0, "sweep value 6.0 for 'n_su': ScenarioConfig field 'n_su' must be an int"),
+])
+def test_run_trial_applies_the_sweep_rule(monkeypatch, param, value, named):
+    monkeypatch.setattr(bench, "generate_scenario", None)  # no trial may start
+    with pytest.raises(ValueError, match=re.escape(named)):
+        run_trial(tiny_experiment(), 0, param, value)
+
+
+def _rows_of_cell(rows, value):
+    """The rows of the sweep cell at value, labelled as unswept and with timing zeroed."""
+    return [dataclasses.replace(r, sweep_param="none", sweep_value=None, seconds=0)
+            for r in rows if r.sweep_value == value]
+
+
+def test_int_sweep_keeps_its_ints_and_runs_the_cell(tmp_path):
+    cfg = tiny_experiment(trials=2, sweep=(("n_su", (6, 8)),))
+    assert cfg.sweep == (("n_su", (6, 8)),)
+    assert all(type(v) is int for v in cfg.sweep[0][1])
+    summary, trials = run_sweep(cfg)
+    write_benchmark_outputs(tmp_path, summary, trials, include_timing=False)
+    lines = (tmp_path / "trials.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[:2] for line in lines] == [["n_su", "6"]] * 4 + [["n_su", "8"]] * 4
+    unswept = dataclasses.replace(cfg, sweep=(), scenario=dataclasses.replace(cfg.scenario,
+                                                                               n_su=8))
+    expected = [dataclasses.replace(r, seconds=0) for t in range(2) for r in run_trial(unswept, t)]
+    assert _rows_of_cell(trials, 8) == expected
+
+
+def test_float_sweep_stores_floats_and_repeats_by_value():
+    cfg = tiny_experiment(sweep=(("p_obs", (1,)),))
+    assert cfg.sweep == (("p_obs", (1.0,)),) and type(cfg.sweep[0][1][0]) is float
+    with pytest.raises(ValueError, match=re.escape("sweep value 1.0 for 'p_obs' is repeated")):
+        tiny_experiment(sweep=(("p_obs", (1, 1.0)),))
+
+
+def test_solver_beta_sweep_moves_only_pcnmf():
+    base = tiny_experiment(trials=2)
+    cfg = dataclasses.replace(base, sweep=(("solver.beta", (0.0, 5e-3)),),
+                              solver=dataclasses.replace(base.solver, beta=0.5))
+    assert cfg.sweep == (("solver.beta", (0.0, 5e-3)),)
+    _, trials = run_sweep(cfg)
+    assert {r.sweep_param for r in trials} == {"solver.beta"}
+    wnmf = [[r for r in _rows_of_cell(trials, cell) if r.method == "wnmf"] for cell in (0.0, 5e-3)]
+    assert wnmf[0] == wnmf[1] and len(wnmf[0]) == 2
+    for beta in (0.0, 5e-3):
+        unswept = dataclasses.replace(cfg, sweep=(),
+                                      solver=dataclasses.replace(cfg.solver, beta=beta))
+        assert [r for r in _rows_of_cell(trials, beta) if r.method == "pcnmf"] == [
+            dataclasses.replace(r, seconds=0)
+            for t in range(2) for r in run_trial(unswept, t) if r.method == "pcnmf"]
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: run_sweep(tiny_experiment(), jobs=1.5), "jobs must be an int, got 1.5"),
+    (lambda: run_sweep(tiny_experiment(), jobs=True), "jobs must be an int, got True"),
+    (lambda: run_trial(tiny_experiment(), 1.5), "trial_index must be an int, got 1.5"),
+    (lambda: run_trial(tiny_experiment(), -1), "trial_index must be >= 0, got -1"),
+    (lambda: bench.derive_trial_seeds(True, 0), "master_seed must be an int, got True"),
+    (lambda: bench.derive_trial_seeds(-1, 0), "master_seed must be >= 0, got -1"),
+    (lambda: bench.derive_trial_seeds(0, -2), "trial_index must be >= 0, got -2"),
+    (lambda: bench.derive_trial_seeds(0, "1"), "trial_index must be an int, got '1'"),
+])
+def test_integer_argument_of_the_trial_api_is_named_error(call, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        call()
 
 
 _TRIALS_HEADER = ",".join(f.name for f in dataclasses.fields(bench.TrialResult))
