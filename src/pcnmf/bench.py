@@ -135,7 +135,7 @@ class TrialResult:
     """One method on one trial; the metric defaults describe a failed run."""
 
     sweep_param: str
-    sweep_value: float | None
+    sweep_value: int | float | None  # the swept field's type; None when unswept
     trial: int
     method: str
     seed: int
@@ -289,7 +289,7 @@ def _estimate_transitions(acts: np.ndarray, p_true: np.ndarray,
 
 def run_trial(cfg: ExperimentConfig, trial_index: int,
               sweep_param: str = "none",
-              sweep_value: float | None = None,
+              sweep_value: int | float | None = None,
               trace_dir=None,
               trace_tag: str = "") -> list[TrialResult]:
     """Run every configured method on one freshly generated scenario.
@@ -341,7 +341,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
 @dataclass(frozen=True)
 class SummaryRow:
     sweep_param: str
-    sweep_value: float | None
+    sweep_value: int | float | None  # the swept field's type; None when unswept
     method: str
     mean_rmse: float        # NaN when undefined for every trial
     stderr_rmse: float      # NaN when fewer than 2 defined values
@@ -445,12 +445,21 @@ def _parse_bool(cell: str) -> bool:
 _PARSERS = {"str": str, "int": int, "bool": _parse_bool}
 
 
+def _parse_sweep_value(param: str, cell: str) -> int | float:
+    """A sweep_value cell as the type of the field param sweeps; NaN for an unswept row."""
+    if param == "none" and not cell:
+        return _NAN
+    if param not in _SWEEPABLE:
+        raise ValueError(f"unsupported sweep parameter {param!r}")
+    return _PARSERS.get(_SWEEPABLE[param][1].type, float)(cell)
+
+
 def read_trials_csv(path) -> list[dict]:
     """Parse trials.csv back into dicts typed by the fields of TrialResult.
 
-    Empty float cells read as NaN and blank lines are skipped. A header
-    other than the field names, a row of the wrong length and a cell that
-    does not parse raise ValueError naming the line (and the column).
+    sweep_value reads as the type of the field its sweep_param sweeps, and empty float
+    cells read as NaN. A header other than the field names, a row of the wrong length and
+    a cell that does not parse raise ValueError naming the line (and the column).
     """
     columns = [(f.name, _PARSERS.get(f.type, _parse_float)) for f in fields(TrialResult)]
     rows = []
@@ -466,7 +475,8 @@ def read_trials_csv(path) -> list[dict]:
             row = {}
             for (name, parse), cell in zip(columns, rec):
                 try:
-                    row[name] = parse(cell)
+                    row[name] = (_parse_sweep_value(row["sweep_param"], cell)
+                                 if name == "sweep_value" else parse(cell))
                 except ValueError as exc:
                     raise ValueError(f"line {line}, column {name!r}: {exc}") from exc
             rows.append(row)

@@ -22,9 +22,9 @@ data and the current reconstruction.
 
 One MM kernel. Every formula of the iteration is written once, in the
 private helpers below; `solve`, `infer_activations` and the public step
-functions (`compute_reweights`, `update_activations`, `update_gains`,
-`rescale`, `surrogate_per_slot`) all call them. With G the gains, P the
-activations and W the mask, one `solve` iteration computes six products:
+functions (`compute_reweights`, `surrogate_per_slot`) all call them. With G
+the gains, P the activations and W the mask, one `solve` iteration computes
+six products:
 
     G^T (W ⊙ S), G^T (W ⊙ G P)                expansion around P
     G P_new                                    fit_after_p, gains denominator
@@ -40,11 +40,8 @@ The state at the end of an iteration (W ⊙ G P and d^2 = diff(P)^2) is
 carried into the next one: W ⊙ G P feeds the next curvature, and d^2 both
 the reported penalty and the next reweights. The reweights are one
 K x (T-1) array, one weight per transition, everywhere: compute_reweights
-returns it, update_activations and surrogate_per_slot take it, and a slot
-reads its neighbors and their weights from it by slicing. fit_after_p and
-fit are derived from these shared products in the same operation order as
-the step functions, so the loops and the public functions agree bit for
-bit.
+returns it, surrogate_per_slot takes it, and a slot reads its neighbors
+and their weights from it by slicing.
 
 One MM loop. solve and infer_activations each hand their iteration body to
 _descend as a step that returns the traced objective it reached; the
@@ -63,11 +60,12 @@ iteration allocates only its new iterates, which may outlive it (returned
 pairs, snapshots) and so are never workspace buffers. Besides its six
 products, a solve iteration makes eight elementwise passes over N x T
 (mask, residual, square and sum, after the sweep and after the rescale);
-infer_activations makes four, besides its reduction levels over K x T. The
-public step functions give the same helpers a fresh workspace per call.
-Each in-place operation does the arithmetic of the plain numpy expression
-it spells out, in the same order, so the iterates equal those of the
-reference loops in tests/reference_solver.py bit for bit.
+infer_activations makes four, besides its reduction levels over K x T.
+weighted_fit, fit_gradient and surrogate_per_slot give the same helpers a
+fresh workspace per call. Each in-place operation does the arithmetic of
+the plain numpy expression it spells out, in the same order, so the
+iterates equal those of the reference loops in tests/reference_solver.py
+bit for bit.
 
 Epsilon enters in two ways. The reweights are 1 / (d^2 + epsilon), with
 epsilon added as-is to a squared difference, while the reported penalty is
@@ -100,10 +98,6 @@ class NumericFailureError(RuntimeError):
     def __init__(self, iteration: int):
         super().__init__(f"non-finite iterate at iteration {iteration}")
         self.iteration = iteration
-
-
-class DegenerateFactorError(ValueError):
-    """A gains column has zero norm and cannot be rescaled."""
 
 
 @dataclass(frozen=True)
@@ -394,7 +388,7 @@ def _reduce_rows(ws, n_cols: int) -> None:
 def _gains_step(ws, values, gains, acts, guard):
     """gains * ((W ⊙ S) P^T) / ((W ⊙ G P) P^T + guard), W ⊙ G P from ws.wgp.
 
-    Returns a fresh array.
+    Returns a fresh array. The guard keeps an unobserved row from giving 0/0.
     """
     num = np.matmul(values, acts.T, out=ws.gains_num)
     den = np.matmul(ws.wgp, acts.T, out=ws.gains_den)
@@ -407,17 +401,15 @@ def _column_norms(gains):
     return np.sqrt(np.add.reduce(gains * gains, axis=0))
 
 
-def _rescale(gains, acts, rng=None):
+def _rescale(gains, acts, rng):
     """Unit-norm gains columns, with the column scale moved into acts.
 
-    A zero-norm column raises DegenerateFactorError, unless rng is given:
-    then the column is redrawn in place from the init distribution first.
+    A zero-norm column is first redrawn in place from the init distribution
+    with rng, so a dead component restarts instead of dividing by zero.
     """
     norms = _column_norms(gains)
     if not norms.all():
         dead = np.flatnonzero(norms == 0)
-        if rng is None:
-            raise DegenerateFactorError(f"gains columns {dead.tolist()} have zero norm")
         gains[:, dead] = _init_draw(rng, (gains.shape[0], dead.size))
         norms = _column_norms(gains)
     return gains / norms, acts * norms[:, None]
@@ -496,42 +488,6 @@ def compute_reweights(p_prev: np.ndarray, epsilon: float) -> np.ndarray:
     """
     _check_epsilon(epsilon)
     return _reweights(_transitions(nonnegative(p_prev, "activations")), epsilon)
-
-
-def update_activations(s: MaskedMatrix, gains: np.ndarray, p_i: np.ndarray,
-                       w: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """One activation sweep over all time slots (neighbors read from p_i).
-
-    w holds the K x (T-1) transition weights, as compute_reweights returns them.
-    """
-    gains, acts = _pair(s, gains, p_i)
-    w = _operand(w, "reweights", acts.shape[0], max(s.n_cols - 1, 0))
-    ws = _Workspace(gains, acts)
-    data, curv, _ = _expand_at(ws, s, gains, acts)
-    return _activation_step(ws, acts, data, curv, w, cfg.beta, cfg.guard)[0]
-
-
-def update_gains(s: MaskedMatrix, f_i: FactorPair, cfg: SolverConfig) -> np.ndarray:
-    """Multiplicative gains update with masked data.
-
-        gains <- gains * ((W ⊙ S) P^T) / ((W ⊙ (gains P)) P^T + guard)
-
-    Nonnegativity is preserved and zero entries stay zero. The guard keeps
-    masked-out rows from producing 0/0.
-    """
-    gains, acts = _pair(s, f_i.gains, f_i.activations)
-    ws = _Workspace(gains, acts)
-    _masked_product(ws, s.mask, gains, acts)
-    return _gains_step(ws, s.values, gains, acts, cfg.guard)
-
-
-def rescale(pair: FactorPair) -> FactorPair:
-    """Normalize gains columns to unit 2-norm, absorbing scale into activations.
-
-    The reconstruction is unchanged up to rounding. Raises
-    DegenerateFactorError for a zero-norm column.
-    """
-    return FactorPair(*_rescale(pair.gains, pair.activations))
 
 
 def surrogate_per_slot(s: MaskedMatrix, gains: np.ndarray, p_new: np.ndarray,

@@ -680,12 +680,29 @@ _TRIALS_ROW = "p_obs,0.5,1,pcnmf,7,0.25,0.5,0.125,40,1.5,3.0,0,"
      "line 2, column 'failed': expected 0 or 1, got '2'"),
     (f"{_TRIALS_HEADER}\n{_TRIALS_ROW.replace(',3.0,0,', ',3.0,-1,')}\n",
      "line 2, column 'failed': expected 0 or 1, got '-1'"),
-], ids=["extra-column", "missing-columns", "short-row", "bad-int", "bool-2", "bool-minus-1"])
+    (f"{_TRIALS_HEADER}\n{_TRIALS_ROW.replace('p_obs,', 'bogus,')}\n",
+     "line 2, column 'sweep_value': unsupported sweep parameter 'bogus'"),
+    (f"{_TRIALS_HEADER}\n{_TRIALS_ROW.replace('p_obs,0.5,', 'none,0.5,')}\n",
+     "line 2, column 'sweep_value': unsupported sweep parameter 'none'"),
+    (f"{_TRIALS_HEADER}\n{_TRIALS_ROW.replace('p_obs,0.5,', 'n_su,6.0,')}\n",
+     "line 2, column 'sweep_value': invalid literal for int"),
+    (f"{_TRIALS_HEADER}\n{_TRIALS_ROW.replace('p_obs,0.5,', 'p_obs,,')}\n",
+     "line 2, column 'sweep_value': could not convert string to float"),
+], ids=["extra-column", "missing-columns", "short-row", "bad-int", "bool-2", "bool-minus-1",
+        "sweep-bogus", "sweep-none-with-value", "sweep-int-as-float", "sweep-float-empty"])
 def test_read_trials_csv_malformed_is_named_error(tmp_path, text, message):
     path = tmp_path / "trials.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         read_trials_csv(path)
+
+
+@pytest.mark.parametrize("param, value", [("n_su", 6), ("solver.max_iters", 3), ("solver.beta", 0.0)])
+def test_read_trials_csv_types_sweep_value_by_the_swept_field(tmp_path, param, value):
+    path = tmp_path / "trials.csv"
+    write_trials_csv([bench.TrialResult(param, value, 0, "pcnmf", 7)], path)
+    parsed = read_trials_csv(path)[0]["sweep_value"]
+    assert parsed == value and type(parsed) is type(value)
 
 
 def test_read_trials_csv_types_every_field(tmp_path):

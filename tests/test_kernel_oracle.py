@@ -27,10 +27,9 @@ from pcnmf import (
     penalty_smoothed,
     solve,
     surrogate_per_slot,
-    update_activations,
-    update_gains,
     weighted_fit,
 )
+from steps import update_activations, update_gains
 
 BETAS = (0.0, 5e-3, 1.0)
 

@@ -13,7 +13,6 @@ import pcnmf
 # Removing or adding a public name is an API change: edit this list with it.
 PUBLIC = [
     "ACTIVATION_FLOOR",
-    "DegenerateFactorError",
     "ExperimentConfig",
     "FactorPair",
     "IterationRecord",
@@ -42,7 +41,6 @@ PUBLIC = [
     "penalty_smoothed",
     "place_network",
     "read_trials_csv",
-    "rescale",
     "rmse_missing",
     "rmse_missing_pooled",
     "run_sweep",
@@ -54,8 +52,6 @@ PUBLIC = [
     "solve",
     "surrogate_per_slot",
     "transition_count",
-    "update_activations",
-    "update_gains",
     "weighted_fit",
     "write_benchmark_outputs",
     "write_summary_csv",

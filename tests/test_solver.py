@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pcnmf import (
-    DegenerateFactorError,
     FactorPair,
     MaskedMatrix,
     NumericFailureError,
@@ -19,14 +18,12 @@ from pcnmf import (
     infer_activations,
     objective,
     penalty_smoothed,
-    rescale,
     solve,
     solver,
     surrogate_per_slot,
-    update_activations,
-    update_gains,
     weighted_fit,
 )
+from steps import rescale, update_activations, update_gains
 
 
 @pytest.mark.parametrize("field, value", [
@@ -56,9 +53,6 @@ def test_epsilon_that_solver_config_refuses_is_named_error(step, epsilon):
      "gains must be finite"),
     (lambda s, g, a, bad: penalty_smoothed(a, bad), "epsilon must be a finite number > 0"),
     (lambda s, g, a, bad: compute_reweights(a, bad), "epsilon must be a finite number > 0"),
-    (lambda s, g, a, bad: update_activations(s, np.where(g > 0.5, bad, g), a,
-                                             compute_reweights(a, 1e-6), SolverConfig(rank=2)),
-     "gains must be finite"),
     (lambda s, g, a, bad: fit_gradient(s, np.where(g > 0.5, bad, g), a), "gains must be finite"),
     (lambda s, g, a, bad: surrogate_per_slot(s, np.where(g > 0.5, bad, g), a, a,
                                              compute_reweights(a, 1e-6), 0.1),
@@ -66,9 +60,6 @@ def test_epsilon_that_solver_config_refuses_is_named_error(step, epsilon):
     (lambda s, g, a, bad: penalty_smoothed(np.where(a > 0.5, bad, a), 1e-6),
      "activations must be finite"),
     (lambda s, g, a, bad: compute_reweights(np.where(a > 0.5, bad, a), 1e-6),
-     "activations must be finite"),
-    (lambda s, g, a, bad: update_activations(s, g, np.where(a > 0.5, bad, a),
-                                             compute_reweights(a, 1e-6), SolverConfig(rank=2)),
      "activations must be finite"),
     (lambda s, g, a, bad: fit_gradient(s, g, np.where(a > 0.5, bad, a)),
      "activations must be finite"),
@@ -79,8 +70,8 @@ def test_epsilon_that_solver_config_refuses_is_named_error(step, epsilon):
                                              compute_reweights(a, 1e-6), 0.1),
      "activations must be finite"),
 ], ids=["infer_activations", "penalty_smoothed", "compute_reweights",
-        "update_activations-gains", "fit_gradient-gains", "surrogate-gains",
-        "penalty_smoothed-acts", "compute_reweights-acts", "update_activations-acts",
+        "fit_gradient-gains", "surrogate-gains",
+        "penalty_smoothed-acts", "compute_reweights-acts",
         "fit_gradient-acts", "surrogate-p_ref", "surrogate-p_new"])
 def test_non_finite_solver_input_is_named_error(call, named, bad):
     s, pair = random_instance(5, n_rows=4, n_cols=6)
@@ -89,10 +80,9 @@ def test_non_finite_solver_input_is_named_error(call, named, bad):
 
 
 @pytest.mark.parametrize("call", [
-    lambda s, g, a: update_activations(s, g, a, compute_reweights(a, 1e-6), SolverConfig(rank=2)),
     lambda s, g, a: fit_gradient(s, g, a),
     lambda s, g, a: surrogate_per_slot(s, g, a, a, compute_reweights(a, 1e-6), 0.1),
-], ids=["update_activations", "fit_gradient", "surrogate"])
+], ids=["fit_gradient", "surrogate"])
 def test_negative_gains_is_named_error(call):
     s, pair = random_instance(5, n_rows=4, n_cols=6)
     gains = pair.gains.copy()
@@ -104,12 +94,10 @@ def test_negative_gains_is_named_error(call):
 @pytest.mark.parametrize("call", [
     lambda s, g, a: penalty_smoothed(a, 1e-6),
     lambda s, g, a: compute_reweights(a, 1e-6),
-    lambda s, g, a: update_activations(s, g, a, compute_reweights(np.abs(a), 1e-6),
-                                       SolverConfig(rank=2)),
     lambda s, g, a: fit_gradient(s, g, a),
     lambda s, g, a: surrogate_per_slot(s, g, np.abs(a), a, compute_reweights(np.abs(a), 1e-6), 0.1),
     lambda s, g, a: surrogate_per_slot(s, g, a, np.abs(a), compute_reweights(np.abs(a), 1e-6), 0.1),
-], ids=["penalty_smoothed", "compute_reweights", "update_activations", "fit_gradient",
+], ids=["penalty_smoothed", "compute_reweights", "fit_gradient",
         "surrogate-p_ref", "surrogate-p_new"])
 def test_negative_activations_is_named_error(call):
     s, pair = random_instance(5, n_rows=4, n_cols=6)
@@ -124,52 +112,32 @@ def test_negative_activations_is_named_error(call):
      r"activations shape \(2, 3\) does not match 2 x 4"),
     (lambda s, g, a: surrogate_per_slot(s, g, a, a, compute_reweights(np.ones((2, 6)), 1e-6), 0.1),
      r"reweights shape \(2, 5\) does not match 2 x 3"),
-    (lambda s, g, a: update_activations(s, g, a, compute_reweights(np.ones((2, 6)), 1e-6),
-                                        SolverConfig(rank=2)),
-     r"reweights shape \(2, 5\) does not match 2 x 3"),
     (lambda s, g, a: penalty_smoothed(a[0], 1e-6), r"activations must be 2-D, got shape \(4,\)"),
     (lambda s, g, a: compute_reweights(a[0], 1e-6), r"activations must be 2-D, got shape \(4,\)"),
     (lambda s, g, a: fit_gradient(s, g, a[0]), r"activations must be 2-D, got shape \(4,\)"),
-    (lambda s, g, a: update_activations(s, g, a[0], compute_reweights(a, 1e-6),
-                                        SolverConfig(rank=2)),
-     r"activations must be 2-D, got shape \(4,\)"),
     (lambda s, g, a: surrogate_per_slot(s, g, a[0], a[0], compute_reweights(a, 1e-6), 0.1),
      r"activations must be 2-D, got shape \(4,\)"),
     (lambda s, g, a: fit_gradient(s, g[:2].tolist(), a),
      r"gains shape \(2, 2\) does not match 3 x K"),
-    (lambda s, g, a: update_activations(s, g[:, 0], a, compute_reweights(a, 1e-6),
-                                        SolverConfig(rank=2)),
-     r"gains must be 2-D, got shape \(3,\)"),
+    (lambda s, g, a: fit_gradient(s, g[:, 0], a), r"gains must be 2-D, got shape \(3,\)"),
     (lambda s, g, a: surrogate_per_slot(s, g[:2], a, a, compute_reweights(a, 1e-6), 0.1),
      r"gains shape \(2, 2\) does not match 3 x K"),
     (lambda s, g, a: weighted_fit(s, FactorPair(g[:2], a)),
      r"gains shape \(2, 2\) does not match 3 x K"),
     (lambda s, g, a: weighted_fit(s, FactorPair(g, a[:, :3])),
      r"activations shape \(2, 3\) does not match 2 x 4"),
-    (lambda s, g, a: update_gains(s, FactorPair(g[:2], a), SolverConfig(rank=2)),
-     r"gains shape \(2, 2\) does not match 3 x K"),
-    (lambda s, g, a: update_gains(s, FactorPair(g, a[:, :3]), SolverConfig(rank=2)),
-     r"activations shape \(2, 3\) does not match 2 x 4"),
     (lambda s, g, a: fit_gradient(s, g, a[:, :3]),
      r"activations shape \(2, 3\) does not match 2 x 4"),
     (lambda s, g, a: fit_gradient(s, g, np.vstack([a, a])),
      r"activations shape \(4, 4\) does not match 2 x 4"),
-    (lambda s, g, a: update_activations(s, g, a[:, :3], compute_reweights(a[:, :3], 1e-6),
-                                        SolverConfig(rank=2)),
-     r"activations shape \(2, 3\) does not match 2 x 4"),
-    (lambda s, g, a: update_activations(s, g, a[:1], compute_reweights(a[:1], 1e-6),
-                                        SolverConfig(rank=2)),
-     r"activations shape \(1, 4\) does not match 2 x 4"),
     (lambda s, g, a: infer_activations(s, g[:2], SolverConfig(rank=2)),
      r"gains shape \(2, 2\) does not match 3 x K"),
-], ids=["surrogate-p_new", "surrogate-reweights", "update_activations-reweights",
+], ids=["surrogate-p_new", "surrogate-reweights",
         "penalty_smoothed-1d", "compute_reweights-1d", "fit_gradient-1d",
-        "update_activations-1d", "surrogate-1d", "fit_gradient-list-gains",
-        "update_activations-1d-gains", "surrogate-gains-rows",
+        "surrogate-1d", "fit_gradient-list-gains",
+        "fit_gradient-1d-gains", "surrogate-gains-rows",
         "weighted_fit-pair-rows", "weighted_fit-pair-cols",
-        "update_gains-pair-rows", "update_gains-pair-cols",
         "fit_gradient-wrong-T", "fit_gradient-wrong-K",
-        "update_activations-wrong-T", "update_activations-wrong-K",
         "infer_activations-gains-rows"])
 def test_wrong_shaped_step_input_is_named_error(call, named):
     s, pair = random_instance(5)
@@ -310,7 +278,7 @@ def test_reweights_boundaries_always_zero():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
-@pytest.mark.parametrize("step", ["update_activations", "surrogate_per_slot"])
+@pytest.mark.parametrize("step", [surrogate_per_slot], ids=["surrogate_per_slot"])
 def test_non_finite_or_negative_reweight_is_named_error(step, bad):
     s, pair = random_instance(15)
     gains, acts = pair.gains, pair.activations
@@ -318,10 +286,7 @@ def test_non_finite_or_negative_reweight_is_named_error(step, bad):
     y[1, 2] = bad
     named = "reweights must be nonnegative" if bad < 0 else "reweights must be finite"
     with pytest.raises(ValueError, match=f"^{named}$"):
-        if step == "update_activations":
-            update_activations(s, gains, acts, y, SolverConfig(rank=2))
-        else:
-            surrogate_per_slot(s, gains, acts, acts, y, 0.1)
+        step(s, gains, acts, acts, y, 0.1)
 
 
 # ---------------------------------------------------------- activation update
@@ -461,12 +426,6 @@ def test_rescale_preserves_product():
     after = out.gains @ out.activations
     assert np.max(np.abs(after - before)) < 1e-12
     assert np.allclose(np.linalg.norm(out.gains, axis=0), 1.0, rtol=0, atol=1e-12)
-
-
-def test_rescale_zero_column_raises():
-    gains = np.array([[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(DegenerateFactorError):
-        rescale(FactorPair(gains, np.ones((2, 3))))
 
 
 def test_rescale_invariance_of_fit():
