@@ -441,8 +441,16 @@ def _parse_bool(cell: str) -> bool:
     return cell == "1"
 
 
+def _parse_int(cell: str) -> int:
+    # write_trials_csv writes an int as str(value); int alone would also take '6_0' or ' 6'.
+    value = int(cell)
+    if str(value) != cell:
+        raise ValueError(f"expected an int as str writes it, got {cell!r}")
+    return value
+
+
 # Cell parsers by field annotation; every other annotation names a float.
-_PARSERS = {"str": str, "int": int, "bool": _parse_bool}
+_PARSERS = {"str": str, "int": _parse_int, "bool": _parse_bool}
 
 
 def _parse_sweep_value(param: str, cell: str) -> int | float:

@@ -688,8 +688,17 @@ _TRIALS_ROW = "p_obs,0.5,1,pcnmf,7,0.25,0.5,0.125,40,1.5,3.0,0,"
      "line 2, column 'sweep_value': invalid literal for int"),
     (f"{_TRIALS_HEADER}\n{_TRIALS_ROW.replace('p_obs,0.5,', 'p_obs,,')}\n",
      "line 2, column 'sweep_value': could not convert string to float"),
+    (f"{_TRIALS_HEADER}\n{_TRIALS_ROW.replace(',40,', ',4_0,')}\n",
+     "line 2, column 'iterations': expected an int as str writes it, got '4_0'"),
+    (f"{_TRIALS_HEADER}\n{_TRIALS_ROW.replace(',7,', ', 7,')}\n",
+     "line 2, column 'seed': expected an int as str writes it, got ' 7'"),
+    (f"{_TRIALS_HEADER}\n{_TRIALS_ROW.replace(',1,pcnmf,', ',+1,pcnmf,')}\n",
+     "line 2, column 'trial': expected an int as str writes it, got '\\+1'"),
+    (f"{_TRIALS_HEADER}\n{_TRIALS_ROW.replace('p_obs,0.5,', 'n_su,6_0,')}\n",
+     "line 2, column 'sweep_value': expected an int as str writes it, got '6_0'"),
 ], ids=["extra-column", "missing-columns", "short-row", "bad-int", "bool-2", "bool-minus-1",
-        "sweep-bogus", "sweep-none-with-value", "sweep-int-as-float", "sweep-float-empty"])
+        "sweep-bogus", "sweep-none-with-value", "sweep-int-as-float", "sweep-float-empty",
+        "int-underscore", "int-space", "int-plus", "sweep-int-underscore"])
 def test_read_trials_csv_malformed_is_named_error(tmp_path, text, message):
     path = tmp_path / "trials.csv"
     path.write_text(text)
@@ -697,8 +706,10 @@ def test_read_trials_csv_malformed_is_named_error(tmp_path, text, message):
         read_trials_csv(path)
 
 
-@pytest.mark.parametrize("param, value", [("n_su", 6), ("solver.max_iters", 3), ("solver.beta", 0.0)])
-def test_read_trials_csv_types_sweep_value_by_the_swept_field(tmp_path, param, value):
+@pytest.mark.parametrize("param", sorted(bench._SWEEPABLE))
+def test_read_trials_csv_types_sweep_value_by_the_swept_field(tmp_path, param):
+    # 3 for an int field, 3.0 for a float one: a float with an integral value stays a float.
+    value = 3 if bench._SWEEPABLE[param][1].type == "int" else 3.0
     path = tmp_path / "trials.csv"
     write_trials_csv([bench.TrialResult(param, value, 0, "pcnmf", 7)], path)
     parsed = read_trials_csv(path)[0]["sweep_value"]

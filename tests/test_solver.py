@@ -82,7 +82,8 @@ def test_non_finite_solver_input_is_named_error(call, named, bad):
 @pytest.mark.parametrize("call", [
     lambda s, g, a: fit_gradient(s, g, a),
     lambda s, g, a: surrogate_per_slot(s, g, a, a, compute_reweights(a, 1e-6), 0.1),
-], ids=["fit_gradient", "surrogate"])
+    lambda s, g, a: infer_activations(s, g, SolverConfig(rank=2)),
+], ids=["fit_gradient", "surrogate", "infer_activations"])
 def test_negative_gains_is_named_error(call):
     s, pair = random_instance(5, n_rows=4, n_cols=6)
     gains = pair.gains.copy()
@@ -132,13 +133,15 @@ def test_negative_activations_is_named_error(call):
      r"activations shape \(4, 4\) does not match 2 x 4"),
     (lambda s, g, a: infer_activations(s, g[:2], SolverConfig(rank=2)),
      r"gains shape \(2, 2\) does not match 3 x K"),
+    (lambda s, g, a: infer_activations(s, g[:, 0], SolverConfig(rank=2)),
+     r"gains must be 2-D, got shape \(3,\)"),
 ], ids=["surrogate-p_new", "surrogate-reweights",
         "penalty_smoothed-1d", "compute_reweights-1d", "fit_gradient-1d",
         "surrogate-1d", "fit_gradient-list-gains",
         "fit_gradient-1d-gains", "surrogate-gains-rows",
         "weighted_fit-pair-rows", "weighted_fit-pair-cols",
         "fit_gradient-wrong-T", "fit_gradient-wrong-K",
-        "infer_activations-gains-rows"])
+        "infer_activations-gains-rows", "infer_activations-1d-gains"])
 def test_wrong_shaped_step_input_is_named_error(call, named):
     s, pair = random_instance(5)
     with pytest.raises(ShapeMismatchError, match=named):
@@ -426,6 +429,18 @@ def test_rescale_preserves_product():
     after = out.gains @ out.activations
     assert np.max(np.abs(after - before)) < 1e-12
     assert np.allclose(np.linalg.norm(out.gains, axis=0), 1.0, rtol=0, atol=1e-12)
+
+
+def test_rescale_redraws_zero_column():
+    # A dead column restarts from the init distribution instead of dividing by zero.
+    gains = np.array([[3.0, 0.0], [4.0, 0.0]])
+    acts = np.array([[1.0, 2.0], [0.5, 0.5]])
+    out_gains, out_acts = solver._rescale(gains.copy(), acts, np.random.default_rng(0))
+    redrawn = solver._init_draw(np.random.default_rng(0), (2, 1))[:, 0]
+    assert np.array_equal(out_gains[:, 0], [0.6, 0.8])
+    assert np.array_equal(out_acts[0], [5.0, 10.0])
+    assert np.allclose(out_gains[:, 1], redrawn / np.linalg.norm(redrawn), rtol=0, atol=1e-15)
+    assert np.allclose(out_acts[1], 0.5 * np.linalg.norm(redrawn), rtol=0, atol=1e-15)
 
 
 def test_rescale_invariance_of_fit():
