@@ -38,18 +38,23 @@ ceil(log2 T) levels of fourteen elementwise passes over K x T each; at the
 paper shape (K = 5, T = 600) those levels cost more than both products.
 The state at the end of an iteration (W ⊙ G P and d^2 = diff(P)^2) is
 carried into the next one: W ⊙ G P feeds the next curvature, and d^2 both
-the reported penalty and the next reweights. The reweights are one
-K x (T-1) array, one weight per transition, everywhere: compute_reweights
-returns it, surrogate_per_slot takes it, and a slot reads its neighbors
-and their weights from it by slicing.
+the penalty term of the stop objective and the next reweights. The
+reweights are one K x (T-1) array, one weight per transition, everywhere:
+compute_reweights returns it, surrogate_per_slot takes it, and a slot
+reads its neighbors and their weights from it by slicing. At beta = 0 the
+penalty terms of both steps are exact zeros, so neither loop computes
+reweights, and the sweep skips its neighbor terms.
 
 One MM loop. solve and infer_activations each hand their iteration body to
-_descend as a step that returns the traced objective it reached; the
-driver alone holds the previous objective, the iteration counter and the
-relative-change stop test. Each step checks its iterates for non-finite
-values itself, before it rescales or records them. No step evaluates the
-surrogate: surrogate_per_slot on solve(..., record_factors=True) iterates
-checks MM monotonicity after the fact.
+_descend as a step that returns its stop objective; the driver alone holds
+the previous objective, the iteration counter and the relative-change stop
+test. solve's stop objective is the traced fit + beta * penalty.
+infer_activations' is majorized = fit + beta * sum log1p(d^2 / epsilon),
+the objective its joint step descends, which at beta = 0 is the fit. Each
+step checks its iterates for non-finite values itself, before it rescales
+or records them. No step evaluates the surrogate: surrogate_per_slot on
+solve(..., record_factors=True) iterates checks MM monotonicity after the
+fact.
 
 One workspace per call. solve and infer_activations each size one
 _Workspace from (N, K, T) before their loop, and the helpers write every
@@ -61,6 +66,10 @@ pairs, snapshots) and so are never workspace buffers. Besides its six
 products, a solve iteration makes eight elementwise passes over N x T
 (mask, residual, square and sum, after the sweep and after the rescale);
 infer_activations makes four, besides its reduction levels over K x T.
+Over K x T the sweep makes fifteen passes at beta > 0 and five at
+beta = 0. Over K x (T-1) each loop makes seven at beta > 0 (d^2, the
+penalty terms and their sum, the reweights); at beta = 0 solve makes five,
+for the traced penalty, and infer_activations none.
 weighted_fit, fit_gradient and surrogate_per_slot give the same helpers a
 fresh workspace per call. Each in-place operation does the arithmetic of
 the plain numpy expression it spells out, in the same order, so the
@@ -70,8 +79,13 @@ bit for bit.
 Epsilon enters in two ways. The reweights are 1 / (d^2 + epsilon), with
 epsilon added as-is to a squared difference, while the reported penalty is
 rho(d) = d^2 / (d^2 + epsilon^2). The reweights are the MM weights of the
-log penalty sum log(d^2 + epsilon), not those of rho, so the traced
+log penalty sum log(d^2 + epsilon), not those of rho, so solve's traced
 objective fit + beta * penalty is not guaranteed to decrease.
+infer_activations stops on that log penalty less its constant
+sum log(epsilon), which a relative-change test could never see past:
+majorized = fit + beta * sum log1p(d^2 / epsilon). Both majorizers of the
+joint step touch it at the current activations, so the step cannot raise
+it.
 """
 
 from __future__ import annotations
@@ -110,9 +124,12 @@ class SolverConfig:
                the reweight denominator, squared inside the penalty kernel.
     rank     : number of factors K.
     max_iters, rel_tol : stop after max_iters outer iterations, or after the
-               first whose relative change of the traced objective is below
-               rel_tol (so rel_tol = 0 runs exactly max_iters). That objective
-               is not guaranteed to decrease; see the module's epsilon note.
+               first whose relative change of the stop objective is below
+               rel_tol (so rel_tol = 0 runs exactly max_iters). solve stops
+               on the traced fit + beta * penalty, which is not guaranteed to
+               decrease; infer_activations on majorized = fit + beta *
+               sum log1p(d^2 / epsilon), which its joint step descends. See
+               the module's epsilon note.
     init_seed: seed for the uniform (0.1, 1.1) factor initialization.
     guard    : tiny positive value protecting denominators.
     """
@@ -257,6 +274,12 @@ def _penalty(d2: np.ndarray, epsilon: float, scratch=None) -> float:
     return float(np.divide(d2, terms, out=terms).sum())
 
 
+def _log_penalty(d2: np.ndarray, epsilon: float, scratch=None) -> float:
+    """sum log1p(d^2 / epsilon): the log penalty the reweights majorize, less its constant."""
+    terms = np.divide(d2, epsilon, out=scratch)
+    return float(np.log1p(terms, out=terms).sum())
+
+
 def _reweights(d2: np.ndarray, epsilon: float, out=None) -> np.ndarray:
     """K x (T-1) transition weights 1 / (d^2 + epsilon), into out."""
     w = np.add(d2, epsilon, out=out)
@@ -289,28 +312,34 @@ def _activation_step(ws, p, data, curv, w, beta: float, guard: float):
         pull[:, 1:] = w * p[:, :-1]    then    pull[:, :-1] += w * p[:, 1:]
         wsum[:, 1:] = w                then    wsum[:, :-1] += w
 
-    so the first and last slots see one neighbor each. At beta = 0 this is
-    exactly p * data / curv, the multiplicative Euclidean update. Writes
-    ws.pull, ws.wsum, ws.den and ws.low; the new acts are a fresh array.
+    so the first and last slots see one neighbor each. At beta = 0 the pull
+    and wsum terms are exact zeros, so they are skipped (w may be None) and
+    the step is p * data / curv, the multiplicative Euclidean update, with
+    the same result and clamp count. Writes ws.pull, ws.wsum, ws.den and
+    ws.low; the new acts are a fresh array.
     """
     pull, wsum, den = ws.pull, ws.wsum, ws.den
-    pull[:, :1] = 0.0
-    np.multiply(w, p[:, :-1], out=pull[:, 1:])
-    # den is free until the end: hold w * p[:, 1:] there meanwhile.
-    np.add(pull[:, :-1], np.multiply(w, p[:, 1:], out=den[:, :-1]), out=pull[:, :-1])
-    wsum[:, :1] = 0.0
-    wsum[:, 1:] = w
-    np.add(wsum[:, :-1], w, out=wsum[:, :-1])
-    two_beta = 2.0 * beta
-    num = np.multiply(two_beta, pull, out=pull)
-    np.add(data, num, out=num)
-    np.multiply(num, p, out=num)
-    np.multiply(two_beta, wsum, out=wsum)
-    np.multiply(wsum, p, out=wsum)
-    np.add(curv, wsum, out=den)
+    if beta:
+        pull[:, :1] = 0.0
+        np.multiply(w, p[:, :-1], out=pull[:, 1:])
+        # den is free until the end: hold w * p[:, 1:] there meanwhile.
+        np.add(pull[:, :-1], np.multiply(w, p[:, 1:], out=den[:, :-1]), out=pull[:, :-1])
+        wsum[:, :1] = 0.0
+        wsum[:, 1:] = w
+        np.add(wsum[:, :-1], w, out=wsum[:, :-1])
+        two_beta = 2.0 * beta
+        num = np.multiply(two_beta, pull, out=pull)
+        np.add(data, num, out=num)
+        np.multiply(num, p, out=num)
+        np.multiply(two_beta, wsum, out=wsum)
+        np.multiply(wsum, p, out=wsum)
+        np.add(curv, wsum, out=den)
+    else:
+        num = np.multiply(data, p, out=pull)
+        den = curv
     clamped = int(np.count_nonzero(np.less(den, guard, out=ws.low)))
     if clamped:
-        np.maximum(den, guard, out=den)
+        den = np.maximum(den, guard, out=ws.den)
     new = np.divide(num, den)
     return np.maximum(new, ACTIVATION_FLOOR, out=new), clamped
 
@@ -543,7 +572,8 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
 
     Each outer iteration: recompute transition weights from the previous
     activations, sweep all activation slots, update the gains, renormalize,
-    until cfg's stop rule. Returns the final pair and a trace; with
+    until cfg's stop rule on the traced objective fit + beta * penalty.
+    Returns the final pair and a trace; with
     record_factors=True the trace also keeps every iterate.
     """
     silent = np.flatnonzero(s.mask.sum(axis=1) == 0)
@@ -568,7 +598,7 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
         acts_new, clamped = _activation_step(
             ws, acts, np.matmul(gains.T, values, out=ws.data),
             np.matmul(gains.T, ws.wgp, out=ws.curv),
-            _reweights(ws.d2, eps, out=ws.scratch), beta, guard)
+            _reweights(ws.d2, eps, out=ws.scratch) if beta else None, beta, guard)
         fit_after_p = _masked_fit(ws, values, mask, gains, acts_new)
         gains_new = _gains_step(ws, values, gains, acts_new, guard)
         _check_finite(iteration, acts_new, gains_new)
@@ -632,7 +662,9 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     step (_joint_activation_step): the fit majorizer and the reweighted
     quadratic minimized over all slots at once, one tridiagonal solve per
     activation row. At beta = 0 that step is solve's activation sweep, bit
-    for bit. Runs until cfg's stop rule.
+    for bit. Runs until cfg's stop rule on majorized = fit + beta *
+    sum log1p(d^2 / epsilon), the objective the joint step descends; at
+    beta = 0 that is the fit, and no transition or reweight is computed.
     """
     gains = _operand(gains_fixed, "gains", s.n_rows)
     values, mask, beta, eps, guard = s.values, s.mask, cfg.beta, cfg.epsilon, cfg.guard
@@ -640,15 +672,21 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     ws = _Workspace(gains, acts)
     acts = _calibrated(ws, values, mask, gains, acts)
     data = np.matmul(gains.T, values, out=ws.data)
-    fit, pen = _state(ws, values, mask, gains, acts, eps)
+
+    def majorized():
+        """fit + beta * sum log1p(d^2 / epsilon) at acts; leaves W ⊙ G P and d^2 in ws."""
+        fit = _masked_fit(ws, values, mask, gains, acts)
+        if not beta:
+            return fit
+        return fit + beta * _log_penalty(_transitions(acts, ws.d2), eps, ws.scratch)
 
     def step(iteration):
         nonlocal acts
         acts = _joint_activation_step(ws, acts, data, np.matmul(gains.T, ws.wgp, out=ws.curv),
-                                      _reweights(ws.d2, eps, out=ws.scratch), beta, guard)
+                                      _reweights(ws.d2, eps, out=ws.scratch) if beta else None,
+                                      beta, guard)
         _check_finite(iteration, acts)
-        fit, pen = _state(ws, values, mask, gains, acts, eps)
-        return fit + beta * pen
+        return majorized()
 
-    _descend(step, fit + beta * pen, cfg)
+    _descend(step, majorized(), cfg)
     return acts

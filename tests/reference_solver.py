@@ -7,8 +7,9 @@ iteration of the kernel must equal what these loops produce, bit for bit.
 Do not edit this file to follow the solver: a difference is a solver bug.
 
 At beta > 0, infer_activations takes a joint step along time instead of
-the sweep; infer_activations_joint at the end of this file is its
-reference, and infer_activations here stays the beta = 0 one.
+the sweep, and stops on the objective that step descends;
+infer_activations_joint at the end of this file is its reference, and
+infer_activations here stays the beta = 0 one.
 """
 
 from __future__ import annotations
@@ -345,9 +346,23 @@ def _joint_activation_step(values, mask, gains, acts, weights, beta, guard):
     return np.maximum(rhs / diag, ACTIVATION_FLOOR)
 
 
+def _majorized(s: MaskedMatrix, gains: np.ndarray, acts: np.ndarray,
+               cfg: SolverConfig) -> float:
+    """fit + beta * sum log1p(d^2 / epsilon), the objective the joint step descends.
+
+    The reweights 1 / (d^2 + epsilon) are the MM weights of sum log(d^2 +
+    epsilon); this is that penalty less its constant sum log(epsilon).
+    """
+    d2 = np.square(np.diff(acts, axis=1))
+    return _weighted_fit(s.values, s.mask, gains, acts) + cfg.beta * (
+        float(np.sum(np.log1p(d2 / cfg.epsilon)))
+    )
+
+
 def infer_activations_joint(s: MaskedMatrix, gains_fixed: np.ndarray,
                             cfg: SolverConfig) -> np.ndarray:
-    """infer_activations with _joint_activation_step in place of the sweep."""
+    """infer_activations with _joint_activation_step in place of the sweep,
+    stopping on the relative change of _majorized."""
     gains = np.asarray(gains_fixed, dtype=np.float64)
     if gains.ndim != 2 or gains.shape[0] != s.n_rows:
         raise ShapeMismatchError(
@@ -364,18 +379,14 @@ def infer_activations_joint(s: MaskedMatrix, gains_fixed: np.ndarray,
         if rec_mean > 0:
             acts = acts * (float(s.values.sum() / observed) / rec_mean)
             acts = np.maximum(acts, ACTIVATION_FLOOR)
-    prev_obj = _weighted_fit(s.values, s.mask, gains, acts) + cfg.beta * (
-        penalty_smoothed(acts, cfg.epsilon)
-    )
+    prev_obj = _majorized(s, gains, acts, cfg)
     for iteration in range(1, cfg.max_iters + 1):
         reweights = compute_reweights(acts, cfg.epsilon)
         acts = _joint_activation_step(
             s.values, s.mask, gains, acts, reweights, cfg.beta, cfg.guard
         )
         _check_finite(iteration, acts)
-        obj = _weighted_fit(s.values, s.mask, gains, acts) + cfg.beta * (
-            penalty_smoothed(acts, cfg.epsilon)
-        )
+        obj = _majorized(s, gains, acts, cfg)
         rel = abs(prev_obj - obj) / max(abs(prev_obj), cfg.guard)
         prev_obj = obj
         if rel < cfg.rel_tol:

@@ -317,6 +317,39 @@ def test_activation_update_matches_multiplicative_oracle():
     assert np.allclose(new, oracle, rtol=0, atol=1e-15)
 
 
+def test_activation_step_at_zero_beta_ignores_the_reweights():
+    # At beta = 0 the neighbor terms are exact zeros, so the step skips them;
+    # the unobserved column has zero curvature, so the guard clamps both its rows.
+    s, pair = random_instance(22, n_rows=4, n_cols=6)
+    s = MaskedMatrix(s.values, np.where(np.arange(6) == 2, 0.0, s.mask))
+    gains, acts = pair.gains, pair.activations
+
+    def step(reweights):
+        ws = solver._Workspace(gains, acts)
+        data, curv, _ = solver._expand_at(ws, s, gains, acts)
+        return solver._activation_step(ws, acts, data, curv, reweights, 0.0, 1e-12)
+
+    (with_w, clamped_w), (without_w, clamped) = step(compute_reweights(acts, 1e-6)), step(None)
+    assert clamped == clamped_w == 2
+    assert np.array_equal(with_w, without_w)
+
+
+@pytest.mark.parametrize("beta", [0.0, 5e-3])
+def test_loops_build_reweights_only_at_positive_beta(monkeypatch, beta):
+    def refuse(*args, **kwargs):
+        raise AssertionError("_reweights called")
+
+    monkeypatch.setattr(solver, "_reweights", refuse)
+    s, pair = random_instance(23, n_rows=4, n_cols=6)
+    cfg = SolverConfig(beta=beta, rank=2, max_iters=5, rel_tol=0.0)
+    for call in (lambda: solve(s, cfg), lambda: infer_activations(s, pair.gains, cfg)):
+        if beta:
+            with pytest.raises(AssertionError, match="_reweights called"):
+                call()
+        else:
+            call()
+
+
 def test_activation_update_large_beta_pulls_to_neighbors():
     # with a dominant penalty and equal neighbors c, the middle slot moves to c
     c = 1.7
@@ -754,6 +787,29 @@ def test_infer_joint_step_never_raises_the_majorized_objective(beta):
                            for cfg in cfgs])
         rises = np.diff(values) / np.abs(values[:-1])
         assert rises.max() <= 1e-12, (seed, rises.max())
+
+
+@pytest.mark.parametrize("rel_tol", [1e-4, 1e-6])
+@pytest.mark.parametrize("seed", range(3))
+def test_infer_stops_at_first_relative_majorized_change_below_rel_tol(seed, rel_tol):
+    # Inference stops on the objective its joint step descends, not on
+    # fit + beta * rho: the run with rel_tol ends where the first relative
+    # change of majorized below rel_tol is.
+    s, pair = random_instance(seed, n_rows=6, n_cols=20, rank=2, p_obs=0.8)
+    gains = pair.gains
+    cfg = SolverConfig(beta=5e-3, rank=2, max_iters=400, rel_tol=rel_tol, init_seed=seed)
+    draw = solver._init_draw(np.random.default_rng(seed), (2, 20))
+    start = solver._calibrated(solver._Workspace(gains, draw), s.values, s.mask, gains, draw)
+    prev = majorized(s, gains, start, cfg)
+    for n in range(1, cfg.max_iters + 1):
+        acts = infer_activations(s, gains, SolverConfig(
+            beta=cfg.beta, rank=2, max_iters=n, rel_tol=0.0, init_seed=seed))
+        obj = majorized(s, gains, acts, cfg)
+        if abs(prev - obj) / max(abs(prev), cfg.guard) < rel_tol:
+            break
+        prev = obj
+    assert n < cfg.max_iters
+    assert np.array_equal(infer_activations(s, gains, cfg), acts)
 
 
 @pytest.mark.parametrize("beta", [5e-3, 1.0])
