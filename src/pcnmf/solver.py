@@ -46,7 +46,7 @@ penalty terms of both steps are exact zeros, so neither loop computes
 reweights, and the sweep skips its neighbor terms.
 
 One MM loop. solve and infer_activations each hand their iteration body to
-_descend as a step that returns its stop objective; the driver alone holds
+_descend as a step that returns its stop objective; _descend alone holds
 the previous objective, the iteration counter and the relative-change stop
 test. solve's stop objective is the traced fit + beta * penalty.
 infer_activations' is majorized = fit + beta * sum log1p(d^2 / epsilon),
