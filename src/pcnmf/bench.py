@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ._config import _is, check_dict, check_fields, check_int
-from .matrices import FactorPair, csv_line, matrix, write_csv
+from .matrices import FactorPair, csv_line, finite, matrix, write_csv
 from .simulate import ScenarioConfig, generate_scenario
 from .solver import NumericFailureError, SolverConfig, infer_activations, solve, weighted_fit
 
@@ -151,10 +151,9 @@ class TrialResult:
 
 def _missing_entries(reconstructed, truth, mask):
     """(rec, tru, missing): 2-D float64 arrays of one shape and a nonempty missing-cell mask."""
-    rec, tru, msk = (np.asarray(a, dtype=np.float64) for a in (reconstructed, truth, mask))
-    if not rec.shape == tru.shape == msk.shape:
-        raise ValueError("shapes must match")
-    if not np.isin(matrix(msk, "mask"), (0, 1)).all():  # one shape, so all are 2-D
+    rec = matrix(reconstructed, "reconstructed")
+    tru, msk = matrix(truth, "truth", shape=rec.shape), matrix(mask, "mask", shape=rec.shape)
+    if not np.isin(msk, (0, 1)).all():
         raise ValueError("mask entries must be exactly 0 or 1")
     missing = msk == 0
     if not missing.any():
@@ -191,9 +190,7 @@ def transition_count(activations: np.ndarray, threshold: float) -> np.ndarray:
     """Per-row count of consecutive differences larger than threshold."""
     if not (_is(Real, threshold) and threshold > 0):
         raise ValueError("threshold must be > 0")
-    acts = matrix(activations, "activations")
-    if not np.isfinite(acts).all():
-        raise ValueError("activations has non-finite entries")
+    acts = finite(activations, "activations")
     return (np.abs(np.diff(acts, axis=1)) > threshold).sum(axis=1)
 
 
@@ -249,14 +246,10 @@ def scale_rows_to_reference(estimate: np.ndarray, reference: np.ndarray) -> np.n
     method in O(K^3) for K rows rather than by trying all K! permutations.
     When several assignments tie for the minimum, the one returned is not
     necessarily the lexicographically first, which a K! enumeration would
-    return. Requires equal row counts and finite entries.
+    return. Requires 2-D inputs of one shape with finite entries.
     """
-    if np.shape(estimate) != np.shape(reference):
-        raise ValueError("estimate and reference must have the same shape")
-    est, ref = matrix(estimate, "estimate"), matrix(reference, "reference")
-    for name, arr in (("estimate", est), ("reference", ref)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} has non-finite entries")
+    est = finite(estimate, "estimate")
+    ref = finite(reference, "reference", shape=est.shape)
     k = est.shape[0]
     norms = np.sum(est * est, axis=1)
     dots = est @ ref.T  # dots[i, j] = <est_i, ref_j>

@@ -4,10 +4,10 @@ The measurement matrix holds received powers for N_R sensors over T time
 slots together with a binary availability mask. Missing entries are stored
 as 0 internally so they can never leak into downstream arithmetic; every
 operation multiplies by the mask before the data is used. Factor pairs hold
-the nonnegative (gains, activations) state of a factorization. One check,
-nonnegative, decides what a valid nonnegative matrix is, for both and for
-the solver's inputs; it builds on matrix, the one 2-D check, which the
-benchmark's scorers also run.
+the nonnegative (gains, activations) state of a factorization. Every matrix
+argument of the package goes through matrix (2-D, of a given shape), finite
+or nonnegative, each built on the one before, so each kind of bad argument
+raises one message, whichever function was given it.
 
 Every CSV file pcnmf writes goes through write_csv, fed a row of text at a
 time, and the two matrix loaders share one parse: numpy's C reader, with
@@ -29,23 +29,33 @@ class ShapeMismatchError(ValueError):
     """Raised when matrix dimensions are incompatible."""
 
 
-def matrix(a, name: str, copy: bool = False) -> np.ndarray:
-    """a as a 2-D float64 array; ShapeMismatchError naming it unless a is 2-D.
+def matrix(a, name: str, copy: bool = False, shape=None) -> np.ndarray:
+    """a as a 2-D float64 array; ShapeMismatchError naming it unless a is 2-D and fits shape.
 
-    The array is a copy when copy is set, else a itself wherever it already
-    is one.
+    shape is None or (rows, cols), where a str such as "K" fits any length.
+    The array is a copy when copy is set, else a itself wherever it is one.
     """
     arr = np.array(a, dtype=np.float64, copy=True) if copy else np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
+    if shape is not None and any(not isinstance(want, str) and want != got
+                                 for want, got in zip(shape, arr.shape)):
+        raise ShapeMismatchError(f"{name} shape {arr.shape} does not match "
+                                 f"{shape[0]} x {shape[1]}")
     return arr
 
 
-def nonnegative(a, name: str, copy: bool = False) -> np.ndarray:
-    """matrix(a, name, copy), and ValueError naming it unless every entry is finite and >= 0."""
-    arr = matrix(a, name, copy)
+def finite(a, name: str, copy: bool = False, shape=None) -> np.ndarray:
+    """matrix(a, name, copy, shape), and ValueError naming it unless every entry is finite."""
+    arr = matrix(a, name, copy, shape)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
+    return arr
+
+
+def nonnegative(a, name: str, copy: bool = False, shape=None) -> np.ndarray:
+    """finite(a, name, copy, shape), and ValueError naming it unless every entry is >= 0."""
+    arr = finite(a, name, copy, shape)
     if (arr < 0).any():
         raise ValueError(f"{name} must be nonnegative")
     return arr
@@ -73,11 +83,8 @@ class MaskedMatrix:
     mask: np.ndarray
 
     def __post_init__(self):
-        values, mask = matrix(self.values, "values"), matrix(self.mask, "mask", copy=True)
-        if values.shape != mask.shape:
-            raise ShapeMismatchError(
-                f"values shape {values.shape} != mask shape {mask.shape}"
-            )
+        values = matrix(self.values, "values")
+        mask = matrix(self.mask, "mask", copy=True, shape=values.shape)
         observed = mask == 1.0
         if not (observed | (mask == 0.0)).all():
             raise ValueError("mask entries must be exactly 0 or 1")
@@ -113,12 +120,8 @@ class FactorPair:
 
     def __post_init__(self):
         gains = nonnegative(self.gains, "gains", copy=True)
-        activations = nonnegative(self.activations, "activations", copy=True)
-        if gains.shape[1] != activations.shape[0]:
-            raise ShapeMismatchError(
-                f"gains has {gains.shape[1]} columns but activations has "
-                f"{activations.shape[0]} rows"
-            )
+        activations = nonnegative(self.activations, "activations", copy=True,
+                                  shape=(gains.shape[1], "T"))
         object.__setattr__(self, "gains", _frozen(gains))
         object.__setattr__(self, "activations", _frozen(activations))
 
@@ -284,12 +287,10 @@ def load_masked_csv(path) -> MaskedMatrix:
                         table["observed"].reshape(n_rows, n_cols))
 
 
-def save_dense_csv(matrix: np.ndarray, path) -> None:
-    """Write a dense matrix as plain CSV (no header), one line of reprs per row."""
-    arr = np.asarray(matrix, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeMismatchError(f"expected 2-D matrix, got shape {arr.shape}")
-    write_csv(path, None, (",".join(map(repr, row.tolist())) + "\n" for row in arr))
+def save_dense_csv(a: np.ndarray, path) -> None:
+    """Write the dense matrix a as plain CSV (no header), one line of reprs per row."""
+    write_csv(path, None, (",".join(map(repr, row.tolist())) + "\n"
+                           for row in matrix(a, "matrix")))
 
 
 def _dense_rows(reader) -> np.ndarray:
@@ -312,7 +313,7 @@ def load_dense_csv(path) -> np.ndarray:
     field count differs from the first row's, raises ValueError naming its
     line.
     """
-    matrix = _read_csv(path, None, np.float64, 2, _dense_rows)
-    if not matrix.size:
+    arr = _read_csv(path, None, np.float64, 2, _dense_rows)
+    if not arr.size:
         raise ValueError("empty dense-matrix file")
-    return matrix
+    return arr

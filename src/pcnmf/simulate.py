@@ -132,9 +132,14 @@ def place_network(cfg: ScenarioConfig,
 
 
 def path_gain(d, cfg: ScenarioConfig):
-    """Power attenuation (d / d0)^(-alpha); a zero distance is treated as d0."""
-    dist = np.where(np.asarray(d, dtype=np.float64) == 0.0, cfg.d0, d)
-    return (dist / cfg.d0) ** (-cfg.alpha)
+    """Power attenuation (d / d0)^(-alpha); a zero distance is treated as d0.
+
+    Raises ValueError unless every distance is finite and >= 0.
+    """
+    dist = np.asarray(d, dtype=np.float64)
+    if not (np.isfinite(dist).all() and (dist >= 0).all()):
+        raise ValueError("distances must be finite and >= 0")
+    return (np.where(dist == 0.0, cfg.d0, dist) / cfg.d0) ** (-cfg.alpha)
 
 
 def _cn01(rng: np.random.Generator, size=None):
@@ -199,6 +204,8 @@ def activation_rate_for_duty(duty: float, a_j: float) -> float:
     """Activation probability giving the requested duty cycle b/(a+b) = duty."""
     if not (_is(Real, duty) and 0 < duty < 1):
         raise ValueError("duty must be in (0, 1)")
+    if not (_is(Real, a_j) and 0 <= a_j <= 1):
+        raise ValueError("a_j must be in [0, 1]")
     return duty * a_j / (1.0 - duty)
 
 

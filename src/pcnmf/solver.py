@@ -98,7 +98,7 @@ from numbers import Real
 import numpy as np
 
 from ._config import _is, check_dict, check_fields
-from .matrices import FactorPair, MaskedMatrix, ShapeMismatchError, nonnegative, write_csv
+from .matrices import FactorPair, MaskedMatrix, nonnegative, write_csv
 
 # Activations are floored here after every update: the diagonal majorizer
 # divides by the current activation, so an exact zero would lock the
@@ -446,25 +446,17 @@ def _rescale(gains, acts, rng):
 
 # ------------------------------------------------------- public step functions
 
-def _check_epsilon(epsilon) -> None:
-    """ValueError unless epsilon is a finite real number > 0, as in SolverConfig."""
-    if not (_is(Real, epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be a finite number > 0, got {epsilon!r}")
-
-
-def _operand(a, name: str, rows: int, cols: int | None = None) -> np.ndarray:
-    """a through nonnegative; ShapeMismatchError unless rows x cols (cols None: any)."""
-    arr = nonnegative(a, name)
-    if arr.shape != (rows, arr.shape[1] if cols is None else cols):
-        raise ShapeMismatchError(f"{name} shape {arr.shape} does not match "
-                                 f"{rows} x {'K' if cols is None else cols}")
-    return arr
+def _check_real(name: str, value, low: float, strict: bool = False) -> None:
+    """ValueError unless value is a finite real >= low (> low if strict), as in SolverConfig."""
+    if not (_is(Real, value) and (value > low if strict else value >= low)):
+        raise ValueError(f"{name} must be a finite number {'>' if strict else '>='} {low}, "
+                         f"got {value!r}")
 
 
 def _pair(s: MaskedMatrix, gains, acts) -> tuple[np.ndarray, np.ndarray]:
-    """(gains, acts) as operands: N x K gains for the N sensors of s, K x T acts."""
-    gains = _operand(gains, "gains", s.n_rows)
-    return gains, _operand(acts, "activations", gains.shape[1], s.n_cols)
+    """(gains, acts) through nonnegative: N x K gains for the N sensors of s, K x T acts."""
+    gains = nonnegative(gains, "gains", shape=(s.n_rows, "K"))
+    return gains, nonnegative(acts, "activations", shape=(gains.shape[1], s.n_cols))
 
 
 def weighted_fit(s: MaskedMatrix, pair: FactorPair) -> float:
@@ -479,7 +471,7 @@ def penalty_smoothed(activations: np.ndarray, epsilon: float) -> float:
     Each consecutive difference d contributes d^2 / (d^2 + epsilon^2),
     which is 0 for a flat pair and approaches 1 for any clear transition.
     """
-    _check_epsilon(epsilon)
+    _check_real("epsilon", epsilon, 0, strict=True)
     return _penalty(_transitions(nonnegative(activations, "activations")), epsilon)
 
 
@@ -515,7 +507,7 @@ def compute_reweights(p_prev: np.ndarray, epsilon: float) -> np.ndarray:
     transition each, so no slot sees a phantom neighbor. Note epsilon is
     added as-is here but squared in penalty_smoothed.
     """
-    _check_epsilon(epsilon)
+    _check_real("epsilon", epsilon, 0, strict=True)
     return _reweights(_transitions(nonnegative(p_prev, "activations")), epsilon)
 
 
@@ -529,9 +521,10 @@ def surrogate_per_slot(s: MaskedMatrix, gains: np.ndarray, p_new: np.ndarray,
     transitions, weighted by the K x (T-1) w). Touches the slot fit at
     p_new == p_ref when beta == 0; the activation sweep cannot increase it.
     """
+    _check_real("beta", beta, 0)
     gains, p_ref = _pair(s, gains, p_ref)
-    p_new = _operand(p_new, "activations", *p_ref.shape)
-    w = _operand(w, "reweights", p_ref.shape[0], max(s.n_cols - 1, 0))
+    p_new = nonnegative(p_new, "activations", shape=p_ref.shape)
+    w = nonnegative(w, "reweights", shape=(p_ref.shape[0], max(s.n_cols - 1, 0)))
     data, curv, sq_resid = _expand_at(_Workspace(gains, p_ref), s, gains, p_ref)
     c_ref = 0.5 * sq_resid.sum(axis=0)
     grad = curv - data
@@ -666,7 +659,7 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     sum log1p(d^2 / epsilon), the objective the joint step descends; at
     beta = 0 that is the fit, and no transition or reweight is computed.
     """
-    gains = _operand(gains_fixed, "gains", s.n_rows)
+    gains = nonnegative(gains_fixed, "gains", shape=(s.n_rows, "K"))
     values, mask, beta, eps, guard = s.values, s.mask, cfg.beta, cfg.epsilon, cfg.guard
     acts = _init_draw(np.random.default_rng(cfg.init_seed), (gains.shape[1], s.n_cols))
     ws = _Workspace(gains, acts)

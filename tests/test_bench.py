@@ -93,14 +93,14 @@ def test_rmse_undefined_without_missing_entries():
 
 
 @pytest.mark.parametrize("scorer", [rmse_missing, rmse_missing_pooled])
-@pytest.mark.parametrize("shapes", [
-    ((2, 3), (2, 3), (2, 4)),
-    ((2, 3), (3, 3), (2, 3)),
-    ((2, 4), (2, 3), (2, 3)),
-])
-def test_rmse_shape_mismatch_is_named_error(scorer, shapes):
+@pytest.mark.parametrize("shapes, named", [
+    (((2, 3), (2, 3), (2, 4)), "mask shape (2, 4) does not match 2 x 3"),
+    (((2, 3), (3, 3), (2, 3)), "truth shape (3, 3) does not match 2 x 3"),
+    (((2, 4), (2, 3), (2, 3)), "truth shape (2, 3) does not match 2 x 4"),
+], ids=["shapes0", "shapes1", "shapes2"])
+def test_rmse_shape_mismatch_is_named_error(scorer, shapes, named):
     rec, tru, mask = (np.zeros(shape) for shape in shapes)
-    with pytest.raises(ValueError, match="shapes must match"):
+    with pytest.raises(ShapeMismatchError, match=re.escape(named)):
         scorer(rec, tru, mask)
 
 
@@ -215,10 +215,14 @@ def test_scale_rows_rank_12_is_fast():
     assert np.allclose(scaled, ref[order], rtol=1e-12)
 
 
-@pytest.mark.parametrize("shapes", [((2, 3), (3, 3)), ((2, 3), (2, 4)), ((6,), (2, 3))])
-def test_scale_rows_shape_mismatch_is_named_error(shapes):
+@pytest.mark.parametrize("shapes, named", [
+    (((2, 3), (3, 3)), "reference shape (3, 3) does not match 2 x 3"),
+    (((2, 3), (2, 4)), "reference shape (2, 4) does not match 2 x 3"),
+    (((6,), (2, 3)), "estimate must be 2-D, got shape (6,)"),
+], ids=["shapes0", "shapes1", "shapes2"])
+def test_scale_rows_shape_mismatch_is_named_error(shapes, named):
     est, ref = (np.ones(shape) for shape in shapes)
-    with pytest.raises(ValueError, match="estimate and reference must have the same shape"):
+    with pytest.raises(ShapeMismatchError, match=re.escape(named)):
         scale_rows_to_reference(est, ref)
 
 
@@ -229,15 +233,19 @@ def test_scale_rows_rejects_non_finite_input(argument, bad):
     arrays = {"estimate": rng.uniform(0, 1, (3, 10)),
               "reference": rng.uniform(0, 1, (3, 10))}
     arrays[argument][1, 4] = bad
-    with pytest.raises(ValueError, match=f"{argument} has non-finite entries"):
+    with pytest.raises(ValueError, match=f"^{argument} must be finite$"):
         scale_rows_to_reference(**arrays)
 
 
 @pytest.mark.parametrize("call, error, named", [
     (lambda: rmse_missing(np.ones(3), np.ones(3), np.zeros(3)), ShapeMismatchError,
-     "mask must be 2-D, got shape (3,)"),
+     "reconstructed must be 2-D, got shape (3,)"),
     (lambda: rmse_missing_pooled(np.ones((1, 2, 3)), np.ones((1, 2, 3)), np.zeros((1, 2, 3))),
-     ShapeMismatchError, "mask must be 2-D, got shape (1, 2, 3)"),
+     ShapeMismatchError, "reconstructed must be 2-D, got shape (1, 2, 3)"),
+    (lambda: rmse_missing(np.ones((1, 3)), np.ones(3), np.zeros((1, 3))), ShapeMismatchError,
+     "truth must be 2-D, got shape (3,)"),
+    (lambda: rmse_missing_pooled(np.ones((1, 3)), np.ones((1, 3)), np.zeros(3)),
+     ShapeMismatchError, "mask must be 2-D, got shape (3,)"),
     (lambda: rmse_missing(np.ones((2, 3)), np.ones((2, 3)), np.full((2, 3), 0.5)), ValueError,
      "mask entries must be exactly 0 or 1"),
     (lambda: rmse_missing_pooled(np.ones((1, 2)), np.ones((1, 2)), [[0.0, np.nan]]), ValueError,
@@ -245,9 +253,9 @@ def test_scale_rows_rejects_non_finite_input(argument, bad):
     (lambda: transition_count(np.ones(4), 0.5), ShapeMismatchError,
      "activations must be 2-D, got shape (4,)"),
     (lambda: transition_count([[1.0, np.nan, 1.0]], 0.5), ValueError,
-     "activations has non-finite entries"),
+     "activations must be finite"),
     (lambda: transition_count([[1.0, np.inf]], 0.5), ValueError,
-     "activations has non-finite entries"),
+     "activations must be finite"),
     (lambda: scale_rows_to_reference(np.ones(3), np.ones(3)), ShapeMismatchError,
      "estimate must be 2-D, got shape (3,)"),
 ])
@@ -389,6 +397,34 @@ def test_wnmf_method_is_solver_with_zero_penalty():
     assert pc.rmse == wn.rmse
     assert pc.fit == wn.fit
     assert pc.iterations == wn.iterations
+
+
+def scenario_of(cfg, trial_index):
+    """The truth run_trial generates for trial_index of cfg."""
+    seed = bench.derive_trial_seeds(cfg.scenario.seed, trial_index)[0]
+    return bench.generate_scenario(dataclasses.replace(cfg.scenario, seed=seed))
+
+
+@pytest.mark.parametrize("scenario, rank, active, counted", [
+    (ScenarioConfig(seed=42, n_pu=2, n_su=6, t_slots=30, noise_var=1e-8), 2, True, True),
+    (ScenarioConfig(seed=42, n_pu=2, n_su=6, t_slots=30, noise_var=1e-8), 1, True, False),
+    (ScenarioConfig(seed=0, n_pu=1, n_su=6, t_slots=30, noise_var=1e-8, duty=0.1,
+                    a_range=(0.05, 0.1)), 1, False, False),
+    (ScenarioConfig(seed=42, n_pu=2, n_su=6, t_slots=30, noise_var=1e-8,
+                    power_range=(0.0, 0.0)), 2, True, False),
+], ids=["counted", "rank-not-n_pu", "no-active-slot", "zero-power"])
+def test_transitions_are_nan_where_the_count_is_undefined(scenario, rank, active, counted):
+    # The count compares rows of the estimate with the true powers, one to one,
+    # against a threshold of 0.1 x their mean active power: without one row per
+    # transmitter, an active slot, or a positive power it is undefined.
+    cfg = tiny_experiment(scenario=scenario,
+                          solver=SolverConfig(beta=5e-3, rank=rank, max_iters=20, rel_tol=0.0))
+    assert scenario_of(cfg, 0).activity.any() == active
+    results = run_trial(cfg, 0)
+    assert [r.method for r in results] == ["pcnmf", "wnmf"]
+    for r in results:
+        assert not r.failed and math.isfinite(r.rmse)
+        assert math.isfinite(r.transitions) == counted
 
 
 def test_run_trial_can_export_traces(tmp_path):

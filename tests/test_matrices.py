@@ -56,7 +56,7 @@ def test_construction_never_writes_or_shares_caller_arrays():
 
 def test_masked_matrix_rejects_bad_input():
     ones = np.ones((2, 2))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ShapeMismatchError, match=re.escape("mask shape (2, 2) does not match 2 x 3")):
         MaskedMatrix(np.ones((2, 3)), ones)
     with pytest.raises(ValueError):
         MaskedMatrix(ones, np.full((2, 2), 0.5))
@@ -71,9 +71,9 @@ def test_masked_matrix_rejects_bad_input():
     (lambda tmp_path: MaskedMatrix(np.ones((1, 3)), np.ones((1, 1, 3))),
      "mask must be 2-D, got shape (1, 1, 3)"),
     (lambda tmp_path: save_dense_csv(np.ones(3), tmp_path / "a.csv"),
-     "expected 2-D matrix, got shape (3,)"),
+     "matrix must be 2-D, got shape (3,)"),
     (lambda tmp_path: save_dense_csv(np.ones((2, 2, 2)), tmp_path / "a.csv"),
-     "expected 2-D matrix, got shape (2, 2, 2)"),
+     "matrix must be 2-D, got shape (2, 2, 2)"),
 ], ids=["masked-values-1d", "masked-mask-3d", "dense-1d", "dense-3d"])
 def test_non_2d_matrix_is_named_error(tmp_path, call, named):
     with pytest.raises(ShapeMismatchError, match=re.escape(named)):
@@ -90,7 +90,8 @@ def test_masked_matrix_is_immutable():
 
 
 def test_factor_pair_validation():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ShapeMismatchError,
+                       match=re.escape("activations shape (3, 4) does not match 2 x T")):
         FactorPair(np.ones((3, 2)), np.ones((3, 4)))
     with pytest.raises(ValueError):
         FactorPair(-np.ones((3, 2)), np.ones((2, 4)))

@@ -75,6 +75,13 @@ def test_path_gain_zero_distance_clamped():
     assert path_gain(0.0, cfg) == 1.0
 
 
+@pytest.mark.parametrize("d", [-1.0, float("nan"), float("inf"), [[0.5, -0.5]], [1.0, np.nan]],
+                         ids=["negative", "nan", "inf", "negative-entry", "nan-entry"])
+def test_path_gain_refuses_a_distance_that_is_not_finite_and_nonnegative(d):
+    with pytest.raises(ValueError, match=r"^distances must be finite and >= 0$"):
+        path_gain(d, ScenarioConfig())
+
+
 def test_path_gain_matches_formula_on_grid():
     cfg = ScenarioConfig(d0=0.05, alpha=3.1)
     d = np.linspace(0.01, 40.0, 57)
@@ -145,9 +152,15 @@ def test_markov_rejects_bad_probabilities():
     (lambda: activation_rate_for_duty(1.0, 0.1), "duty must be in (0, 1)"),
     (lambda: activation_rate_for_duty(0.0, 0.1), "duty must be in (0, 1)"),
     (lambda: activation_rate_for_duty("0.3", 0.1), "duty must be in (0, 1)"),
+    (lambda: activation_rate_for_duty(0.3, -0.5), "a_j must be in [0, 1]"),
+    (lambda: activation_rate_for_duty(0.3, float("nan")), "a_j must be in [0, 1]"),
+    (lambda: activation_rate_for_duty(0.3, 2.0), "a_j must be in [0, 1]"),
+    (lambda: activation_rate_for_duty(0.3, True), "a_j must be in [0, 1]"),
+    (lambda: activation_rate_for_duty(0.3, "0.1"), "a_j must be in [0, 1]"),
 ], ids=["fading-eta-high", "fading-eta-low", "fading-eta-bool", "fading-eta-str",
         "markov-a-bool", "markov-b-bool", "markov-a-str",
-        "duty-one", "duty-zero", "duty-str"])
+        "duty-one", "duty-zero", "duty-str",
+        "a_j-negative", "a_j-nan", "a_j-above-one", "a_j-bool", "a_j-str"])
 def test_scalar_that_scenario_config_refuses_is_named_error(call, named):
     # The public simulator helpers hold their scalars to the config's number
     # rule: a real number, not a bool or a str, in range.

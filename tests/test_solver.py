@@ -1,5 +1,6 @@
 """Solver tests: objective pieces, update rules vs naive oracles, solve/infer."""
 
+import re
 import warnings
 
 import numpy as np
@@ -45,6 +46,18 @@ def test_epsilon_that_solver_config_refuses_is_named_error(step, epsilon):
     acts = random_instance(5)[1].activations
     with pytest.raises(ValueError, match=f"^epsilon must be a finite number > 0, got {epsilon!r}$"):
         step(acts, epsilon)
+
+
+@pytest.mark.parametrize("beta", [np.nan, np.inf, -1.0, True, "1"])
+def test_beta_that_solver_config_refuses_is_named_error(beta):
+    # surrogate_per_slot holds beta to SolverConfig's rule: a finite number >= 0.
+    with pytest.raises(ValueError):
+        SolverConfig(beta=beta)
+    s, pair = random_instance(5)
+    acts = pair.activations
+    named = f"beta must be a finite number >= 0, got {beta!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+        surrogate_per_slot(s, pair.gains, acts, acts, compute_reweights(acts, 1e-6), beta)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
