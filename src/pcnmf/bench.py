@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._config import _is, check_dict, check_fields, check_int
-from .matrices import FactorPair, csv_line, finite, matrix, write_csv
+from ._config import _is, check, check_dict, check_field, check_fields, ranged
+from .matrices import FactorPair, binary, csv_line, finite, write_csv
 from .simulate import ScenarioConfig, generate_scenario
 from .solver import NumericFailureError, SolverConfig, infer_activations, solve, weighted_fit
 
@@ -52,8 +52,8 @@ class ExperimentConfig:
 
     scenario: ScenarioConfig = ScenarioConfig()
     solver: SolverConfig = SolverConfig()
-    trials: int = 50
-    gamma_window: int = 300
+    trials: int = ranged(50, 1)
+    gamma_window: int = ranged(300, 1)  # and at most scenario.t_slots
     sweep: tuple[tuple[str, tuple[float, ...]], ...] = ()
     methods: tuple[str, ...] = _METHODS
 
@@ -63,8 +63,7 @@ class ExperimentConfig:
             if not isinstance(value := getattr(self, name), kind):
                 raise ValueError(f"ExperimentConfig field {name!r} must be a {kind.__name__}, "
                                  f"got {value!r}")
-        check_int("trials", self.trials, 1)
-        if not 1 <= self.gamma_window <= self.scenario.t_slots:
+        if self.gamma_window > self.scenario.t_slots:
             raise ValueError("gamma_window must be in [1, t_slots]")
         object.__setattr__(self, "methods", _check_methods(self.methods))
         object.__setattr__(self, "sweep", _check_sweep(self))
@@ -150,12 +149,10 @@ class TrialResult:
 
 
 def _missing_entries(reconstructed, truth, mask):
-    """(rec, tru, missing): 2-D float64 arrays of one shape and a nonempty missing-cell mask."""
-    rec = matrix(reconstructed, "reconstructed")
-    tru, msk = matrix(truth, "truth", shape=rec.shape), matrix(mask, "mask", shape=rec.shape)
-    if not np.isin(msk, (0, 1)).all():
-        raise ValueError("mask entries must be exactly 0 or 1")
-    missing = msk == 0
+    """(rec, tru, missing): finite 2-D arrays of one shape and their nonempty missing cells."""
+    rec = finite(reconstructed, "reconstructed")
+    tru = finite(truth, "truth", shape=rec.shape)
+    missing = binary(mask, "mask", shape=rec.shape) == 0
     if not missing.any():
         raise UndefinedMetricError("no missing entries to evaluate")
     return rec, tru, missing
@@ -188,8 +185,7 @@ def rmse_missing_pooled(reconstructed: np.ndarray, truth: np.ndarray,
 
 def transition_count(activations: np.ndarray, threshold: float) -> np.ndarray:
     """Per-row count of consecutive differences larger than threshold."""
-    if not (_is(Real, threshold) and threshold > 0):
-        raise ValueError("threshold must be > 0")
+    check("threshold", threshold, "float", 0, strict=True)
     acts = finite(activations, "activations")
     return (np.abs(np.diff(acts, axis=1)) > threshold).sum(axis=1)
 
@@ -263,8 +259,8 @@ def scale_rows_to_reference(estimate: np.ndarray, reference: np.ndarray) -> np.n
 
 def derive_trial_seeds(master_seed: int, trial_index: int) -> tuple[int, int]:
     """(scenario seed, solver init seed) for one trial, keyed on the master seed."""
-    check_int("master_seed", master_seed, 0)
-    check_int("trial_index", trial_index, 0)
+    check_field(ScenarioConfig, "seed", master_seed, "master_seed")
+    check("trial_index", trial_index, "int", 0)
     return tuple(int(np.random.SeedSequence((master_seed, key, trial_index)).generate_state(1)[0])
                  for key in (_TRIAL_SCENARIO, _TRIAL_INIT))
 
@@ -316,7 +312,12 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
             out = Path(trace_dir)
             out.mkdir(parents=True, exist_ok=True)
             trace.to_csv(out / f"trace_{trace_tag}{trial_index}_{method}.csv")
-        s_hat = pair.gains @ acts
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_hat = pair.gains @ acts
+        if not np.isfinite(s_hat).all():
+            results.append(TrialResult(*key, seconds=seconds, failed=True,
+                                       error="reconstruction gains @ activations is not finite"))
+            continue
         try:
             rmse = rmse_missing(s_hat, truth.s_clean, s_full.mask)
             pooled = rmse_missing_pooled(s_hat, truth.s_clean, s_full.mask)
@@ -354,7 +355,7 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
     enables per-trial trace export (file names gain a c<cell>_ prefix when
     sweeping over several cells).
     """
-    check_int("jobs", jobs, 1)
+    check("jobs", jobs, "int", 1)
     cells = [(param, value) for param, values in cfg.sweep for value in values]
     cells = cells or [("none", None)]
     tasks = [

@@ -5,9 +5,10 @@ slots together with a binary availability mask. Missing entries are stored
 as 0 internally so they can never leak into downstream arithmetic; every
 operation multiplies by the mask before the data is used. Factor pairs hold
 the nonnegative (gains, activations) state of a factorization. Every matrix
-argument of the package goes through matrix (2-D, of a given shape), finite
-or nonnegative, each built on the one before, so each kind of bad argument
-raises one message, whichever function was given it.
+argument of the package goes through matrix (2-D, of a given shape), then
+finite or nonnegative, each built on the one before, or binary (a 0/1 mask),
+so each kind of bad argument raises one message, whichever function was
+given it.
 
 Every CSV file pcnmf writes goes through write_csv, fed a row of text at a
 time, and the two matrix loaders share one parse: numpy's C reader, with
@@ -61,6 +62,14 @@ def nonnegative(a, name: str, copy: bool = False, shape=None) -> np.ndarray:
     return arr
 
 
+def binary(a, name: str, copy: bool = False, shape=None) -> np.ndarray:
+    """matrix(a, name, copy, shape), and ValueError naming it unless every entry is 0 or 1."""
+    arr = matrix(a, name, copy, shape)
+    if not ((arr == 0.0) | (arr == 1.0)).all():
+        raise ValueError(f"{name} entries must be exactly 0 or 1")
+    return arr
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -84,13 +93,10 @@ class MaskedMatrix:
 
     def __post_init__(self):
         values = matrix(self.values, "values")
-        mask = matrix(self.mask, "mask", copy=True, shape=values.shape)
-        observed = mask == 1.0
-        if not (observed | (mask == 0.0)).all():
-            raise ValueError("mask entries must be exactly 0 or 1")
+        mask = binary(self.mask, "mask", copy=True, shape=values.shape)
         # One new array, with +0.0 at missing entries: the caller's
         # placeholder is never read, and the caller's array never written.
-        values = nonnegative(np.where(observed, values, 0.0), "observed entries")
+        values = nonnegative(np.where(mask == 1.0, values, 0.0), "observed entries")
         object.__setattr__(self, "values", _frozen(values))
         object.__setattr__(self, "mask", _frozen(mask))
 

@@ -29,11 +29,11 @@ failure can leave a partial directory.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
-from ._config import _is, check_dict, check_fields, number_pair
+from ._config import _is, check, check_dict, check_field, check_fields, number_pair, ranged
 from .matrices import MaskedMatrix, save_dense_csv, save_masked_csv, write_json
 
 # substream tags
@@ -53,40 +53,22 @@ def _substream(seed: int, *key: int) -> np.random.Generator:
 class ScenarioConfig:
     """Physical and sampling parameters of a synthetic scenario."""
 
-    area_side: float = 100.0     # side of the square deployment area
-    n_pu: int = 3                # primary transmitters
-    n_su: int = 20               # sensors
-    t_slots: int = 600           # time slots
-    d0: float = 0.01             # path-loss reference distance
-    alpha: float = 2.5           # path-loss exponent
-    eta: float = 0.9995          # fading memory
-    duty: float = 0.3            # long-run fraction of active slots
+    area_side: float = ranged(100.0, 0)              # side of the square deployment area
+    n_pu: int = ranged(3, 1)                         # primary transmitters
+    n_su: int = ranged(20, 1)                        # sensors
+    t_slots: int = ranged(600, 1)                    # time slots
+    d0: float = ranged(0.01, 0, strict=True)         # path-loss reference distance
+    alpha: float = ranged(2.5, 0, strict=True)       # path-loss exponent
+    eta: float = ranged(0.9995, 0, 1)                # fading memory
+    duty: float = ranged(0.3, 0, 1, strict=True)     # long-run fraction of active slots
     a_range: tuple[float, float] = (0.05, 0.15)      # deactivation prob. support
     power_range: tuple[float, float] = (100.0, 200.0)  # transmit power support
-    p_obs: float = 0.7           # probability a cell is observed
-    noise_var: float = 1e-5      # sensor noise variance
-    seed: int = 0
+    p_obs: float = ranged(0.7, 0, 1)                 # probability a cell is observed
+    noise_var: float = ranged(1e-5, 0)               # sensor noise variance
+    seed: int = ranged(0, 0)
 
     def __post_init__(self):
         check_fields(self)
-        if self.n_pu < 1 or self.n_su < 1 or self.t_slots < 1:
-            raise ValueError("counts must be >= 1")
-        if not 0 < self.duty < 1:
-            raise ValueError("duty must be in (0, 1)")
-        if not 0 <= self.p_obs <= 1:
-            raise ValueError("p_obs must be in [0, 1]")
-        if not 0 <= self.eta <= 1:
-            raise ValueError("eta must be in [0, 1]")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        if self.d0 <= 0:
-            raise ValueError("d0 must be > 0")
-        if self.area_side < 0:
-            raise ValueError("area_side must be >= 0")
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         for name in ("a_range", "power_range"):
             object.__setattr__(self, name, number_pair(name, getattr(self, name)))
         low, high = self.a_range
@@ -164,8 +146,7 @@ def fading_step(h_prev, eta: float, rng: np.random.Generator):
     Preserves a unit stationary second moment: if E|h_prev|^2 = 1 then the
     output has E|h|^2 = 1 for any eta in [0, 1].
     """
-    if not (_is(Real, eta) and 0 <= eta <= 1):
-        raise ValueError("eta must be in [0, 1]")
+    check_field(ScenarioConfig, "eta", eta)
     return _ar1(h_prev, eta, _cn01(rng, np.shape(h_prev)))
 
 
@@ -177,10 +158,9 @@ def markov_activity(a_j: float, b_j: float, t_slots: int,
     initial state (0 or 1) is given. a_j = b_j = 0 freezes the chain in its
     initial state (we default that degenerate start to inactive).
     """
-    if not all(_is(Real, p) and 0 <= p <= 1 for p in (a_j, b_j)):
-        raise ValueError("transition probabilities must be in [0, 1]")
-    if not _is(Integral, t_slots) or t_slots < 1:
-        raise ValueError(f"t_slots must be an int >= 1, got {t_slots!r}")
+    check("a_j", a_j, "float", 0, 1)
+    check("b_j", b_j, "float", 0, 1)
+    check_field(ScenarioConfig, "t_slots", t_slots)
     if initial is not None and not (_is(Integral, initial) and initial in (0, 1)):
         raise ValueError(f"initial must be None, 0 or 1, got {initial!r}")
     if initial is None:
@@ -202,10 +182,8 @@ def markov_activity(a_j: float, b_j: float, t_slots: int,
 
 def activation_rate_for_duty(duty: float, a_j: float) -> float:
     """Activation probability giving the requested duty cycle b/(a+b) = duty."""
-    if not (_is(Real, duty) and 0 < duty < 1):
-        raise ValueError("duty must be in (0, 1)")
-    if not (_is(Real, a_j) and 0 <= a_j <= 1):
-        raise ValueError("a_j must be in [0, 1]")
+    check_field(ScenarioConfig, "duty", duty)
+    check("a_j", a_j, "float", 0, 1)
     return duty * a_j / (1.0 - duty)
 
 

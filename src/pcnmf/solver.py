@@ -93,11 +93,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
-from ._config import _is, check_dict, check_fields
+from ._config import check_dict, check_field, check_fields, ranged
 from .matrices import FactorPair, MaskedMatrix, nonnegative, write_csv
 
 # Activations are floored here after every update: the diagonal majorizer
@@ -132,32 +131,20 @@ class SolverConfig:
                the module's epsilon note.
     init_seed: seed for the uniform (0.1, 1.1) factor initialization.
     guard    : tiny positive value protecting denominators.
+
+    Each field's range is declared beside its default, with _config.ranged.
     """
 
-    beta: float = 5e-3
-    epsilon: float = 1e-6
-    rank: int = 5
-    max_iters: int = 1000
-    rel_tol: float = 1e-8
-    init_seed: int = 0
-    guard: float = 1e-12
+    beta: float = ranged(5e-3, 0)
+    epsilon: float = ranged(1e-6, 0, strict=True)
+    rank: int = ranged(5, 1)
+    max_iters: int = ranged(1000, 1)
+    rel_tol: float = ranged(1e-8, 0)
+    init_seed: int = ranged(0, 0)
+    guard: float = ranged(1e-12, 0, strict=True)
 
     def __post_init__(self):
         check_fields(self)
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.rel_tol < 0:
-            raise ValueError("rel_tol must be >= 0")
-        if self.init_seed < 0:
-            raise ValueError("init_seed must be >= 0")
-        if self.guard <= 0:
-            raise ValueError("guard must be > 0")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SolverConfig":
@@ -446,13 +433,6 @@ def _rescale(gains, acts, rng):
 
 # ------------------------------------------------------- public step functions
 
-def _check_real(name: str, value, low: float, strict: bool = False) -> None:
-    """ValueError unless value is a finite real >= low (> low if strict), as in SolverConfig."""
-    if not (_is(Real, value) and (value > low if strict else value >= low)):
-        raise ValueError(f"{name} must be a finite number {'>' if strict else '>='} {low}, "
-                         f"got {value!r}")
-
-
 def _pair(s: MaskedMatrix, gains, acts) -> tuple[np.ndarray, np.ndarray]:
     """(gains, acts) through nonnegative: N x K gains for the N sensors of s, K x T acts."""
     gains = nonnegative(gains, "gains", shape=(s.n_rows, "K"))
@@ -471,7 +451,7 @@ def penalty_smoothed(activations: np.ndarray, epsilon: float) -> float:
     Each consecutive difference d contributes d^2 / (d^2 + epsilon^2),
     which is 0 for a flat pair and approaches 1 for any clear transition.
     """
-    _check_real("epsilon", epsilon, 0, strict=True)
+    check_field(SolverConfig, "epsilon", epsilon)
     return _penalty(_transitions(nonnegative(activations, "activations")), epsilon)
 
 
@@ -507,7 +487,7 @@ def compute_reweights(p_prev: np.ndarray, epsilon: float) -> np.ndarray:
     transition each, so no slot sees a phantom neighbor. Note epsilon is
     added as-is here but squared in penalty_smoothed.
     """
-    _check_real("epsilon", epsilon, 0, strict=True)
+    check_field(SolverConfig, "epsilon", epsilon)
     return _reweights(_transitions(nonnegative(p_prev, "activations")), epsilon)
 
 
@@ -521,7 +501,7 @@ def surrogate_per_slot(s: MaskedMatrix, gains: np.ndarray, p_new: np.ndarray,
     transitions, weighted by the K x (T-1) w). Touches the slot fit at
     p_new == p_ref when beta == 0; the activation sweep cannot increase it.
     """
-    _check_real("beta", beta, 0)
+    check_field(SolverConfig, "beta", beta)
     gains, p_ref = _pair(s, gains, p_ref)
     p_new = nonnegative(p_new, "activations", shape=p_ref.shape)
     w = nonnegative(w, "reweights", shape=(p_ref.shape[0], max(s.n_cols - 1, 0)))

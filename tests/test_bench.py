@@ -125,7 +125,9 @@ def test_transition_count_matches_scan_oracle():
 
 @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf, True, "1"])
 def test_transition_count_rejects_threshold_not_above_zero(threshold):
-    with pytest.raises(ValueError, match="threshold must be > 0"):
+    rule = "must be > 0" if threshold in (0.0, -1.0) else "must be finite"
+    named = f"threshold {rule}, got {threshold!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
         transition_count(np.ones((1, 4)), threshold)
 
 
@@ -262,6 +264,35 @@ def test_scale_rows_rejects_non_finite_input(argument, bad):
 def test_scorer_refuses_input_that_is_not_a_matrix(call, error, named):
     with pytest.raises(error, match=re.escape(named)):
         call()
+
+
+@pytest.mark.parametrize("scorer", [rmse_missing, rmse_missing_pooled])
+@pytest.mark.parametrize("argument", ["reconstructed", "truth", "mask"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_scorer_refuses_non_finite_input(scorer, argument, bad):
+    # The bad entry sits in a missing cell, where it would enter the score.
+    arrays = {"reconstructed": np.ones((2, 3)), "truth": np.ones((2, 3)),
+              "mask": np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])}
+    arrays[argument][0, 0] = bad
+    named = ("mask entries must be exactly 0 or 1" if argument == "mask"
+             else f"{argument} must be finite")
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        scorer(**arrays)
+
+
+def test_reconstruction_that_is_not_finite_is_a_failed_row(monkeypatch):
+    # With one sensor both unit-norm gains columns are [[1.0]], so gains @ acts
+    # adds two activations of 1e308 and overflows. The row fails by name, with
+    # no RuntimeWarning (an error under this suite) and no inf score.
+    cfg = tiny_experiment(trials=1, scenario=ScenarioConfig(seed=42, n_pu=2, n_su=1, t_slots=30))
+    monkeypatch.setattr(bench, "infer_activations",
+                        lambda s, gains, cfg: np.full((gains.shape[1], s.n_cols), 1e308))
+    summary, rows = run_sweep(cfg)
+    assert [(r.method, r.failed, r.error) for r in rows] == [
+        (method, True, "reconstruction gains @ activations is not finite")
+        for method in ("pcnmf", "wnmf")]
+    assert all(math.isnan(r.rmse) and math.isnan(r.rmse_pooled) and r.seconds > 0 for r in rows)
+    assert [(row.trials_ok, row.trials_failed) for row in summary] == [(0, 1), (0, 1)]
 
 
 # --------------------------------------------------------------------- trials

@@ -274,10 +274,11 @@ def test_simulate_huge_count_is_named_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, named", [
-    ("simulate", "seed must be >= 0"),
-    ("solve", "init_seed must be >= 0"),
-    ("benchmark", "seed must be >= 0"),
-])
+    ("simulate", "ScenarioConfig field 'seed' must be >= 0, got -1"),
+    ("solve", "SolverConfig field 'init_seed' must be >= 0, got -1"),
+    ("benchmark", "ScenarioConfig field 'seed' must be >= 0, got -1"),
+], ids=["simulate-seed must be >= 0", "solve-init_seed must be >= 0",
+        "benchmark-seed must be >= 0"])
 def test_negative_seed_flag_is_named_error(tmp_path, capsys, command, named):
     argv = [command, "--seed", "-1", "--out", str(tmp_path / "x")]
     if command == "solve":
