@@ -312,20 +312,25 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
             out = Path(trace_dir)
             out.mkdir(parents=True, exist_ok=True)
             trace.to_csv(out / f"trace_{trace_tag}{trial_index}_{method}.csv")
+        # A reconstruction that overflows, or whose squared error does, is a
+        # failed row; a NaN score means only that no cell is missing.
         with np.errstate(over="ignore", invalid="ignore"):
             s_hat = pair.gains @ acts
-        if not np.isfinite(s_hat).all():
-            results.append(TrialResult(*key, seconds=seconds, failed=True,
-                                       error="reconstruction gains @ activations is not finite"))
+            error = "" if np.isfinite(s_hat).all() else "reconstruction gains @ activations is not finite"
+            if not error:
+                try:
+                    rmse = rmse_missing(s_hat, truth.s_clean, s_full.mask)
+                    pooled = rmse_missing_pooled(s_hat, truth.s_clean, s_full.mask)
+                except UndefinedMetricError:
+                    rmse = pooled = _NAN
+                fit = weighted_fit(s_full, FactorPair(pair.gains, acts))
+                if np.isinf([rmse, pooled]).any() or not np.isfinite(fit):
+                    error = "score of gains @ activations is not finite"
+        if error:
+            results.append(TrialResult(*key, seconds=seconds, failed=True, error=error))
             continue
-        try:
-            rmse = rmse_missing(s_hat, truth.s_clean, s_full.mask)
-            pooled = rmse_missing_pooled(s_hat, truth.s_clean, s_full.mask)
-        except UndefinedMetricError:
-            rmse = pooled = _NAN
         results.append(TrialResult(
-            *key, rmse=rmse, rmse_pooled=pooled,
-            fit=weighted_fit(s_full, FactorPair(pair.gains, acts)),
+            *key, rmse=rmse, rmse_pooled=pooled, fit=fit,
             iterations=trace.iterations, seconds=seconds,
             transitions=_estimate_transitions(acts, truth.p_true, truth.activity),
         ))

@@ -11,9 +11,10 @@ quadratic transition weights from the previous activations (iterative
 reweighting), takes one closed-form activation sweep, one multiplicative
 gains update, and renormalizes the gains columns to unit 2-norm (absorbing
 scale into the activations) to stop the penalty from draining the
-activations to zero. infer_activations, with the gains frozen, minimizes the
-same two majorizers jointly along time instead of slot by slot: one
-tridiagonal solve per activation row, which at beta = 0 is the sweep.
+activations to zero. infer_activations, with the gains frozen, starts from
+the raw init draw and minimizes the same two majorizers jointly along time
+instead of slot by slot: one tridiagonal solve per activation row, for the
+increment from the current activations, which at beta = 0 is the sweep.
 
 With beta = 0 and a full mask the updates coincide, in exact arithmetic and
 elementwise in floating point, with the classical Euclidean multiplicative
@@ -36,6 +37,8 @@ before its loop and two products per iteration, G^T (W ⊙ G P) and G P.
 At beta > 0 its joint step then reduces the K tridiagonal systems in
 ceil(log2 T) levels of fourteen elementwise passes over K x T each; at the
 paper shape (K = 5, T = 600) those levels cost more than both products.
+Besides its levels the joint step makes seventeen passes over K x T at
+beta > 0, six of them for the residual, and four at beta = 0.
 The state at the end of an iteration (W ⊙ G P and d^2 = diff(P)^2) is
 carried into the next one: W ⊙ G P feeds the next curvature, and d^2 both
 the penalty term of the stop objective and the next reweights. The
@@ -90,7 +93,6 @@ it.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -226,7 +228,7 @@ class _Workspace:
         self.low = np.empty((rank, n_cols), dtype=bool)
         self.lower = np.empty((rank, n_cols))           # joint step's couplings
         self.upper = np.empty((rank, n_cols))
-        self.flat = np.empty((4, rank * n_cols))        # its reduction factors
+        self.flat = np.empty((4, rank * n_cols))        # its residual, then factors
         self.gains_num = np.empty((n_rows, rank))
         self.gains_den = np.empty((n_rows, rank))
 
@@ -348,26 +350,44 @@ def _joint_activation_step(ws, p, data, curv, w, beta: float, guard: float):
     diag is _activation_step's denominator, with the guard taken on curv
     alone so that every row stays strictly diagonally dominant, also a row
     that sees no data (curv = 0), where the system would be singular. The
-    matrix is then an M-matrix and the right side is >= 0, so new >= 0. At
-    beta = 0 the rows decouple and no reduction level runs: new is data * p
-    / max(curv, guard), _activation_step's beta = 0 result bit for bit.
-    Writes ws.den, ws.pull, ws.lower, ws.upper and ws.flat; the new acts are
-    a fresh array.
+    matrix is then an M-matrix and the right side is >= 0, so new >= 0.
+
+    With T > 1 the system is solved for the increment new - p, whose right
+    side is the residual data_t p_t - (diag_t p_t - lower_t p_(t-1) -
+    upper_t p_(t+1)), and new = max(p + increment, ACTIVATION_FLOOR). The
+    residual vanishes as the iterates converge, so the rounding of the
+    reduction shrinks with it instead of jittering the iterates near a
+    plateau. At beta = 0 and at T = 1 no slot is coupled and no reduction
+    level runs: new is data * p / max(curv, guard), _activation_step's
+    beta = 0 result bit for bit. Writes ws.den, ws.pull, ws.lower, ws.upper
+    and ws.flat; the new acts are a fresh array.
     """
     diag = np.maximum(curv, guard, out=ws.den)
     rhs = np.multiply(data, p, out=ws.pull)
-    if beta:
-        two_beta, lower, upper = 2.0 * beta, ws.lower, ws.upper
-        lower[:, :1] = 0.0
-        np.multiply(w, p[:, 1:], out=lower[:, 1:])
-        np.multiply(two_beta, lower, out=lower)
-        upper[:, -1:] = 0.0
-        np.multiply(w, p[:, :-1], out=upper[:, :-1])
-        np.multiply(two_beta, upper, out=upper)
-        np.add(diag, lower, out=diag)
-        np.add(diag, upper, out=diag)
-        _reduce_rows(ws, p.shape[1])
+    if not beta or p.shape[1] < 2:
+        new = np.divide(rhs, diag)
+        return np.maximum(new, ACTIVATION_FLOOR, out=new)
+    two_beta, lower, upper = 2.0 * beta, ws.lower, ws.upper
+    lower[:, :1] = 0.0
+    np.multiply(w, p[:, 1:], out=lower[:, 1:])
+    np.multiply(two_beta, lower, out=lower)
+    upper[:, -1:] = 0.0
+    np.multiply(w, p[:, :-1], out=upper[:, :-1])
+    np.multiply(two_beta, upper, out=upper)
+    np.add(diag, lower, out=diag)
+    np.add(diag, upper, out=diag)
+    # The residual, on the flat K*T layout of _reduce_rows and in the rows of
+    # ws.flat it reuses: lower and upper are zero where a product would
+    # reach into a neighboring row, so those terms subtract exact zeros.
+    a_p, term = ws.flat[0], ws.flat[1, :-1]
+    flat_p, flat_lower, flat_upper = (a.reshape(-1) for a in (p, lower, upper))
+    np.multiply(diag.reshape(-1), flat_p, out=a_p)
+    a_p[1:] -= np.multiply(flat_lower[1:], flat_p[:-1], out=term)
+    a_p[:-1] -= np.multiply(flat_upper[:-1], flat_p[1:], out=term)
+    np.subtract(rhs, a_p.reshape(p.shape), out=rhs)
+    _reduce_rows(ws, p.shape[1])
     new = np.divide(rhs, diag)
+    np.add(p, new, out=new)
     return np.maximum(new, ACTIVATION_FLOOR, out=new)
 
 
@@ -595,55 +615,26 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
     return FactorPair(gains, acts), trace
 
 
-def _observed_mean(x: np.ndarray, observed) -> float:
-    """x.sum() / observed, also where that sum overflows and x does not.
-
-    Only then is the mean taken over x / x.max() and scaled back, so a
-    mean that fits a float is computed exactly as a plain sum would.
-    """
-    with np.errstate(over="ignore"):
-        mean = float(x.sum() / observed)
-    if not math.isfinite(mean):
-        top = float(x.max())
-        if math.isfinite(top):
-            mean = float((x / top).sum() / observed) * top
-    return mean
-
-
-def _calibrated(ws, values, mask, gains, acts):
-    """acts scaled so the masked reconstruction's mean matches the data's.
-
-    The joint step would recover the scale from the raw draw within about
-    10 iterations. The calibration stays because WNMF (beta = 0) inference
-    and tests/reference_solver.py start from the calibrated draw, bit for
-    bit.
-    """
-    observed = mask.sum()
-    if observed > 0:
-        rec_mean = _observed_mean(_masked_product(ws, mask, gains, acts), observed)
-        if rec_mean > 0:
-            acts = acts * (_observed_mean(values, observed) / rec_mean)
-            acts = np.maximum(acts, ACTIVATION_FLOOR)
-    return acts
-
-
 def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
                       cfg: SolverConfig) -> np.ndarray:
     """Estimate activations for frozen gains (no gains update, no rescale).
 
-    Each iteration recomputes the reweights and takes one joint activation
-    step (_joint_activation_step): the fit majorizer and the reweighted
+    Starts from the raw init draw of cfg.init_seed. Each iteration
+    recomputes the reweights and takes one joint activation step
+    (_joint_activation_step): the fit majorizer and the reweighted
     quadratic minimized over all slots at once, one tridiagonal solve per
-    activation row. At beta = 0 that step is solve's activation sweep, bit
-    for bit. Runs until cfg's stop rule on majorized = fit + beta *
-    sum log1p(d^2 / epsilon), the objective the joint step descends; at
-    beta = 0 that is the fit, and no transition or reweight is computed.
+    activation row, for the increment from the current activations. At
+    beta = 0 that step is solve's activation sweep, bit for bit, and sees
+    the scale of the start only through rounding; at beta > 0 it recovers
+    that scale within a few iterations. Runs until cfg's stop rule on
+    majorized = fit + beta * sum log1p(d^2 / epsilon), the objective the
+    joint step descends; at beta = 0 that is the fit, and no transition or
+    reweight is computed.
     """
     gains = nonnegative(gains_fixed, "gains", shape=(s.n_rows, "K"))
     values, mask, beta, eps, guard = s.values, s.mask, cfg.beta, cfg.epsilon, cfg.guard
     acts = _init_draw(np.random.default_rng(cfg.init_seed), (gains.shape[1], s.n_cols))
     ws = _Workspace(gains, acts)
-    acts = _calibrated(ws, values, mask, gains, acts)
     data = np.matmul(gains.T, values, out=ws.data)
 
     def majorized():

@@ -2,9 +2,11 @@
 
 These are the `solve` and `infer_activations` loops as they were written
 before the shared MM kernel in `pcnmf.solver`, with the step functions they
-called, copied without change. Every iterate, trace record and stop
-iteration of the kernel must equal what these loops produce, bit for bit.
-Do not edit this file to follow the solver: a difference is a solver bug.
+called, copied without change but for one: inference starts from the raw
+init draw, as the kernel's does, not from a draw calibrated to the data's
+mean. Every iterate, trace record and stop iteration of the kernel must
+equal what these loops produce, bit for bit. Do not edit this file to
+follow the solver: a difference is a solver bug.
 
 At beta > 0, infer_activations takes a joint step along time instead of
 the sweep, and stops on the objective that step descends;
@@ -259,16 +261,6 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
 
     rng = np.random.default_rng(cfg.init_seed)
     acts = rng.uniform(0.1, 1.1, size=(gains.shape[1], s.n_cols))
-    # Calibrate the starting scale to the observed data. With frozen gains
-    # there is no rescaling channel, and once the reweighted penalty
-    # saturates it freezes the multiplicative scale adaptation, so an init
-    # orders of magnitude off would never recover within the budget.
-    observed = s.mask.sum()
-    if observed > 0:
-        rec_mean = float((s.mask * (gains @ acts)).sum() / observed)
-        if rec_mean > 0:
-            acts = acts * (float(s.values.sum() / observed) / rec_mean)
-            acts = np.maximum(acts, ACTIVATION_FLOOR)
     prev_obj = _weighted_fit(s.values, s.mask, gains, acts) + cfg.beta * (
         penalty_smoothed(acts, cfg.epsilon)
     )
@@ -292,10 +284,10 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
 #
 # infer_activations solves each activation row jointly along time at
 # beta > 0. The functions below are that step written out plainly: the same
-# row-scaled tridiagonal system and the same parallel cyclic reduction
-# levels, one row per array row, with zeros wherever a slot has no
-# neighbor s slots away. At beta = 0 the kernel must still equal the
-# infer_activations above.
+# row-scaled tridiagonal system, solved for the increment from the current
+# activations, and the same parallel cyclic reduction levels, one row per
+# array row, with zeros wherever a slot has no neighbor s slots away. At
+# beta = 0 the kernel must still equal the infer_activations above.
 
 def _shifted(x: np.ndarray, s: int, fill: float = 0.0) -> np.ndarray:
     # column t holds x[:, t - s] for s > 0 and x[:, t + |s|] for s < 0;
@@ -316,9 +308,10 @@ def _joint_activation_step(values, mask, gains, acts, weights, beta, guard):
         -lower_t new_(t-1) + diag_t new_t - upper_t new_(t+1) = data_t acts_t
 
     with lower = 2*beta*yl*acts, upper = 2*beta*yr*acts and diag =
-    max(curv, guard) + lower + upper. Each reduction level s adds to every
-    equation the multiples of the equations s slots before and after it
-    that cancel its couplings to them.
+    max(curv, guard) + lower + upper. With T > 1 the right side is the
+    residual of acts, and the solution is the increment new - acts. Each
+    reduction level s adds to every equation the multiples of the equations
+    s slots before and after it that cancel its couplings to them.
     """
     t = acts.shape[1]
     data = gains.T @ values
@@ -328,10 +321,11 @@ def _joint_activation_step(values, mask, gains, acts, weights, beta, guard):
     two_beta = 2.0 * beta
     diag = np.maximum(curv, guard)
     rhs = data * acts
-    if beta:
+    if beta and t > 1:
         lower = two_beta * (yl * acts)
         upper = two_beta * (yr * acts)
         diag = diag + lower + upper
+        rhs = rhs - (diag * acts - lower * _shifted(acts, 1) - upper * _shifted(acts, -1))
         s = 1
         while s < t:
             # lower is zero in the first s slots and upper in the last s,
@@ -343,6 +337,7 @@ def _joint_activation_step(values, mask, gains, acts, weights, beta, guard):
             lower = k_lo * _shifted(lower, s)
             upper = k_up * _shifted(upper, -s)
             s *= 2
+        return np.maximum(acts + rhs / diag, ACTIVATION_FLOOR)
     return np.maximum(rhs / diag, ACTIVATION_FLOOR)
 
 
@@ -373,12 +368,6 @@ def infer_activations_joint(s: MaskedMatrix, gains_fixed: np.ndarray,
 
     rng = np.random.default_rng(cfg.init_seed)
     acts = rng.uniform(0.1, 1.1, size=(gains.shape[1], s.n_cols))
-    observed = s.mask.sum()
-    if observed > 0:
-        rec_mean = float((s.mask * (gains @ acts)).sum() / observed)
-        if rec_mean > 0:
-            acts = acts * (float(s.values.sum() / observed) / rec_mean)
-            acts = np.maximum(acts, ACTIVATION_FLOOR)
     prev_obj = _majorized(s, gains, acts, cfg)
     for iteration in range(1, cfg.max_iters + 1):
         reweights = compute_reweights(acts, cfg.epsilon)

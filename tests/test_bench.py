@@ -295,6 +295,22 @@ def test_reconstruction_that_is_not_finite_is_a_failed_row(monkeypatch):
     assert [(row.trials_ok, row.trials_failed) for row in summary] == [(0, 1), (0, 1)]
 
 
+def test_score_that_overflows_is_a_failed_row(monkeypatch):
+    # gains @ acts is 2e200 here, finite, but its squared error overflows in
+    # both scorers and in the fit. The row fails by name, with no
+    # RuntimeWarning and no inf score.
+    cfg = tiny_experiment(trials=1, scenario=ScenarioConfig(seed=42, n_pu=2, n_su=1, t_slots=30))
+    monkeypatch.setattr(bench, "infer_activations",
+                        lambda s, gains, cfg: np.full((gains.shape[1], s.n_cols), 1e200))
+    summary, rows = run_sweep(cfg)
+    assert [(r.method, r.failed, r.error) for r in rows] == [
+        (method, True, "score of gains @ activations is not finite")
+        for method in ("pcnmf", "wnmf")]
+    assert all(math.isnan(r.rmse) and math.isnan(r.rmse_pooled) and math.isnan(r.fit)
+               for r in rows)
+    assert [(row.trials_ok, row.trials_failed) for row in summary] == [(0, 1), (0, 1)]
+
+
 # --------------------------------------------------------------------- trials
 
 def test_trial_degenerate_full_observation():

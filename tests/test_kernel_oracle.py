@@ -137,9 +137,8 @@ def test_numeric_failure_iteration_matches_reference():
     s = MaskedMatrix(big, np.ones_like(big))
     # This one overflows only after its first iteration.
     late = masked_instance(2, 4, 6, p_obs=0.8, scale=1e154)
-    # Inference runs at 1e200, where both calibrated starts are finite; at
-    # 1e308 the reference's overflows before its loop.
-    s_infer = MaskedMatrix(big / 1e108, np.ones_like(big))
+    # Inference starts from the raw draw, so neither start overflows before
+    # its loop: at 1e308 both fail on their first iterate, at 1e200 later.
     gains = np.full((4, 2), 0.5)
     for beta in (0.0, 5e-3):
         cfg = SolverConfig(beta=beta, rank=2, max_iters=50, rel_tol=0.0)
@@ -148,8 +147,9 @@ def test_numeric_failure_iteration_matches_reference():
         assert caught > 1 and caught == failure_iteration(ref.solve, late, cfg)
         # At beta > 0 inference takes the joint step; at beta = 0 that step is the sweep.
         ref_infer = ref.infer_activations_joint if beta > 0 else ref.infer_activations
-        assert (failure_iteration(infer_activations, s_infer, gains, cfg)
-                == failure_iteration(ref_infer, s_infer, gains, cfg))
+        for s_infer in (s, MaskedMatrix(big / 1e108, np.ones_like(big))):
+            assert (failure_iteration(infer_activations, s_infer, gains, cfg)
+                    == failure_iteration(ref_infer, s_infer, gains, cfg))
 
 
 def test_repeated_calls_return_equal_unaliased_arrays():
