@@ -14,11 +14,25 @@ from .simulate import ScenarioConfig, generate_scenario, save_scenario
 from .solver import NumericFailureError, SolverConfig, solve
 
 
+def _unique_keys(pairs) -> dict:
+    """json's object_pairs_hook: the object as a dict, refusing a key it repeats."""
+    config = {}
+    for key, value in pairs:
+        if key in config:
+            raise ValueError(f"duplicate key {key!r}")
+        config[key] = value
+    return config
+
+
 def _load_config(path) -> dict:
+    """The JSON object in the file at path, {} for None; a ValueError names the file."""
     if path is None:
         return {}
     with open(path) as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as exc:  # not text, not JSON, or a repeated key
+            raise ValueError(f"{path}: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     return config

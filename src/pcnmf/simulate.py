@@ -29,11 +29,10 @@ failure can leave a partial directory.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from numbers import Integral
 
 import numpy as np
 
-from ._config import _is, check, check_dict, check_field, check_fields, number_pair, ranged
+from ._config import check, check_dict, check_field, check_fields, number_pair, ranged
 from .matrices import MaskedMatrix, save_dense_csv, save_masked_csv, write_json
 
 # substream tags
@@ -151,23 +150,17 @@ def fading_step(h_prev, eta: float, rng: np.random.Generator):
 
 
 def markov_activity(a_j: float, b_j: float, t_slots: int,
-                    rng: np.random.Generator, initial: int | None = None) -> np.ndarray:
+                    rng: np.random.Generator) -> np.ndarray:
     """Two-state on/off chain: a_j = P(1 -> 0), b_j = P(0 -> 1).
 
-    The first slot is drawn from the stationary law b/(a+b) unless an
-    initial state (0 or 1) is given. a_j = b_j = 0 freezes the chain in its
-    initial state (we default that degenerate start to inactive).
+    The first slot is drawn from the stationary law b/(a+b). a_j = b_j = 0
+    has no stationary law; the chain then starts inactive and stays so.
     """
     check("a_j", a_j, "float", 0, 1)
     check("b_j", b_j, "float", 0, 1)
     check_field(ScenarioConfig, "t_slots", t_slots)
-    if initial is not None and not (_is(Integral, initial) and initial in (0, 1)):
-        raise ValueError(f"initial must be None, 0 or 1, got {initial!r}")
-    if initial is None:
-        lam = b_j / (a_j + b_j) if a_j + b_j > 0 else 0.0
-        state = int(rng.random() < lam)
-    else:
-        state = int(initial)
+    lam = b_j / (a_j + b_j) if a_j + b_j > 0 else 0.0
+    state = int(rng.random() < lam)
     seq = np.zeros(t_slots, dtype=np.int64)
     seq[0] = state
     u = rng.random(t_slots - 1)

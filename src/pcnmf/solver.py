@@ -105,6 +105,8 @@ from .matrices import FactorPair, MaskedMatrix, nonnegative, write_csv
 # divides by the current activation, so an exact zero would lock the
 # multiplicative update at zero and poison the next curvature estimate.
 ACTIVATION_FLOOR = 1e-12
+# The floor of every denominator, so that a row that sees no data never gives 0/0.
+GUARD = 1e-12
 
 
 class NumericFailureError(RuntimeError):
@@ -132,7 +134,6 @@ class SolverConfig:
                sum log1p(d^2 / epsilon), which its joint step descends. See
                the module's epsilon note.
     init_seed: seed for the uniform (0.1, 1.1) factor initialization.
-    guard    : tiny positive value protecting denominators.
 
     Each field's range is declared beside its default, with _config.ranged.
     """
@@ -143,7 +144,6 @@ class SolverConfig:
     max_iters: int = ranged(1000, 1)
     rel_tol: float = ranged(1e-8, 0)
     init_seed: int = ranged(0, 0)
-    guard: float = ranged(1e-12, 0, strict=True)
 
     def __post_init__(self):
         check_fields(self)
@@ -285,7 +285,7 @@ def _state(ws, values, mask, gains, acts, epsilon):
     return fit, _penalty(d2, epsilon, ws.scratch)
 
 
-def _activation_step(ws, p, data, curv, w, beta: float, guard: float):
+def _activation_step(ws, p, data, curv, w, beta: float):
     """One reweighted activation sweep; returns (new acts, clamp count).
 
     Closed-form minimizer of the per-slot quadratic surrogate around p, with
@@ -326,18 +326,18 @@ def _activation_step(ws, p, data, curv, w, beta: float, guard: float):
     else:
         num = np.multiply(data, p, out=pull)
         den = curv
-    clamped = int(np.count_nonzero(np.less(den, guard, out=ws.low)))
+    clamped = int(np.count_nonzero(np.less(den, GUARD, out=ws.low)))
     if clamped:
-        den = np.maximum(den, guard, out=ws.den)
+        den = np.maximum(den, GUARD, out=ws.den)
     new = np.divide(num, den)
     return np.maximum(new, ACTIVATION_FLOOR, out=new), clamped
 
 
-def _joint_activation_step(ws, p, data, curv, w, beta: float, guard: float):
+def _joint_activation_step(ws, p, data, curv, w, beta: float):
     """One reweighted activation step solved jointly along time; returns new acts.
 
     Minimizes the two majorizers of _activation_step, the diagonal fit
-    majorizer with curvature c = max(curv, guard) / p and the reweighted
+    majorizer with curvature c = max(curv, GUARD) / p and the reweighted
     quadratic beta * sum w * d^2, over all slots at once instead of slot by
     slot with frozen neighbors. Per component row that is the tridiagonal
     system (diag(c) + 2*beta*L_w) new = data, L_w the path Laplacian with
@@ -345,9 +345,9 @@ def _joint_activation_step(ws, p, data, curv, w, beta: float, guard: float):
 
         -lower_t new_(t-1) + diag_t new_t - upper_t new_(t+1) = data_t p_t
         lower[:, 1:] = 2*beta * w * p[:, 1:],  upper[:, :-1] = 2*beta * w * p[:, :-1]
-        diag = max(curv, guard) + lower + upper
+        diag = max(curv, GUARD) + lower + upper
 
-    diag is _activation_step's denominator, with the guard taken on curv
+    diag is _activation_step's denominator, with GUARD taken on curv
     alone so that every row stays strictly diagonally dominant, also a row
     that sees no data (curv = 0), where the system would be singular. The
     matrix is then an M-matrix and the right side is >= 0, so new >= 0.
@@ -358,11 +358,11 @@ def _joint_activation_step(ws, p, data, curv, w, beta: float, guard: float):
     residual vanishes as the iterates converge, so the rounding of the
     reduction shrinks with it instead of jittering the iterates near a
     plateau. At beta = 0 and at T = 1 no slot is coupled and no reduction
-    level runs: new is data * p / max(curv, guard), _activation_step's
+    level runs: new is data * p / max(curv, GUARD), _activation_step's
     beta = 0 result bit for bit. Writes ws.den, ws.pull, ws.lower, ws.upper
     and ws.flat; the new acts are a fresh array.
     """
-    diag = np.maximum(curv, guard, out=ws.den)
+    diag = np.maximum(curv, GUARD, out=ws.den)
     rhs = np.multiply(data, p, out=ws.pull)
     if not beta or p.shape[1] < 2:
         new = np.divide(rhs, diag)
@@ -421,14 +421,14 @@ def _reduce_rows(ws, n_cols: int) -> None:
         s *= 2
 
 
-def _gains_step(ws, values, gains, acts, guard):
-    """gains * ((W ⊙ S) P^T) / ((W ⊙ G P) P^T + guard), W ⊙ G P from ws.wgp.
+def _gains_step(ws, values, gains, acts):
+    """gains * ((W ⊙ S) P^T) / ((W ⊙ G P) P^T + GUARD), W ⊙ G P from ws.wgp.
 
-    Returns a fresh array. The guard keeps an unobserved row from giving 0/0.
+    Returns a fresh array. GUARD keeps an unobserved row from giving 0/0.
     """
     num = np.matmul(values, acts.T, out=ws.gains_num)
     den = np.matmul(ws.wgp, acts.T, out=ws.gains_den)
-    np.add(den, guard, out=den)
+    np.add(den, GUARD, out=den)
     return np.multiply(gains, num, out=num) / den
 
 
@@ -549,7 +549,7 @@ def _descend(step, obj: float, cfg: SolverConfig) -> None:
     """Run step(1), step(2), ... from objective obj until cfg's stop rule."""
     for iteration in range(1, cfg.max_iters + 1):
         prev, obj = obj, step(iteration)
-        if abs(prev - obj) / max(abs(prev), cfg.guard) < cfg.rel_tol:
+        if abs(prev - obj) / max(abs(prev), GUARD) < cfg.rel_tol:
             break
 
 
@@ -577,7 +577,7 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
             stacklevel=2,
         )
 
-    values, mask, beta, eps, guard = s.values, s.mask, cfg.beta, cfg.epsilon, cfg.guard
+    values, mask, beta, eps = s.values, s.mask, cfg.beta, cfg.epsilon
     rng = np.random.default_rng(cfg.init_seed)
     gains, acts = _init_draw(rng, (s.n_rows, cfg.rank)), _init_draw(rng, (cfg.rank, s.n_cols))
     trace = SolveTrace(iterates=[] if record_factors else None)
@@ -591,9 +591,9 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
         acts_new, clamped = _activation_step(
             ws, acts, np.matmul(gains.T, values, out=ws.data),
             np.matmul(gains.T, ws.wgp, out=ws.curv),
-            _reweights(ws.d2, eps, out=ws.scratch) if beta else None, beta, guard)
+            _reweights(ws.d2, eps, out=ws.scratch) if beta else None, beta)
         fit_after_p = _masked_fit(ws, values, mask, gains, acts_new)
-        gains_new = _gains_step(ws, values, gains, acts_new, guard)
+        gains_new = _gains_step(ws, values, gains, acts_new)
         _check_finite(iteration, acts_new, gains_new)
 
         # A dead component cannot be renormalized; restart it from the init
@@ -632,7 +632,7 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     reweight is computed.
     """
     gains = nonnegative(gains_fixed, "gains", shape=(s.n_rows, "K"))
-    values, mask, beta, eps, guard = s.values, s.mask, cfg.beta, cfg.epsilon, cfg.guard
+    values, mask, beta, eps = s.values, s.mask, cfg.beta, cfg.epsilon
     acts = _init_draw(np.random.default_rng(cfg.init_seed), (gains.shape[1], s.n_cols))
     ws = _Workspace(gains, acts)
     data = np.matmul(gains.T, values, out=ws.data)
@@ -648,7 +648,7 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
         nonlocal acts
         acts = _joint_activation_step(ws, acts, data, np.matmul(gains.T, ws.wgp, out=ws.curv),
                                       _reweights(ws.d2, eps, out=ws.scratch) if beta else None,
-                                      beta, guard)
+                                      beta)
         _check_finite(iteration, acts)
         return majorized()
 

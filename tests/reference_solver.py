@@ -2,11 +2,13 @@
 
 These are the `solve` and `infer_activations` loops as they were written
 before the shared MM kernel in `pcnmf.solver`, with the step functions they
-called, copied without change but for one: inference starts from the raw
+called, copied without change but for two: inference starts from the raw
 init draw, as the kernel's does, not from a draw calibrated to the data's
-mean. Every iterate, trace record and stop iteration of the kernel must
-equal what these loops produce, bit for bit. Do not edit this file to
-follow the solver: a difference is a solver bug.
+mean, and the loops read the denominator guard from the constant GUARD,
+not from a config field of the same value. Every iterate, trace record and
+stop iteration of the kernel must equal what these loops produce, bit for
+bit. Do not edit this file to follow the solver: a difference is a solver
+bug.
 
 At beta > 0, infer_activations takes a joint step along time instead of
 the sweep, and stops on the objective that step descends;
@@ -23,6 +25,7 @@ import numpy as np
 from pcnmf.matrices import FactorPair, MaskedMatrix, ShapeMismatchError
 from pcnmf.solver import (
     ACTIVATION_FLOOR,
+    GUARD,
     IterateSnapshot,
     IterationRecord,
     NumericFailureError,
@@ -193,12 +196,12 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
     for iteration in range(1, cfg.max_iters + 1):
         reweights = compute_reweights(acts, cfg.epsilon)
         acts_new, clamped = _activation_step(
-            s.values, s.mask, gains, acts, reweights, cfg.beta, cfg.guard
+            s.values, s.mask, gains, acts, reweights, cfg.beta, GUARD
         )
         fit_after_p = _weighted_fit(s.values, s.mask, gains, acts_new)
 
         num = s.values @ acts_new.T
-        den = (s.mask * (gains @ acts_new)) @ acts_new.T + cfg.guard
+        den = (s.mask * (gains @ acts_new)) @ acts_new.T + GUARD
         gains_new = gains * num / den
         _check_finite(iteration, acts_new, gains_new)
 
@@ -236,7 +239,7 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
                 )
             )
 
-        rel = abs(prev_obj - obj) / max(abs(prev_obj), cfg.guard)
+        rel = abs(prev_obj - obj) / max(abs(prev_obj), GUARD)
         prev_obj = obj
         if rel < cfg.rel_tol:
             break
@@ -267,13 +270,13 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     for iteration in range(1, cfg.max_iters + 1):
         reweights = compute_reweights(acts, cfg.epsilon)
         acts, _ = _activation_step(
-            s.values, s.mask, gains, acts, reweights, cfg.beta, cfg.guard
+            s.values, s.mask, gains, acts, reweights, cfg.beta, GUARD
         )
         _check_finite(iteration, acts)
         obj = _weighted_fit(s.values, s.mask, gains, acts) + cfg.beta * (
             penalty_smoothed(acts, cfg.epsilon)
         )
-        rel = abs(prev_obj - obj) / max(abs(prev_obj), cfg.guard)
+        rel = abs(prev_obj - obj) / max(abs(prev_obj), GUARD)
         prev_obj = obj
         if rel < cfg.rel_tol:
             break
@@ -372,11 +375,11 @@ def infer_activations_joint(s: MaskedMatrix, gains_fixed: np.ndarray,
     for iteration in range(1, cfg.max_iters + 1):
         reweights = compute_reweights(acts, cfg.epsilon)
         acts = _joint_activation_step(
-            s.values, s.mask, gains, acts, reweights, cfg.beta, cfg.guard
+            s.values, s.mask, gains, acts, reweights, cfg.beta, GUARD
         )
         _check_finite(iteration, acts)
         obj = _majorized(s, gains, acts, cfg)
-        rel = abs(prev_obj - obj) / max(abs(prev_obj), cfg.guard)
+        rel = abs(prev_obj - obj) / max(abs(prev_obj), GUARD)
         prev_obj = obj
         if rel < cfg.rel_tol:
             break

@@ -15,14 +15,14 @@ def update_activations(s, gains, acts, w, cfg):
     """One activation sweep over all slots; w holds the K x (T-1) reweights."""
     ws = _Workspace(gains, acts)
     data, curv, _ = _expand_at(ws, s, gains, acts)
-    return _activation_step(ws, acts, data, curv, w, cfg.beta, cfg.guard)[0]
+    return _activation_step(ws, acts, data, curv, w, cfg.beta)[0]
 
 
-def update_gains(s, pair, cfg):
-    """gains * ((W ⊙ S) P^T) / ((W ⊙ G P) P^T + guard)."""
+def update_gains(s, pair):
+    """gains * ((W ⊙ S) P^T) / ((W ⊙ G P) P^T + GUARD)."""
     ws = _Workspace(pair.gains, pair.activations)
     _masked_product(ws, s.mask, pair.gains, pair.activations)
-    return _gains_step(ws, s.values, pair.gains, pair.activations, cfg.guard)
+    return _gains_step(ws, s.values, pair.gains, pair.activations)
 
 
 def rescale(pair):

@@ -28,6 +28,7 @@ from pcnmf import (
     FactorPair,
 )
 from pcnmf.cli import main as cli_main
+from pcnmf.solver import GUARD
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -75,7 +76,7 @@ def test_criterion_1_oracle_equivalence():
     S = rng.uniform(0.2, 2.0, size=(10, 8))
     s = MaskedMatrix(S, np.ones_like(S))
     cfg = SolverConfig(beta=0.0, epsilon=1e-6, rank=3, max_iters=50,
-                       rel_tol=0.0, init_seed=42, guard=1e-12)
+                       rel_tol=0.0, init_seed=42)
     _, trace = solve(s, cfg, record_factors=True)
 
     # independently coded classical multiplicative-update NMF, run in
@@ -85,7 +86,7 @@ def test_criterion_1_oracle_equivalence():
     worst = 0.0
     for it in range(50):
         P = P * (G.T @ S) / (G.T @ (G @ P))
-        G = G * (S @ P.T) / ((G @ P) @ P.T + cfg.guard)
+        G = G * (S @ P.T) / ((G @ P) @ P.T + GUARD)
         norms = np.sqrt(np.sum(G * G, axis=0))
         G, P = G / norms, P * norms[:, None]
         snap = trace.iterates[it].pair

@@ -500,7 +500,6 @@ def test_experiment_config_validation_and_round_trip():
     (SolverConfig, "beta", math.nan),
     (SolverConfig, "epsilon", math.inf),
     (SolverConfig, "rel_tol", math.nan),
-    (SolverConfig, "guard", math.nan),
     (ScenarioConfig, "noise_var", math.nan),
     (ScenarioConfig, "alpha", math.nan),
     (ScenarioConfig, "area_side", math.inf),

@@ -222,6 +222,7 @@ def _run_with_config(tmp_path, command, config_text):
      "sweep value 0.5 for 'p_obs' is repeated"),
     ({"sweep": [["p_obs", ["0.5"]]]}, "sweep value '0.5' for 'p_obs'"),
     ({"sweep": [["noise_var", [True]]]}, "sweep value True for 'noise_var'"),
+    ({"sweep": [["solver.guard", [1e-12]]]}, "unsupported sweep parameter 'solver.guard'"),
 ])
 def test_malformed_sweep_or_methods_is_named_error(tmp_path, capsys, config, named):
     config = {**TINY_BENCHMARK, **config}
@@ -230,12 +231,35 @@ def test_malformed_sweep_or_methods_is_named_error(tmp_path, capsys, config, nam
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command, config_text, named", [
+    ("solve", '{"rank": 2, "rank": 3, "max_iters": 2}', "duplicate key 'rank'"),
+    ("benchmark", '{"trials": 1, "solver": {"rank": 2, "max_iters": 5, "rank": 3}}',
+     "duplicate key 'rank'"),
+    ("simulate", "", "Expecting value: line 1 column 1 (char 0)"),
+], ids=["duplicate-key", "nested-duplicate-key", "empty-file"])
+def test_malformed_config_json_is_one_error_naming_the_file(tmp_path, capsys, command,
+                                                            config_text, named):
+    assert _run_with_config(tmp_path, command, config_text) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path / 'cfg.json'}: {named}\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("solve", {"guard": 1e-12}),
+    ("benchmark", {**TINY_BENCHMARK, "solver": {"rank": 2, "max_iters": 5, "guard": 1e-12}}),
+], ids=["solve", "benchmark-solver"])
+def test_retired_guard_setting_is_named_error(tmp_path, capsys, command, config):
+    # The denominator guard is the solver's constant GUARD, not a setting.
+    assert _run_with_config(tmp_path, command, json.dumps(config)) == 1
+    assert "unknown SolverConfig keys: 'guard'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("command, config_text, key", [
     ("simulate", '{"area_side": Infinity}', "area_side"),
     ("simulate", '{"power_range": [100, Infinity]}', "power_range"),
     ("simulate", '{"noise_var": NaN}', "noise_var"),
     ("solve", '{"beta": NaN}', "beta"),
-    ("solve", '{"guard": NaN}', "guard"),
     ("solve", '{"epsilon": Infinity}', "epsilon"),
     ("solve", '{"rel_tol": -Infinity}', "rel_tol"),
     ("benchmark", json.dumps({**TINY_BENCHMARK, "solver": {"rank": 2, "beta": math.nan}}),

@@ -28,7 +28,7 @@ _NUMERIC = [(cls, f) for cls in (ScenarioConfig, SolverConfig, ExperimentConfig)
 
 
 def test_every_int_and_float_field_declares_its_range():
-    assert len(_NUMERIC) == 20
+    assert len(_NUMERIC) == 19
     for cls, f in _NUMERIC:
         low, high, strict = f.metadata["range"]
         assert low <= getattr(cls(), f.name) and (high is None or getattr(cls(), f.name) <= high)

@@ -29,6 +29,7 @@ from pcnmf import (
     surrogate_per_slot,
     weighted_fit,
 )
+from pcnmf.solver import GUARD
 from steps import update_activations, update_gains
 
 BETAS = (0.0, 5e-3, 1.0)
@@ -121,7 +122,7 @@ def test_dead_column_restart_matches_reference():
     cfg = SolverConfig(beta=5e-3, rank=2, max_iters=15, rel_tol=0.0)
     _, trace = assert_same_solve(s, cfg)
     # the gains update zeroes every column here, so each iteration restarts
-    assert not update_gains(s, trace.initial, cfg).any()
+    assert not update_gains(s, trace.initial).any()
     assert all(snap.gains_updated.all() for snap in trace.iterates)
 
 
@@ -162,7 +163,7 @@ def test_repeated_calls_return_equal_unaliased_arrays():
         gains, acts = pair.gains, pair.activations
         y = compute_reweights(acts, cfg.epsilon)
         out = [gains, acts, infer_activations(s, gains, cfg), y,
-               update_activations(s, gains, acts, y, cfg), update_gains(s, pair, cfg),
+               update_activations(s, gains, acts, y, cfg), update_gains(s, pair),
                fit_gradient(s, gains, acts),
                surrogate_per_slot(s, gains, acts, acts, y, cfg.beta)]
         for snap in trace.iterates:
@@ -192,8 +193,7 @@ def test_public_steps_match_reference(beta):
         y_ref = ref.compute_reweights(acts, cfg.epsilon)
         assert np.array_equal(y, y_ref[:, 1:-1])
         assert not y_ref[:, 0].any() and not y_ref[:, -1].any()
-        new_ref, _ = ref._activation_step(s.values, s.mask, gains, acts, y_ref,
-                                          beta, cfg.guard)
+        new_ref, _ = ref._activation_step(s.values, s.mask, gains, acts, y_ref, beta, GUARD)
         assert np.array_equal(update_activations(s, gains, acts, y, cfg), new_ref)
         for p in (acts, p_new):
             assert np.array_equal(surrogate_per_slot(s, gains, p, acts, y, beta),

@@ -1,6 +1,7 @@
-"""The public surface: the names pcnmf exports, the ones the traced benchmark wraps,
-and the README's library example."""
+"""The public surface: the names pcnmf exports, the settings its configs take, the
+ones the traced benchmark wraps and reads, and the README's library example."""
 
+import dataclasses
 import importlib
 import importlib.util
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 import pcnmf
+from pcnmf import ExperimentConfig, MaskedMatrix, ScenarioConfig, SolverConfig, solve
 
 # Removing or adding a public name is an API change: edit this list with it.
 PUBLIC = [
@@ -58,8 +60,29 @@ PUBLIC = [
     "write_trials_csv",
 ]
 
+# Adding or dropping a setting is an API change too: edit these with it.
+SETTINGS = {
+    SolverConfig: ["beta", "epsilon", "rank", "max_iters", "rel_tol", "init_seed"],
+    ScenarioConfig: ["area_side", "n_pu", "n_su", "t_slots", "d0", "alpha", "eta", "duty",
+                     "a_range", "power_range", "p_obs", "noise_var", "seed"],
+    ExperimentConfig: ["scenario", "solver", "trials", "gamma_window", "sweep", "methods"],
+}
+
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
+
+
+def _spans():
+    """perfbench/spans.py, loaded by its file path."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_config_settings_are_pinned():
+    for cls, names in SETTINGS.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__
 
 
 def test_public_surface_is_pinned_and_traced_targets_resolve():
@@ -69,13 +92,21 @@ def test_public_surface_is_pinned_and_traced_targets_resolve():
         assert hasattr(pcnmf, name), name
     # The traced benchmark wraps these (module, attribute) pairs by name, so
     # removing or renaming one breaks it.
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _spans()
     assert spans.TARGETS
     for module_name, attr, *_ in spans.TARGETS:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), \
             (module_name, attr)
+
+
+def test_traced_solve_info_reads_a_real_trace():
+    # The traced benchmark records these fields of every solve call it wraps.
+    values, mask = np.random.default_rng(0).uniform(0.1, 1.0, (4, 6)), np.ones((4, 6))
+    mask[:, 2] = 0.0  # an unobserved slot: at beta = 0 it clamps both rows every iteration
+    s = MaskedMatrix(values * mask, mask)
+    cfg = SolverConfig(beta=0.0, rank=2, max_iters=3, rel_tol=0.0)
+    info = _spans()._solve_info((s, cfg), solve(s, cfg))
+    assert info == {"iters": 3, "max_iters": 3, "clamped": 6}
 
 
 def test_readme_library_quick_start_runs():

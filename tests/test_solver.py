@@ -29,9 +29,8 @@ from steps import rescale, update_activations, update_gains
 
 @pytest.mark.parametrize("field, value, bound", [
     ("beta", -1.0, ">= 0"), ("epsilon", 0.0, "> 0"), ("rank", 0, ">= 1"), ("max_iters", 0, ">= 1"),
-    ("rel_tol", -1.0, ">= 0"), ("init_seed", -1, ">= 0"), ("guard", 0.0, "> 0"),
-], ids=["beta--1.0", "epsilon-0.0", "rank-0", "max_iters-0", "rel_tol--1.0", "init_seed--1",
-        "guard-0.0"])
+    ("rel_tol", -1.0, ">= 0"), ("init_seed", -1, ">= 0"),
+], ids=["beta--1.0", "epsilon-0.0", "rank-0", "max_iters-0", "rel_tol--1.0", "init_seed--1"])
 def test_solver_config_out_of_range_field_is_named_error(field, value, bound):
     named = f"SolverConfig field {field!r} must be {bound}, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
@@ -335,7 +334,7 @@ def test_activation_update_matches_multiplicative_oracle():
 
 def test_activation_step_at_zero_beta_ignores_the_reweights():
     # At beta = 0 the neighbor terms are exact zeros, so the step skips them;
-    # the unobserved column has zero curvature, so the guard clamps both its rows.
+    # the unobserved column has zero curvature, so GUARD clamps both its rows.
     s, pair = random_instance(22, n_rows=4, n_cols=6)
     s = MaskedMatrix(s.values, np.where(np.arange(6) == 2, 0.0, s.mask))
     gains, acts = pair.gains, pair.activations
@@ -343,7 +342,7 @@ def test_activation_step_at_zero_beta_ignores_the_reweights():
     def step(reweights):
         ws = solver._Workspace(gains, acts)
         data, curv, _ = solver._expand_at(ws, s, gains, acts)
-        return solver._activation_step(ws, acts, data, curv, reweights, 0.0, 1e-12)
+        return solver._activation_step(ws, acts, data, curv, reweights, 0.0)
 
     (with_w, clamped_w), (without_w, clamped) = step(compute_reweights(acts, 1e-6)), step(None)
     assert clamped == clamped_w == 2
@@ -419,8 +418,7 @@ def test_gains_update_fixed_point():
     gains = rng.uniform(0.2, 1.0, (3, 2))
     acts = rng.uniform(0.2, 1.0, (2, 5))
     s = MaskedMatrix(gains @ acts, np.ones((3, 5)))
-    cfg = SolverConfig(rank=2)
-    new = update_gains(s, FactorPair(gains, acts), cfg)
+    new = update_gains(s, FactorPair(gains, acts))
     assert np.allclose(new, gains, rtol=1e-9, atol=0)
 
 
@@ -428,7 +426,7 @@ def test_gains_update_zero_entry_stays_zero():
     gains = np.array([[0.0, 0.5], [0.7, 0.3]])
     acts = np.array([[0.4, 0.9], [0.2, 0.1]])
     s = MaskedMatrix(np.ones((2, 2)), np.ones((2, 2)))
-    new = update_gains(s, FactorPair(gains, acts), SolverConfig(rank=2))
+    new = update_gains(s, FactorPair(gains, acts))
     assert new[0, 0] == 0.0
 
 
@@ -438,15 +436,14 @@ def test_gains_update_matches_elementwise_oracle():
     acts = rng.uniform(0.1, 1.0, (2, 4))
     mask = (rng.random((3, 4)) < 0.6).astype(float)
     s = MaskedMatrix(rng.uniform(0.1, 2.0, (3, 4)), mask)
-    cfg = SolverConfig(rank=2)
-    new = update_gains(s, FactorPair(gains, acts), cfg)
+    new = update_gains(s, FactorPair(gains, acts))
     oracle = np.zeros_like(gains)
     recon = gains @ acts
     for r in range(3):
         for k in range(2):
             num = sum(mask[r, t] * s.values[r, t] * acts[k, t] for t in range(4))
             den = sum(mask[r, t] * recon[r, t] * acts[k, t] for t in range(4))
-            oracle[r, k] = gains[r, k] * num / (den + cfg.guard)
+            oracle[r, k] = gains[r, k] * num / (den + solver.GUARD)
     assert np.allclose(new, oracle, rtol=1e-12, atol=0)
 
 
@@ -573,8 +570,7 @@ def test_solve_matches_classical_nmf_in_lockstep():
     rng = np.random.default_rng(71)
     S = rng.uniform(0.2, 2.0, size=(6, 5))
     s = MaskedMatrix(S, np.ones_like(S))
-    cfg = SolverConfig(beta=0.0, rank=2, max_iters=25, rel_tol=0.0,
-                       init_seed=3, guard=1e-12)
+    cfg = SolverConfig(beta=0.0, rank=2, max_iters=25, rel_tol=0.0, init_seed=3)
     _, trace = solve(s, cfg, record_factors=True)
 
     irng = np.random.default_rng(3)
@@ -582,7 +578,7 @@ def test_solve_matches_classical_nmf_in_lockstep():
     P = irng.uniform(0.1, 1.1, size=(2, 5))
     for it in range(25):
         P = P * (G.T @ S) / (G.T @ (G @ P))
-        G = G * (S @ P.T) / ((G @ P) @ P.T + cfg.guard)
+        G = G * (S @ P.T) / ((G @ P) @ P.T + solver.GUARD)
         norms = np.sqrt(np.sum(G * G, axis=0))
         G, P = G / norms, P * norms[:, None]
         snap = trace.iterates[it].pair
@@ -704,17 +700,17 @@ def test_descend_runs_exactly_max_iters_at_zero_tolerance():
 
 
 def test_descend_divides_by_guard_at_zero_objective():
-    # From 0, a change of 1e-13 is 0.1 relative to guard = 1e-12, so no stop
+    # From 0, a change of 1e-13 is 0.1 relative to GUARD = 1e-12, so no stop
     # at rel_tol = 0.05; the next, zero change stops.
     step, calls = scripted([1e-13, 1e-13, 5.0])
-    solver._descend(step, 0.0, SolverConfig(max_iters=10, rel_tol=0.05, guard=1e-12))
+    solver._descend(step, 0.0, SolverConfig(max_iters=10, rel_tol=0.05))
     assert calls == [1, 2]
     step, calls = scripted([0.0, 5.0])
     solver._descend(step, 0.0, SolverConfig(max_iters=10, rel_tol=0.05))
     assert calls == [1]
-    # Below guard, |prev| is not the divisor: 1e-14 / 1e-12 = 0.01 stops.
+    # Below GUARD, |prev| is not the divisor: 1e-14 / 1e-12 = 0.01 stops.
     step, calls = scripted([2e-14, 5.0])
-    solver._descend(step, 1e-14, SolverConfig(max_iters=10, rel_tol=0.05, guard=1e-12))
+    solver._descend(step, 1e-14, SolverConfig(max_iters=10, rel_tol=0.05))
     assert calls == [1]
 
 
@@ -845,7 +841,7 @@ def test_infer_stops_at_first_relative_majorized_change_below_rel_tol(seed, rel_
         acts = infer_activations(s, gains, SolverConfig(
             beta=cfg.beta, rank=2, max_iters=n, rel_tol=0.0, init_seed=seed))
         obj = majorized(s, gains, acts, cfg)
-        if abs(prev - obj) / max(abs(prev), cfg.guard) < rel_tol:
+        if abs(prev - obj) / max(abs(prev), solver.GUARD) < rel_tol:
             break
         prev = obj
     assert n < cfg.max_iters
@@ -883,20 +879,20 @@ def test_joint_step_matches_banded_solve():
 
     s = generate_scenario(ScenarioConfig(seed=3)).observed
     pair, _ = solve(s.window(0, 300), SolverConfig(rank=5, max_iters=200))
-    gains, beta, guard = pair.gains, 5e-3, 1e-12
+    gains, beta = pair.gains, 5e-3
     for iters in (1, 20):
         p = infer_activations(s, gains, SolverConfig(rank=5, max_iters=iters))
         w = compute_reweights(p, 1e-6)
         ws = solver._Workspace(gains, p)
         data, curv, _ = solver._expand_at(ws, s, gains, p)
-        new = solver._joint_activation_step(ws, p, data, curv, w, beta, guard)
+        new = solver._joint_activation_step(ws, p, data, curv, w, beta)
         # The system before its rows are scaled by p:
-        # (diag(max(curv, guard) / p) + 2 beta L_w) x = data.
+        # (diag(max(curv, GUARD) / p) + 2 beta L_w) x = data.
         for row in range(p.shape[0]):
             couple = 2.0 * beta * w[row]
             bands = np.zeros((3, p.shape[1]))
             bands[0, 1:] = bands[2, :-1] = -couple
-            bands[1] = np.maximum(curv[row], guard) / p[row]
+            bands[1] = np.maximum(curv[row], solver.GUARD) / p[row]
             bands[1, 1:] += couple
             bands[1, :-1] += couple
             x = solve_banded((1, 1), bands, data[row])
