@@ -123,6 +123,20 @@ def test_markov_absorbing_all_inactive():
     assert np.array_equal(seq, np.zeros(20, dtype=np.int64))
 
 
+def test_markov_absorbing_all_active():
+    # a_j = 0 never leaves the active state, whose stationary mass is then 1:
+    # the chain starts active and stays so.
+    seq = markov_activity(0.0, 0.3, 20, np.random.default_rng(0))
+    assert np.array_equal(seq, np.ones(20, dtype=np.int64))
+
+
+@pytest.mark.parametrize("a_j, b_j", [(0.3, 0.1), (0.1, 0.3), (0.5, 0.5), (1.0, 0.0)])
+def test_markov_first_state_follows_stationary_law(a_j, b_j):
+    rng = np.random.default_rng(7)
+    first = [markov_activity(a_j, b_j, 1, rng)[0] for _ in range(4000)]
+    assert abs(np.mean(first) - b_j / (a_j + b_j)) <= 0.03
+
+
 def test_markov_rate_from_duty():
     assert activation_rate_for_duty(0.3, 0.07) == pytest.approx(0.03, abs=1e-15)
 
