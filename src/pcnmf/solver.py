@@ -28,7 +28,7 @@ the gains, P the activations and W the mask, one `solve` iteration computes
 six products:
 
     G^T (W ⊙ S), G^T (W ⊙ G P)                expansion around P
-    G P_new                                    fit_after_p, gains denominator
+    G P_new                                    gains denominator
     (W ⊙ S) P_new^T, (W ⊙ G P_new) P_new^T     gains update
     G P after the rescale                      the new state
 
@@ -61,14 +61,20 @@ fact.
 
 One workspace per call. solve and infer_activations each size one
 _Workspace from (N, K, T) before their loop, and the helpers write every
-intermediate into it through ufunc out= and np.matmul(..., out=): two
-N x T buffers (W ⊙ G P, the residual), two K x (T-1) ones (d^2, the
-reweights) and the K x T ones of the sweep and of the joint step. An
-iteration allocates only its new iterates, which may outlive it (returned
-pairs, snapshots) and so are never workspace buffers. Besides its six
-products, a solve iteration makes eight elementwise passes over N x T
-(mask, residual, square and sum, after the sweep and after the rescale);
-infer_activations makes four, besides its reduction levels over K x T.
+intermediate into it through ufunc out=, np.matmul(..., out=) and
+np.dot(..., out=): two N x T buffers (W ⊙ G P, the residual), two
+K x (T-1) ones (d^2, the reweights) and the K x T ones of the sweep and of
+the joint step. An iteration allocates only its new iterates, which may
+outlive it (returned pairs, snapshots) and so are never workspace buffers.
+The four products with a transposed operand (G^T on the left, P^T on the
+right) go through np.dot: it hands the transposed view to the same BLAS
+call, so its result is np.matmul's bit for bit, with less overhead per call
+at these small shapes. Besides its six products, a solve
+iteration makes five elementwise passes over N x T: the mask after the
+sweep, for the gains denominator, then the mask, residual, square and sum
+after the rescale. The fit between the sweep and the gains update serves no
+output, so it is not evaluated. infer_activations makes four, besides its
+reduction levels over K x T.
 Over K x T the sweep makes fifteen passes at beta > 0 and five at
 beta = 0. Over K x (T-1) each loop makes seven at beta > 0 (d^2, the
 penalty terms and their sum, the reweights); at beta = 0 solve makes five,
@@ -158,14 +164,14 @@ class SolverConfig:
 class IterationRecord:
     """One outer iteration of the trace.
 
-    fit_after_p holds the weighted fit right after the activation sweep
-    (before the gains update); fit/penalty/objective are evaluated at the
-    end of the iteration, after rescaling. objective == fit + beta * penalty
-    by construction.
+    fit/penalty/objective are evaluated at the end of the iteration, after
+    rescaling, and objective == fit + beta * penalty by construction; clamped
+    counts the activation sweep's guarded denominators. The fit between the
+    sweep and the gains update is not evaluated: with record_factors=True it
+    is weighted_fit(s, FactorPair(previous gains, activations_updated)).
     """
 
     iteration: int
-    fit_after_p: float
     fit: float
     penalty: float
     objective: float
@@ -209,9 +215,9 @@ class _Workspace:
     K x T activations.
 
     The kernel helpers write every intermediate into these buffers through
-    ufunc out= and np.matmul(..., out=), so an iteration allocates only its
-    new iterates. No buffer ever leaves the call: what a helper returns from
-    here is read before the next helper overwrites it.
+    ufunc out=, np.matmul(..., out=) and np.dot(..., out=), so an iteration
+    allocates only its new iterates. No buffer ever leaves the call: what a
+    helper returns from here is read before the next helper overwrites it.
     """
 
     def __init__(self, gains: np.ndarray, acts: np.ndarray):
@@ -426,8 +432,8 @@ def _gains_step(ws, values, gains, acts):
 
     Returns a fresh array. GUARD keeps an unobserved row from giving 0/0.
     """
-    num = np.matmul(values, acts.T, out=ws.gains_num)
-    den = np.matmul(ws.wgp, acts.T, out=ws.gains_den)
+    num = np.dot(values, acts.T, out=ws.gains_num)
+    den = np.dot(ws.wgp, acts.T, out=ws.gains_den)
     np.add(den, GUARD, out=den)
     return np.multiply(gains, num, out=num) / den
 
@@ -440,12 +446,14 @@ def _column_norms(gains):
 def _rescale(gains, acts, rng):
     """Unit-norm gains columns, with the column scale moved into acts.
 
-    A zero-norm column is first redrawn in place from the init distribution
-    with rng, so a dead component restarts instead of dividing by zero.
+    A zero-norm column is first redrawn from the init distribution with rng,
+    in a copy that leaves the caller's gains as they were, so a dead
+    component restarts instead of dividing by zero.
     """
     norms = _column_norms(gains)
     if not norms.all():
         dead = np.flatnonzero(norms == 0)
+        gains = gains.copy()
         gains[:, dead] = _init_draw(rng, (gains.shape[0], dead.size))
         norms = _column_norms(gains)
     return gains / norms, acts * norms[:, None]
@@ -485,8 +493,8 @@ def objective(s: MaskedMatrix, pair: FactorPair, cfg: SolverConfig) -> float:
 def _expand_at(ws, s: MaskedMatrix, gains: np.ndarray, p: np.ndarray):
     """(G^T (W ⊙ S), G^T (W ⊙ G p), squared residual) at activations p."""
     _masked_fit(ws, s.values, s.mask, gains, p)
-    return (np.matmul(gains.T, s.values, out=ws.data),
-            np.matmul(gains.T, ws.wgp, out=ws.curv), ws.resid)
+    return (np.dot(gains.T, s.values, out=ws.data),
+            np.dot(gains.T, ws.wgp, out=ws.curv), ws.resid)
 
 
 def fit_gradient(s: MaskedMatrix, gains: np.ndarray, acts: np.ndarray) -> np.ndarray:
@@ -589,10 +597,10 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
     def step(iteration):
         nonlocal gains, acts
         acts_new, clamped = _activation_step(
-            ws, acts, np.matmul(gains.T, values, out=ws.data),
-            np.matmul(gains.T, ws.wgp, out=ws.curv),
+            ws, acts, np.dot(gains.T, values, out=ws.data),
+            np.dot(gains.T, ws.wgp, out=ws.curv),
             _reweights(ws.d2, eps, out=ws.scratch) if beta else None, beta)
-        fit_after_p = _masked_fit(ws, values, mask, gains, acts_new)
+        _masked_product(ws, mask, gains, acts_new)
         gains_new = _gains_step(ws, values, gains, acts_new)
         _check_finite(iteration, acts_new, gains_new)
 
@@ -603,11 +611,10 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
         fit, pen = _state(ws, values, mask, gains, acts, eps)
         obj = fit + beta * pen
         trace.records.append(IterationRecord(
-            iteration=iteration, fit_after_p=fit_after_p, fit=fit, penalty=pen,
-            objective=obj, clamped=clamped))
+            iteration=iteration, fit=fit, penalty=pen, objective=obj, clamped=clamped))
         if record_factors:
             trace.iterates.append(IterateSnapshot(
-                activations_updated=acts_new.copy(), gains_updated=gains_new.copy(),
+                activations_updated=acts_new, gains_updated=gains_new,
                 pair=FactorPair(gains, acts)))
         return obj
 
@@ -635,7 +642,7 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     values, mask, beta, eps = s.values, s.mask, cfg.beta, cfg.epsilon
     acts = _init_draw(np.random.default_rng(cfg.init_seed), (gains.shape[1], s.n_cols))
     ws = _Workspace(gains, acts)
-    data = np.matmul(gains.T, values, out=ws.data)
+    data = np.dot(gains.T, values, out=ws.data)
 
     def majorized():
         """fit + beta * sum log1p(d^2 / epsilon) at acts; leaves W ⊙ G P and d^2 in ws."""
@@ -646,7 +653,7 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
 
     def step(iteration):
         nonlocal acts
-        acts = _joint_activation_step(ws, acts, data, np.matmul(gains.T, ws.wgp, out=ws.curv),
+        acts = _joint_activation_step(ws, acts, data, np.dot(gains.T, ws.wgp, out=ws.curv),
                                       _reweights(ws.d2, eps, out=ws.scratch) if beta else None,
                                       beta)
         _check_finite(iteration, acts)

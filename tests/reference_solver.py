@@ -198,7 +198,6 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
         acts_new, clamped = _activation_step(
             s.values, s.mask, gains, acts, reweights, cfg.beta, GUARD
         )
-        fit_after_p = _weighted_fit(s.values, s.mask, gains, acts_new)
 
         num = s.values @ acts_new.T
         den = (s.mask * (gains @ acts_new)) @ acts_new.T + GUARD
@@ -208,13 +207,14 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
         # A dead component cannot be renormalized; restart it from the init
         # distribution and let the next iterations repurpose it.
         norms = np.linalg.norm(gains_new, axis=0)
+        gains_live = gains_new
         dead = np.flatnonzero(norms == 0)
         if dead.size:
-            gains_new = gains_new.copy()
-            gains_new[:, dead] = rng.uniform(0.1, 1.1, size=(s.n_rows, dead.size))
-            norms = np.linalg.norm(gains_new, axis=0)
+            gains_live = gains_new.copy()
+            gains_live[:, dead] = rng.uniform(0.1, 1.1, size=(s.n_rows, dead.size))
+            norms = np.linalg.norm(gains_live, axis=0)
 
-        gains = gains_new / norms
+        gains = gains_live / norms
         acts = acts_new * norms[:, None]
 
         fit = _weighted_fit(s.values, s.mask, gains, acts)
@@ -223,7 +223,6 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
         trace.records.append(
             IterationRecord(
                 iteration=iteration,
-                fit_after_p=fit_after_p,
                 fit=fit,
                 penalty=pen,
                 objective=obj,

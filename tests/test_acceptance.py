@@ -150,7 +150,8 @@ def test_criterion_2_mm_monotonicity():
             _, trace = solve(s, cfg, record_factors=True)
             prev = trace.initial
             for rec, snap in zip(trace.records, trace.iterates):
-                worst_gamma = max(worst_gamma, rec.fit - rec.fit_after_p)
+                fit_after_p = weighted_fit(s, FactorPair(prev.gains, snap.activations_updated))
+                worst_gamma = max(worst_gamma, rec.fit - fit_after_p)
                 g_before = _direct_penalized_surrogate(
                     s, prev.gains, prev.activations, prev.activations,
                     beta, cfg.epsilon)

@@ -121,9 +121,25 @@ def test_dead_column_restart_matches_reference():
     s = MaskedMatrix(np.zeros((4, 6)), np.zeros((4, 6)))
     cfg = SolverConfig(beta=5e-3, rank=2, max_iters=15, rel_tol=0.0)
     _, trace = assert_same_solve(s, cfg)
-    # the gains update zeroes every column here, so each iteration restarts
+    # the gains update zeroes every column here, so each iteration restarts;
+    # the snapshot keeps the update's zeros, the rescaled pair the redraw
     assert not update_gains(s, trace.initial).any()
-    assert all(snap.gains_updated.all() for snap in trace.iterates)
+    assert not any(snap.gains_updated.any() for snap in trace.iterates)
+    assert all(snap.pair.gains.all() for snap in trace.iterates)
+
+
+@pytest.mark.parametrize("beta", [0.0, 5e-3])
+def test_observed_zeros_dead_columns_match_reference(beta):
+    # Observed zeros give the gains update a zero numerator and a positive
+    # denominator, so every column dies while the sweep still sees curvature.
+    mask = (np.random.default_rng(5).random((5, 8)) < 0.6).astype(float)
+    s = MaskedMatrix(np.zeros((5, 8)), mask)
+    cfg = SolverConfig(beta=beta, rank=3, max_iters=12, rel_tol=0.0, init_seed=2)
+    pair, trace = assert_same_solve(s, cfg)
+    assert not any(snap.gains_updated.any() for snap in trace.iterates)
+    assert np.allclose(np.linalg.norm(pair.gains, axis=0), 1.0, rtol=0, atol=1e-15)
+    assert np.array_equal(infer_activations(s, pair.gains, cfg),
+                          reference_infer(s, pair.gains, cfg))
 
 
 def failure_iteration(fn, *args):

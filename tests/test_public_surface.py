@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 
 import pcnmf
-from pcnmf import ExperimentConfig, MaskedMatrix, ScenarioConfig, SolverConfig, solve
+from pcnmf import (ExperimentConfig, IterationRecord, MaskedMatrix, ScenarioConfig, SolverConfig,
+                   SolveTrace, solve)
+from pcnmf.solver import IterateSnapshot
 
 # Removing or adding a public name is an API change: edit this list with it.
 PUBLIC = [
@@ -68,6 +70,14 @@ SETTINGS = {
     ExperimentConfig: ["scenario", "solver", "trials", "gamma_window", "sweep", "methods"],
 }
 
+# solve fills these once per iteration: a new field costs every iteration, so
+# adding one is a visible edit here.
+TRACE_FIELDS = {
+    IterationRecord: ["iteration", "fit", "penalty", "objective", "clamped"],
+    IterateSnapshot: ["activations_updated", "gains_updated", "pair"],
+    SolveTrace: ["records", "iterates", "initial"],
+}
+
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 
@@ -82,6 +92,11 @@ def _spans():
 
 def test_config_settings_are_pinned():
     for cls, names in SETTINGS.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__
+
+
+def test_trace_record_fields_are_pinned():
+    for cls, names in TRACE_FIELDS.items():
         assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__
 
 

@@ -489,6 +489,16 @@ def test_rescale_redraws_zero_column():
     assert np.allclose(out_acts[1], 0.5 * np.linalg.norm(redrawn), rtol=0, atol=1e-15)
 
 
+def test_rescale_redraws_a_frozen_pairs_dead_column_into_a_copy():
+    # FactorPair's arrays are read-only; the redraw goes into a copy of the gains.
+    pair = FactorPair([[0.0, 1.0], [0.0, 2.0]], np.ones((2, 3)))
+    out = rescale(pair)
+    redrawn = solver._init_draw(np.random.default_rng(0), (2, 1))[:, 0]
+    assert np.array_equal(pair.gains, [[0.0, 1.0], [0.0, 2.0]])
+    assert np.allclose(out.gains[:, 0], redrawn / np.linalg.norm(redrawn), rtol=0, atol=1e-15)
+    assert np.allclose(out.gains[:, 1], np.array([1.0, 2.0]) / np.sqrt(5.0), rtol=0, atol=1e-15)
+
+
 def test_rescale_invariance_of_fit():
     s, pair = random_instance(42, n_rows=6, n_cols=8, rank=3)
     cfg = SolverConfig(beta=0.0, rank=3)
@@ -594,6 +604,34 @@ def test_solve_all_missing_keeps_fit_zero():
     assert all(rec.fit == 0.0 for rec in trace.records)
 
 
+def test_solve_all_missing_snapshots_the_raw_gains_update():
+    # The gains step zeroes every column here; the snapshot keeps those zeros,
+    # and only the rescaled pair holds the redrawn columns.
+    s = MaskedMatrix(np.zeros((4, 6)), np.zeros((4, 6)))
+    cfg = SolverConfig(beta=5e-3, rank=2, max_iters=5, rel_tol=0.0)
+    with pytest.warns(UserWarning):
+        _, trace = solve(s, cfg, record_factors=True)
+    for snap in trace.iterates:
+        assert not snap.gains_updated.any()
+        assert np.allclose(np.linalg.norm(snap.pair.gains, axis=0), 1.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("beta", [0.0, 5e-3])
+def test_solve_evaluates_the_fit_once_per_iteration(monkeypatch, beta):
+    # Once for the start and once after each rescale: the trace needs no other fit.
+    masked_fit, calls = solver._masked_fit, []
+
+    def counted(*args):
+        calls.append(args)
+        return masked_fit(*args)
+
+    monkeypatch.setattr(solver, "_masked_fit", counted)
+    s, _ = random_instance(70, n_rows=6, n_cols=9, rank=2, p_obs=0.7)
+    n = 7
+    solve(s, SolverConfig(beta=beta, rank=2, max_iters=n, rel_tol=0.0))
+    assert len(calls) == n + 1
+
+
 def test_solve_trace_objective_identity_and_monotone_gamma_step():
     for seed in range(5):
         s, _ = random_instance(seed + 80, n_rows=8, n_cols=12, rank=3, p_obs=0.6)
@@ -604,7 +642,8 @@ def test_solve_trace_objective_identity_and_monotone_gamma_step():
             prev = trace.initial
             for rec, snap in zip(trace.records, trace.iterates):
                 assert rec.objective == rec.fit + beta * rec.penalty
-                assert rec.fit <= rec.fit_after_p + 1e-9
+                fit_after_p = weighted_fit(s, FactorPair(prev.gains, snap.activations_updated))
+                assert rec.fit <= fit_after_p + 1e-9
                 # The activation sweep must not raise the surrogate expanded
                 # around the pair that the iteration started from.
                 p_ref = prev.activations

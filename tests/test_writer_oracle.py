@@ -182,7 +182,7 @@ def test_masked_csv_matches_reference(tmp_path, matrix):
 
 def test_trace_csv_matches_reference(tmp_path):
     records = [
-        IterationRecord(iteration=i + 1, fit_after_p=v, fit=v, penalty=VALUES[-1 - i],
+        IterationRecord(iteration=i + 1, fit=v, penalty=VALUES[-1 - i],
                         objective=v + 5e-3 * VALUES[-1 - i], clamped=i)
         for i, v in enumerate(VALUES)
     ]
