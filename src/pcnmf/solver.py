@@ -67,9 +67,9 @@ K x (T-1) ones (d^2, the reweights) and the K x T ones of the sweep and of
 the joint step. An iteration allocates only its new iterates, which may
 outlive it (returned pairs, snapshots) and so are never workspace buffers.
 The four products with a transposed operand (G^T on the left, P^T on the
-right) go through np.dot: it hands the transposed view to the same BLAS
-call, so its result is np.matmul's bit for bit, with less overhead per call
-at these small shapes. Besides its six products, a solve
+right) go through np.dot, which costs less per call than np.matmul at
+these small shapes and gives its result bit for bit (the kernel oracle pins
+this against the @ of the reference loops). Besides its six products, a solve
 iteration makes five elementwise passes over N x T: the mask after the
 sweep, for the gains denominator, then the mask, residual, square and sum
 after the rescale. The fit between the sweep and the gains update serves no

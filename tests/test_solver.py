@@ -604,18 +604,6 @@ def test_solve_all_missing_keeps_fit_zero():
     assert all(rec.fit == 0.0 for rec in trace.records)
 
 
-def test_solve_all_missing_snapshots_the_raw_gains_update():
-    # The gains step zeroes every column here; the snapshot keeps those zeros,
-    # and only the rescaled pair holds the redrawn columns.
-    s = MaskedMatrix(np.zeros((4, 6)), np.zeros((4, 6)))
-    cfg = SolverConfig(beta=5e-3, rank=2, max_iters=5, rel_tol=0.0)
-    with pytest.warns(UserWarning):
-        _, trace = solve(s, cfg, record_factors=True)
-    for snap in trace.iterates:
-        assert not snap.gains_updated.any()
-        assert np.allclose(np.linalg.norm(snap.pair.gains, axis=0), 1.0, rtol=0, atol=1e-15)
-
-
 @pytest.mark.parametrize("beta", [0.0, 5e-3])
 def test_solve_evaluates_the_fit_once_per_iteration(monkeypatch, beta):
     # Once for the start and once after each rescale: the trace needs no other fit.
