@@ -2,10 +2,13 @@
 
 These are the `solve` and `infer_activations` loops as they were written
 before the shared MM kernel in `pcnmf.solver`, with the step functions they
-called, copied without change but for two: inference starts from the raw
+called, copied without change but for four: inference starts from the raw
 init draw, as the kernel's does, not from a draw calibrated to the data's
-mean, and the loops read the denominator guard from the constant GUARD,
-not from a config field of the same value. Every iterate, trace record and
+mean; the loops read the denominator guard from the constant GUARD, not
+from a config field of the same value; the trace record no longer holds the
+fit between the sweep and the gains update, which no output read; and a
+snapshot keeps the raw gains update, not the copy whose dead columns were
+redrawn, as its docstring always said. Every iterate, trace record and
 stop iteration of the kernel must equal what these loops produce, bit for
 bit. Do not edit this file to follow the solver: a difference is a solver
 bug.
