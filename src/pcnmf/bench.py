@@ -421,27 +421,19 @@ def _write_table(rows, cls, path) -> None:
     write_csv(path, names, [csv_line([_cell(getattr(row, n)) for n in names]) for row in rows])
 
 
-def write_summary_csv(rows: list[SummaryRow], path) -> None:
-    _write_table(rows, SummaryRow, path)
-
-
-def write_trials_csv(rows: list[TrialResult], path) -> None:
-    _write_table(rows, TrialResult, path)
-
-
 def _parse_float(cell: str) -> float:
     return float(cell) if cell else _NAN
 
 
 def _parse_bool(cell: str) -> bool:
-    # write_trials_csv writes a bool as 0 or 1; any other cell is not one.
+    # _write_table writes a bool as 0 or 1; any other cell is not one.
     if cell not in ("0", "1"):
         raise ValueError(f"expected 0 or 1, got {cell!r}")
     return cell == "1"
 
 
 def _parse_int(cell: str) -> int:
-    # write_trials_csv writes an int as str(value); int alone would also take '6_0' or ' 6'.
+    # _write_table writes an int as str(value); int alone would also take '6_0' or ' 6'.
     value = int(cell)
     if str(value) != cell:
         raise ValueError(f"expected an int as str writes it, got {cell!r}")
@@ -503,5 +495,5 @@ def write_benchmark_outputs(outdir, summary: list[SummaryRow],
     if not include_timing:
         summary = [replace(row, mean_seconds=None) for row in summary]
         trials = [replace(r, seconds=None) for r in trials]
-    write_summary_csv(summary, out / "summary.csv")
-    write_trials_csv(trials, out / "trials.csv")
+    _write_table(summary, SummaryRow, out / "summary.csv")
+    _write_table(trials, TrialResult, out / "trials.csv")

@@ -68,6 +68,7 @@ def _cmd_solve(args) -> int:
         "rank": cfg.rank,
         "iterations_run": trace.iterations,
         "final_objective": trace.records[-1].objective,
+        "stop_reason": trace.stop_reason,
     }
     write_json(out / "solve.json", sidecar)
     print(

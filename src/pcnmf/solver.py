@@ -14,7 +14,8 @@ scale into the activations) to stop the penalty from draining the
 activations to zero. infer_activations, with the gains frozen, starts from
 the raw init draw and minimizes the same two majorizers jointly along time
 instead of slot by slot: one tridiagonal solve per activation row, for the
-increment from the current activations, which at beta = 0 is the sweep.
+increment from the current activations. At beta = 0, or with a single slot,
+no slot is coupled and it takes the sweep itself.
 
 With beta = 0 and a full mask the updates coincide, in exact arithmetic and
 elementwise in floating point, with the classical Euclidean multiplicative
@@ -37,8 +38,8 @@ before its loop and two products per iteration, G^T (W ⊙ G P) and G P.
 At beta > 0 its joint step then reduces the K tridiagonal systems in
 ceil(log2 T) levels of fourteen elementwise passes over K x T each; at the
 paper shape (K = 5, T = 600) those levels cost more than both products.
-Besides its levels the joint step makes seventeen passes over K x T at
-beta > 0, six of them for the residual, and four at beta = 0.
+Besides its levels the joint step makes seventeen passes over K x T, six
+of them for the residual.
 The state at the end of an iteration (W ⊙ G P and d^2 = diff(P)^2) is
 carried into the next one: W ⊙ G P feeds the next curvature, and d^2 both
 the penalty term of the stop objective and the next reweights. The
@@ -193,18 +194,22 @@ class IterateSnapshot:
 
 @dataclass
 class SolveTrace:
+    """solve's records, its iterates and start when record_factors=True, and
+    why its loop stopped: "rel_tol" or "max_iters"."""
+
     records: list[IterationRecord] = field(default_factory=list)
     iterates: list[IterateSnapshot] | None = None
     initial: FactorPair | None = None
+    stop_reason: str | None = None
 
     @property
     def iterations(self) -> int:
         return len(self.records)
 
     def to_csv(self, path) -> None:
-        """Export as CSV with columns iter,fit,penalty,objective."""
-        write_csv(path, ["iter", "fit", "penalty", "objective"],
-                  (f"{rec.iteration},{rec.fit},{rec.penalty},{rec.objective}\n"
+        """Export as CSV with columns iter,fit,penalty,objective,clamped."""
+        write_csv(path, ["iter", "fit", "penalty", "objective", "clamped"],
+                  (f"{rec.iteration},{rec.fit},{rec.penalty},{rec.objective},{rec.clamped}\n"
                    for rec in self.records))
 
 
@@ -310,8 +315,9 @@ def _activation_step(ws, p, data, curv, w, beta: float):
     so the first and last slots see one neighbor each. At beta = 0 the pull
     and wsum terms are exact zeros, so they are skipped (w may be None) and
     the step is p * data / curv, the multiplicative Euclidean update, with
-    the same result and clamp count. Writes ws.pull, ws.wsum, ws.den and
-    ws.low; the new acts are a fresh array.
+    the same result and clamp count. It is the one uncoupled update:
+    infer_activations takes it too wherever no slot is coupled. Writes
+    ws.pull, ws.wsum, ws.den and ws.low; the new acts are a fresh array.
     """
     pull, wsum, den = ws.pull, ws.wsum, ws.den
     if beta:
@@ -358,21 +364,16 @@ def _joint_activation_step(ws, p, data, curv, w, beta: float):
     that sees no data (curv = 0), where the system would be singular. The
     matrix is then an M-matrix and the right side is >= 0, so new >= 0.
 
-    With T > 1 the system is solved for the increment new - p, whose right
-    side is the residual data_t p_t - (diag_t p_t - lower_t p_(t-1) -
-    upper_t p_(t+1)), and new = max(p + increment, ACTIVATION_FLOOR). The
-    residual vanishes as the iterates converge, so the rounding of the
-    reduction shrinks with it instead of jittering the iterates near a
-    plateau. At beta = 0 and at T = 1 no slot is coupled and no reduction
-    level runs: new is data * p / max(curv, GUARD), _activation_step's
-    beta = 0 result bit for bit. Writes ws.den, ws.pull, ws.lower, ws.upper
-    and ws.flat; the new acts are a fresh array.
+    The system is solved for the increment new - p, whose right side is the
+    residual data_t p_t - (diag_t p_t - lower_t p_(t-1) - upper_t p_(t+1)),
+    and new = max(p + increment, ACTIVATION_FLOOR). The residual vanishes as
+    the iterates converge, so the rounding of the reduction shrinks with it
+    instead of jittering the iterates near a plateau. Only coupled slots
+    need this step: it takes beta > 0 and T > 1. Writes ws.den, ws.pull,
+    ws.lower, ws.upper and ws.flat; the new acts are a fresh array.
     """
     diag = np.maximum(curv, GUARD, out=ws.den)
     rhs = np.multiply(data, p, out=ws.pull)
-    if not beta or p.shape[1] < 2:
-        new = np.divide(rhs, diag)
-        return np.maximum(new, ACTIVATION_FLOOR, out=new)
     two_beta, lower, upper = 2.0 * beta, ws.lower, ws.upper
     lower[:, :1] = 0.0
     np.multiply(w, p[:, 1:], out=lower[:, 1:])
@@ -553,12 +554,16 @@ def _init_draw(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     return rng.uniform(0.1, 1.1, size=shape)
 
 
-def _descend(step, obj: float, cfg: SolverConfig) -> None:
-    """Run step(1), step(2), ... from objective obj until cfg's stop rule."""
+def _descend(step, obj: float, cfg: SolverConfig) -> str:
+    """Run step(1), step(2), ... from objective obj until cfg's stop rule.
+
+    Returns why the loop stopped: "rel_tol" or "max_iters".
+    """
     for iteration in range(1, cfg.max_iters + 1):
         prev, obj = obj, step(iteration)
         if abs(prev - obj) / max(abs(prev), GUARD) < cfg.rel_tol:
-            break
+            return "rel_tol"
+    return "max_iters"
 
 
 def _check_finite(iteration: int, *arrays: np.ndarray) -> None:
@@ -618,7 +623,7 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
                 pair=FactorPair(gains, acts)))
         return obj
 
-    _descend(step, fit + beta * pen, cfg)
+    trace.stop_reason = _descend(step, fit + beta * pen, cfg)
     return FactorPair(gains, acts), trace
 
 
@@ -631,9 +636,10 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     (_joint_activation_step): the fit majorizer and the reweighted
     quadratic minimized over all slots at once, one tridiagonal solve per
     activation row, for the increment from the current activations. At
-    beta = 0 that step is solve's activation sweep, bit for bit, and sees
-    the scale of the start only through rounding; at beta > 0 it recovers
-    that scale within a few iterations. Runs until cfg's stop rule on
+    beta = 0, or with a single slot, no slot is coupled and the step is
+    solve's activation sweep itself (_activation_step), which sees the
+    scale of the start only through rounding; at beta > 0 the joint step
+    recovers that scale within a few iterations. Runs until cfg's stop rule on
     majorized = fit + beta * sum log1p(d^2 / epsilon), the objective the
     joint step descends; at beta = 0 that is the fit, and no transition or
     reweight is computed.
@@ -643,6 +649,7 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     acts = _init_draw(np.random.default_rng(cfg.init_seed), (gains.shape[1], s.n_cols))
     ws = _Workspace(gains, acts)
     data = np.dot(gains.T, values, out=ws.data)
+    coupled = beta > 0 and s.n_cols > 1
 
     def majorized():
         """fit + beta * sum log1p(d^2 / epsilon) at acts; leaves W ⊙ G P and d^2 in ws."""
@@ -653,9 +660,12 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
 
     def step(iteration):
         nonlocal acts
-        acts = _joint_activation_step(ws, acts, data, np.dot(gains.T, ws.wgp, out=ws.curv),
-                                      _reweights(ws.d2, eps, out=ws.scratch) if beta else None,
-                                      beta)
+        curv = np.dot(gains.T, ws.wgp, out=ws.curv)
+        if coupled:
+            acts = _joint_activation_step(ws, acts, data, curv,
+                                          _reweights(ws.d2, eps, out=ws.scratch), beta)
+        else:
+            acts, _ = _activation_step(ws, acts, data, curv, None, 0.0)
         _check_finite(iteration, acts)
         return majorized()
 

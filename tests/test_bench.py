@@ -28,8 +28,6 @@ from pcnmf import (
     scale_rows_to_reference,
     transition_count,
     write_benchmark_outputs,
-    write_summary_csv,
-    write_trials_csv,
 )
 
 
@@ -383,9 +381,8 @@ def test_sweep_full_observation_has_empty_rmse_cells(tmp_path):
     cfg = tiny_experiment(trials=2, sweep=(("p_obs", (1.0,)),))
     summary, _ = run_sweep(cfg)
     assert all(np.isnan(row.mean_rmse) for row in summary)
-    path = tmp_path / "summary.csv"
-    write_summary_csv(summary, path)
-    lines = path.read_text().splitlines()
+    write_benchmark_outputs(tmp_path, summary, [])
+    lines = (tmp_path / "summary.csv").read_text().splitlines()
     for line in lines[1:]:
         fields = line.split(",")
         assert fields[3] == "" and fields[4] == ""
@@ -415,9 +412,8 @@ def test_sweep_parallel_equals_serial(tmp_path):
 def test_emitted_csvs_round_trip_to_summary(tmp_path):
     cfg = tiny_experiment(trials=3, sweep=(("noise_var", (1e-8, 1e-5)),))
     summary, trials = run_sweep(cfg)
-    trials_path = tmp_path / "trials.csv"
-    write_trials_csv(trials, trials_path)
-    parsed = read_trials_csv(trials_path)
+    write_benchmark_outputs(tmp_path, [], trials)
+    parsed = read_trials_csv(tmp_path / "trials.csv")
     for row in summary:
         vals = np.array([
             r["rmse"] for r in parsed
@@ -479,7 +475,7 @@ def test_run_trial_can_export_traces(tmp_path):
     run_trial(cfg, 0, trace_dir=tmp_path)
     for method in ("pcnmf", "wnmf"):
         lines = (tmp_path / f"trace_0_{method}.csv").read_text().splitlines()
-        assert lines[0] == "iter,fit,penalty,objective"
+        assert lines[0] == "iter,fit,penalty,objective,clamped"
         assert len(lines) == 1 + cfg.solver.max_iters
 
 
@@ -792,9 +788,8 @@ def test_read_trials_csv_malformed_is_named_error(tmp_path, text, message):
 def test_read_trials_csv_types_sweep_value_by_the_swept_field(tmp_path, param):
     # 3 for an int field, 3.0 for a float one: a float with an integral value stays a float.
     value = 3 if bench._SWEEPABLE[param][1].type == "int" else 3.0
-    path = tmp_path / "trials.csv"
-    write_trials_csv([bench.TrialResult(param, value, 0, "pcnmf", 7)], path)
-    parsed = read_trials_csv(path)[0]["sweep_value"]
+    write_benchmark_outputs(tmp_path, [], [bench.TrialResult(param, value, 0, "pcnmf", 7)])
+    parsed = read_trials_csv(tmp_path / "trials.csv")[0]["sweep_value"]
     assert parsed == value and type(parsed) is type(value)
 
 
@@ -805,9 +800,8 @@ def test_read_trials_csv_types_every_field(tmp_path):
         bench.TrialResult("none", None, 0, "wnmf", 9, seconds=0.125, failed=True,
                           error="non-finite iterate at iteration 3"),
     ]
-    path = tmp_path / "trials.csv"
-    write_trials_csv(rows, path)
-    parsed = read_trials_csv(path)
+    write_benchmark_outputs(tmp_path, [], rows)
+    parsed = read_trials_csv(tmp_path / "trials.csv")
     assert parsed[0] == dataclasses.asdict(rows[0])
     assert [type(v) for v in parsed[1].values()] == [
         str, float, int, str, int, float, float, float, int, float, float, bool, str]

@@ -49,9 +49,10 @@ def test_solve_emits_factors_and_sidecar(scenario_dir, tmp_path):
     assert sidecar["rank"] == 2
     assert sidecar["beta"] == 5e-3
     assert sidecar["iterations_run"] == 40
+    assert sidecar["stop_reason"] == "max_iters"
     assert sidecar["final_objective"] > 0
     trace_lines = (out / "trace.csv").read_text().splitlines()
-    assert trace_lines[0] == "iter,fit,penalty,objective"
+    assert trace_lines[0] == "iter,fit,penalty,objective,clamped"
     assert len(trace_lines) == 41
     first = trace_lines[1].split(",")
     assert float(first[3]) == float(first[1]) + 5e-3 * float(first[2])

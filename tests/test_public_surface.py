@@ -16,7 +16,6 @@ from pcnmf.solver import IterateSnapshot
 
 # Removing or adding a public name is an API change: edit this list with it.
 PUBLIC = [
-    "ACTIVATION_FLOOR",
     "ExperimentConfig",
     "FactorPair",
     "IterationRecord",
@@ -58,8 +57,6 @@ PUBLIC = [
     "transition_count",
     "weighted_fit",
     "write_benchmark_outputs",
-    "write_summary_csv",
-    "write_trials_csv",
 ]
 
 # Adding or dropping a setting is an API change too: edit these with it.
@@ -75,7 +72,7 @@ SETTINGS = {
 TRACE_FIELDS = {
     IterationRecord: ["iteration", "fit", "penalty", "objective", "clamped"],
     IterateSnapshot: ["activations_updated", "gains_updated", "pair"],
-    SolveTrace: ["records", "iterates", "initial"],
+    SolveTrace: ["records", "iterates", "initial", "stop_reason"],
 }
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -114,14 +111,28 @@ def test_public_surface_is_pinned_and_traced_targets_resolve():
             (module_name, attr)
 
 
-def test_traced_solve_info_reads_a_real_trace():
-    # The traced benchmark records these fields of every solve call it wraps.
+def _unobserved_slot_solve():
+    """A 3-iteration solve at beta = 0 of a 4 x 6 matrix whose slot 2 is unobserved,
+    which clamps both rows of that slot every iteration."""
     values, mask = np.random.default_rng(0).uniform(0.1, 1.0, (4, 6)), np.ones((4, 6))
-    mask[:, 2] = 0.0  # an unobserved slot: at beta = 0 it clamps both rows every iteration
+    mask[:, 2] = 0.0
     s = MaskedMatrix(values * mask, mask)
     cfg = SolverConfig(beta=0.0, rank=2, max_iters=3, rel_tol=0.0)
-    info = _spans()._solve_info((s, cfg), solve(s, cfg))
-    assert info == {"iters": 3, "max_iters": 3, "clamped": 6}
+    return (s, cfg), solve(s, cfg)
+
+
+def test_traced_solve_info_reads_a_real_trace():
+    # The traced benchmark records these fields of every solve call it wraps.
+    args, result = _unobserved_slot_solve()
+    assert _spans()._solve_info(args, result) == {"iters": 3, "max_iters": 3, "clamped": 6}
+
+
+def test_trace_csv_clamped_column_counts_the_clamps(tmp_path):
+    _, (_, trace) = _unobserved_slot_solve()
+    trace.to_csv(tmp_path / "trace.csv")
+    header, *rows = (tmp_path / "trace.csv").read_text().splitlines()
+    assert header.split(",")[-1] == "clamped"
+    assert sum(int(row.split(",")[-1]) for row in rows) == 6
 
 
 def test_readme_library_quick_start_runs():

@@ -349,6 +349,22 @@ def test_activation_step_at_zero_beta_ignores_the_reweights():
     assert np.array_equal(with_w, without_w)
 
 
+@pytest.mark.parametrize("beta, n_cols, coupled", [(0.0, 6, False), (5e-3, 1, False),
+                                                   (5e-3, 6, True)])
+def test_inference_takes_the_joint_step_only_where_slots_are_coupled(monkeypatch, beta,
+                                                                     n_cols, coupled):
+    # At beta = 0 or with a single slot the uncoupled update is the sweep's own.
+    calls = []
+    for name in ("_activation_step", "_joint_activation_step"):
+        def counted(*args, _name=name, _step=getattr(solver, name)):
+            calls.append(_name)
+            return _step(*args)
+        monkeypatch.setattr(solver, name, counted)
+    s, pair = random_instance(24, n_rows=4, n_cols=n_cols)
+    infer_activations(s, pair.gains, SolverConfig(beta=beta, rank=2, max_iters=5, rel_tol=0.0))
+    assert calls == ["_joint_activation_step" if coupled else "_activation_step"] * 5
+
+
 @pytest.mark.parametrize("beta", [0.0, 5e-3])
 def test_loops_build_reweights_only_at_positive_beta(monkeypatch, beta):
     def refuse(*args, **kwargs):
@@ -716,13 +732,13 @@ def scripted(objectives):
 def test_descend_stops_at_first_relative_change_below_tolerance():
     # Relative changes 0.5, 0.5 (not below 0.5), 1e-3: stop after step 3.
     step, calls = scripted([2.0, 1.0, 0.999, 0.5, 0.25])
-    solver._descend(step, 4.0, SolverConfig(max_iters=10, rel_tol=0.5))
+    assert solver._descend(step, 4.0, SolverConfig(max_iters=10, rel_tol=0.5)) == "rel_tol"
     assert calls == [1, 2, 3]
 
 
 def test_descend_runs_exactly_max_iters_at_zero_tolerance():
     step, calls = scripted([1.0] * 7)
-    solver._descend(step, 1.0, SolverConfig(max_iters=7, rel_tol=0.0))
+    assert solver._descend(step, 1.0, SolverConfig(max_iters=7, rel_tol=0.0)) == "max_iters"
     assert calls == list(range(1, 8))
 
 
@@ -745,8 +761,21 @@ def test_descend_divides_by_guard_at_zero_objective():
 def test_descend_never_stops_early_on_non_finite_objective(bad):
     # The relative change is inf or NaN, and neither is below any rel_tol.
     step, calls = scripted([bad] * 5)
-    solver._descend(step, 1.0, SolverConfig(max_iters=5, rel_tol=1.0))
+    assert solver._descend(step, 1.0, SolverConfig(max_iters=5, rel_tol=1.0)) == "max_iters"
     assert calls == [1, 2, 3, 4, 5]
+
+
+def test_solve_records_why_it_stopped():
+    s, _ = random_instance(71, n_rows=4, n_cols=6)
+    _, trace = solve(s, SolverConfig(rank=2, max_iters=30, rel_tol=0.0))
+    assert (trace.iterations, trace.stop_reason) == (30, "max_iters")
+    # The instance of the kernel oracle's relative-tolerance test, which stops early.
+    rng = np.random.default_rng(92)
+    rng.random((5, 6))  # the oracle's mask draw: at p_obs = 1 every cell is observed
+    s = MaskedMatrix(rng.uniform(0.0, 2.0, (5, 6)), np.ones((5, 6)))
+    cfg = SolverConfig(beta=5e-3, rank=2, max_iters=5000, rel_tol=1e-6)
+    _, trace = solve(s, cfg)
+    assert trace.iterations < cfg.max_iters and trace.stop_reason == "rel_tol"
 
 
 # ------------------------------------------------------------------- inference

@@ -1,11 +1,12 @@
 """Writer oracle: pcnmf's CSV writers against the per-file writers they replaced.
 
 The reference writers below are the earlier implementations, copied
-unchanged apart from taking the trace records as an argument and dropping
-the dense writer's shape check: csv.writer with repr of each float for the
-matrix files, and hand-joined lines for the trace and the two benchmark
-tables. Traces and tables must match byte for byte; matrix files once the
-references' CRLF line ends become LF, and they must load back bit for bit.
+unchanged apart from taking the trace records as an argument, the trace's
+clamped column, added after them, and dropping the dense writer's shape
+check: csv.writer with repr of each float for the matrix files, and
+hand-joined lines for the trace and the two benchmark tables. Traces and
+tables must match byte for byte; matrix files once the references' CRLF
+line ends become LF, and they must load back bit for bit.
 """
 
 import csv
@@ -25,8 +26,6 @@ from pcnmf import (
     save_dense_csv,
     save_masked_csv,
     write_benchmark_outputs,
-    write_summary_csv,
-    write_trials_csv,
 )
 
 # Zero, the smallest subnormal, a tiny normal, a float beyond integer
@@ -68,12 +67,13 @@ def _ref_save_dense_csv(matrix: np.ndarray, path) -> None:
 
 
 def _ref_trace_to_csv(records, path) -> None:
-    """Export as CSV with columns iter,fit,penalty,objective."""
+    """Export as CSV with columns iter,fit,penalty,objective,clamped."""
     with open(path, "w", newline="") as fh:
-        fh.write("iter,fit,penalty,objective\n")
+        fh.write("iter,fit,penalty,objective,clamped\n")
         for rec in records:
             fh.write(
-                f"{rec.iteration},{rec.fit!r},{rec.penalty!r},{rec.objective!r}\n"
+                f"{rec.iteration},{rec.fit!r},{rec.penalty!r},{rec.objective!r},"
+                f"{rec.clamped}\n"
             )
 
 
@@ -200,19 +200,16 @@ def _summary_rows():
     ]
 
 
-def _write_summary(rows, path, include_timing):
-    # Timing cells are blanked by write_benchmark_outputs alone.
-    if include_timing:
-        write_summary_csv(rows, path)
-    else:
-        write_benchmark_outputs(path.parent / "out", rows, [], include_timing=False)
-        (path.parent / "out" / "summary.csv").replace(path)
+def _write_via_outputs(name, summary, trials, path, include_timing=True):
+    """The table name (summary.csv or trials.csv) of write_benchmark_outputs, moved to path."""
+    write_benchmark_outputs(path.parent / "out", summary, trials, include_timing=include_timing)
+    (path.parent / "out" / name).replace(path)
 
 
 @pytest.mark.parametrize("include_timing", [True, False])
 def test_summary_csv_matches_reference(tmp_path, include_timing):
     rows = _summary_rows()
-    _assert_same(tmp_path, lambda p: _write_summary(rows, p, include_timing),
+    _assert_same(tmp_path, lambda p: _write_via_outputs("summary.csv", rows, [], p, include_timing),
                  lambda p: _ref_write_summary_csv(rows, p, include_timing))
 
 
@@ -227,7 +224,7 @@ def test_trials_csv_matches_reference(tmp_path):
         TrialResult("noise_var", 1e16, 2, "wnmf", 0, 123.456, 5e-324, 1e16, 3,
                     math.inf, 2.5),
     ]
-    _assert_same(tmp_path, lambda p: write_trials_csv(rows, p),
+    _assert_same(tmp_path, lambda p: _write_via_outputs("trials.csv", [], rows, p),
                  lambda p: _ref_write_trials_csv(rows, p))
 
 
@@ -237,7 +234,6 @@ def test_table_cell_that_would_need_quoting_is_named_error(tmp_path, char):
     # no file either.
     row = TrialResult("none", None, 0, "pcnmf", 7, NAN, NAN, NAN, 0, 0.25, NAN,
                       failed=True, error=f"bad{char}cell")
-    path = tmp_path / "trials.csv"
     with pytest.raises(ValueError, match=r"CSV cell 'bad.+cell' would need quoting"):
-        write_trials_csv([row], path)
-    assert not path.exists()
+        write_benchmark_outputs(tmp_path, [], [row])
+    assert not (tmp_path / "trials.csv").exists()
