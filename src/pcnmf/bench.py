@@ -38,10 +38,6 @@ _SWEEPABLE = {("solver." if part == "solver" else "") + f.name: (part, f)
               if f.type in ("int", "float") and "seed" not in f.name}
 
 
-class UndefinedMetricError(ValueError):
-    """Requested error metric has no entries to evaluate."""
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Benchmark protocol: scenario, solver, trial count, window, sweep.
@@ -149,21 +145,18 @@ class TrialResult:
 
 
 def _missing_entries(reconstructed, truth, mask):
-    """(rec, tru, missing): finite 2-D arrays of one shape and their nonempty missing cells."""
+    """(rec, tru, missing): finite 2-D arrays of one shape and their missing cells."""
     rec = finite(reconstructed, "reconstructed")
     tru = finite(truth, "truth", shape=rec.shape)
-    missing = binary(mask, "mask", shape=rec.shape) == 0
-    if not missing.any():
-        raise UndefinedMetricError("no missing entries to evaluate")
-    return rec, tru, missing
+    return rec, tru, binary(mask, "mask", shape=rec.shape) == 0
 
 
 def rmse_missing(reconstructed: np.ndarray, truth: np.ndarray,
                  mask: np.ndarray) -> float:
     """Per-sensor RMS error over missing entries, averaged across sensors.
 
-    Only sensors with at least one missing entry contribute. Raises
-    UndefinedMetricError when nothing is missing anywhere.
+    Only sensors with at least one missing entry contribute; NaN when nothing
+    is missing anywhere.
     """
     rec, tru, missing = _missing_entries(reconstructed, truth, mask)
     per_sensor = []
@@ -172,15 +165,15 @@ def rmse_missing(reconstructed: np.ndarray, truth: np.ndarray,
         if sel.any():
             err = rec[r, sel] - tru[r, sel]
             per_sensor.append(np.sqrt(np.mean(err * err)))
-    return float(np.mean(per_sensor))
+    return float(np.mean(per_sensor)) if per_sensor else _NAN
 
 
 def rmse_missing_pooled(reconstructed: np.ndarray, truth: np.ndarray,
                         mask: np.ndarray) -> float:
-    """RMS error pooled over every missing entry, all sensors together."""
+    """RMS error pooled over every missing entry, all sensors together; NaN if none."""
     rec, tru, missing = _missing_entries(reconstructed, truth, mask)
     err = rec[missing] - tru[missing]
-    return float(np.sqrt(np.mean(err * err)))
+    return float(np.sqrt(np.mean(err * err))) if err.size else _NAN
 
 
 def transition_count(activations: np.ndarray, threshold: float) -> np.ndarray:
@@ -300,32 +293,30 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
         beta = cfg.solver.beta if method == "pcnmf" else 0.0
         solver_cfg = replace(cfg.solver, beta=beta, init_seed=init_seed)
         start = time.perf_counter()
+        error = ""
         try:
             pair, trace = solve(s_window, solver_cfg)
             acts = infer_activations(s_full, pair.gains, solver_cfg)
         except NumericFailureError as exc:
-            results.append(TrialResult(*key, seconds=time.perf_counter() - start,
-                                       failed=True, error=str(exc)))
-            continue
+            error = str(exc)
         seconds = time.perf_counter() - start
-        if trace_dir is not None:
-            out = Path(trace_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            trace.to_csv(out / f"trace_{trace_tag}{trial_index}_{method}.csv")
-        # A reconstruction that overflows, or whose squared error does, is a
-        # failed row; a NaN score means only that no cell is missing.
-        with np.errstate(over="ignore", invalid="ignore"):
-            s_hat = pair.gains @ acts
-            error = "" if np.isfinite(s_hat).all() else "reconstruction gains @ activations is not finite"
-            if not error:
-                try:
+        if not error:
+            if trace_dir is not None:
+                out = Path(trace_dir)
+                out.mkdir(parents=True, exist_ok=True)
+                trace.to_csv(out / f"trace_{trace_tag}{trial_index}_{method}.csv")
+            # A reconstruction that overflows, or whose squared error does, is a
+            # failed row; a NaN score means only that no cell is missing.
+            with np.errstate(over="ignore", invalid="ignore"):
+                s_hat = pair.gains @ acts
+                if not np.isfinite(s_hat).all():
+                    error = "reconstruction gains @ activations is not finite"
+                else:
                     rmse = rmse_missing(s_hat, truth.s_clean, s_full.mask)
                     pooled = rmse_missing_pooled(s_hat, truth.s_clean, s_full.mask)
-                except UndefinedMetricError:
-                    rmse = pooled = _NAN
-                fit = weighted_fit(s_full, FactorPair(pair.gains, acts))
-                if np.isinf([rmse, pooled]).any() or not np.isfinite(fit):
-                    error = "score of gains @ activations is not finite"
+                    fit = weighted_fit(s_full, FactorPair(pair.gains, acts))
+                    if np.isinf([rmse, pooled]).any() or not np.isfinite(fit):
+                        error = "score of gains @ activations is not finite"
         if error:
             results.append(TrialResult(*key, seconds=seconds, failed=True, error=error))
             continue

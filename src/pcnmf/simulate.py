@@ -5,8 +5,10 @@ transmitters and sensors dropped uniformly in a square, power-law path
 gains, slowly varying Rayleigh fading through a first-order autoregressive
 recursion, two-state Markov on/off activity with a fresh uniform transmit
 power per activation run, additive Gaussian sensor noise, and Bernoulli
-observation masking. `fading_step` runs the generator's one AR(1) step, and
-every `ScenarioConfig` that constructs generates on every seed.
+observation masking. `fading_step` runs the generator's one AR(1) step.
+Every `ScenarioConfig` that constructs generates on every seed, unless a
+distance, a gain or the clean received power overflows float64 on it: that
+raises one ValueError naming the seed and the quantity, with no warning.
 
 Every random quantity is drawn from a named substream keyed on the scenario
 seed, so scenarios are reproducible regardless of generation order and
@@ -115,12 +117,20 @@ def place_network(cfg: ScenarioConfig,
 def path_gain(d, cfg: ScenarioConfig):
     """Power attenuation (d / d0)^(-alpha); a zero distance is treated as d0.
 
-    Raises ValueError unless every distance is finite and >= 0.
+    A gain past float64's range is inf, without a warning. Raises ValueError
+    unless every distance is finite and >= 0.
     """
     dist = np.asarray(d, dtype=np.float64)
     if not (np.isfinite(dist).all() and (dist >= 0).all()):
         raise ValueError("distances must be finite and >= 0")
-    return (np.where(dist == 0.0, cfg.d0, dist) / cfg.d0) ** (-cfg.alpha)
+    dist = np.where(dist == 0.0, cfg.d0, dist)
+    with np.errstate(over="ignore"):
+        ratio = dist / cfg.d0
+        gain = ratio ** (-cfg.alpha)
+        if np.isinf(ratio).any():  # d / d0 past float64's range: the power through logs
+            far = np.exp(cfg.alpha * (np.log(cfg.d0) - np.log(dist)))
+            gain = np.where(np.isinf(ratio), far, gain)
+    return gain
 
 
 def _cn01(rng: np.random.Generator, size=None):
@@ -193,13 +203,25 @@ def _piecewise_powers(activity: np.ndarray, rng: np.random.Generator,
     return powers
 
 
+def _in_range(values: np.ndarray, quantity: str, seed: int) -> np.ndarray:
+    """values, or a ValueError naming quantity and seed if one overflowed float64."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"scenario seed {seed}: {quantity} overflows float64")
+    return values
+
+
 def generate_scenario(cfg: ScenarioConfig) -> ScenarioTruth:
-    """Generate one scenario; fully deterministic given cfg (seed included)."""
+    """Generate one scenario; fully deterministic given cfg (seed included).
+
+    Raises ValueError naming the seed and the quantity when a distance, a gain
+    or the clean received power overflows float64.
+    """
     pu_pos, su_pos = place_network(cfg, _substream(cfg.seed, _GEOMETRY))
 
     diff = su_pos[:, None, :] - pu_pos[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    static_gain = path_gain(dist, cfg)
+    with np.errstate(over="ignore"):
+        dist = _in_range(np.sqrt(np.sum(diff * diff, axis=2)), "distance", cfg.seed)
+    static_gain = _in_range(path_gain(dist, cfg), "path gain", cfg.seed)
 
     # Per-pair fading trajectories from keyed substreams, stationary start;
     # h[1:] holds each pair's innovations until the recursion overwrites them.
@@ -225,7 +247,9 @@ def generate_scenario(cfg: ScenarioConfig) -> ScenarioTruth:
     np.abs(h, out=gamma_true.reshape(n_pairs, cfg.t_slots).T)
     del h
     np.square(gamma_true, out=gamma_true)
-    gamma_true *= static_gain[:, :, None]
+    with np.errstate(over="ignore"):
+        gamma_true *= static_gain[:, :, None]
+    _in_range(gamma_true, "channel gain", cfg.seed)
 
     activity = np.zeros((cfg.n_pu, cfg.t_slots), dtype=np.int64)
     p_true = np.zeros((cfg.n_pu, cfg.t_slots))
@@ -238,7 +262,9 @@ def generate_scenario(cfg: ScenarioConfig) -> ScenarioTruth:
             activity[j], _substream(cfg.seed, _POWER, j), *cfg.power_range
         )
 
-    s_clean = np.einsum("rjt,jt->rt", gamma_true, p_true)
+    with np.errstate(over="ignore"):
+        s_clean = np.einsum("rjt,jt->rt", gamma_true, p_true)
+    _in_range(s_clean, "clean received power", cfg.seed)
 
     values = _substream(cfg.seed, _NOISE).normal(
         0.0, np.sqrt(cfg.noise_var), size=s_clean.shape

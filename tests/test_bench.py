@@ -7,6 +7,7 @@ import json
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from pcnmf import (
     ScenarioConfig,
     ShapeMismatchError,
     SolverConfig,
-    UndefinedMetricError,
     read_trials_csv,
     rmse_missing,
     rmse_missing_pooled,
@@ -84,10 +84,10 @@ def test_rmse_matches_two_pass_oracle():
 
 def test_rmse_undefined_without_missing_entries():
     ones = np.ones((2, 3))
-    with pytest.raises(UndefinedMetricError):
-        rmse_missing(ones, ones, ones)
-    with pytest.raises(UndefinedMetricError):
-        rmse_missing_pooled(ones, ones, ones)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(rmse_missing(ones, ones, ones))
+        assert math.isnan(rmse_missing_pooled(ones, ones, ones))
 
 
 @pytest.mark.parametrize("scorer", [rmse_missing, rmse_missing_pooled])

@@ -28,7 +28,6 @@ PUBLIC = [
     "SolverConfig",
     "SummaryRow",
     "TrialResult",
-    "UndefinedMetricError",
     "activation_rate_for_duty",
     "compute_reweights",
     "derive_trial_seeds",

@@ -5,6 +5,7 @@ import os
 import re
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,15 @@ def test_path_gain_zero_distance_clamped():
 def test_path_gain_refuses_a_distance_that_is_not_finite_and_nonnegative(d):
     with pytest.raises(ValueError, match=r"^distances must be finite and >= 0$"):
         path_gain(d, ScenarioConfig())
+
+
+def test_path_gain_past_float64_is_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # d / d0 overflows: the gain is the power taken through logs, here 10^-0.31
+        far = path_gain([1.0, 0.0], ScenarioConfig(d0=1e-310, alpha=1e-3))
+        assert far[0] == pytest.approx(10 ** -0.31, rel=1e-12) and far[1] == 1.0
+        assert path_gain(1.0, ScenarioConfig(d0=1e3, alpha=400.0)) == np.inf
 
 
 def test_path_gain_matches_formula_on_grid():
@@ -377,6 +387,29 @@ _ORACLE_CONFIGS = [
     ScenarioConfig(a_range=(0.0, 0.0), t_slots=100, seed=8),
     ScenarioConfig(duty=0.5, a_range=(1.0, 1.0), t_slots=100, seed=9),
 ]
+
+
+@pytest.mark.parametrize("overrides, quantity", [
+    (dict(area_side=1e200, seed=7), "distance"),
+    (dict(d0=1e3, alpha=400.0, seed=7), "path gain"),
+    (dict(n_pu=1, n_su=1, eta=0.0, area_side=1.0, d0=10.0, alpha=259.0, seed=0),
+     "channel gain"),
+    (dict(power_range=(1e308, 1e308), d0=10.0, seed=7), "clean received power"),
+], ids=["distance", "path-gain", "channel-gain", "received-power"])
+def test_generation_overflow_is_one_error_naming_seed_and_quantity(overrides, quantity):
+    cfg = ScenarioConfig(t_slots=20, **overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=rf"^scenario seed {cfg.seed}: {quantity} overflows float64$"):
+            generate_scenario(cfg)
+
+
+def test_generation_with_d_over_d0_past_float64_underflows_the_gains_silently():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        truth = generate_scenario(ScenarioConfig(t_slots=20, d0=1e-310))
+    assert not truth.gamma_true.any() and not truth.s_clean.any()
 
 
 @pytest.mark.parametrize("cfg", _ORACLE_CONFIGS)

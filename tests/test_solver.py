@@ -659,6 +659,33 @@ def test_solve_trace_objective_identity_and_monotone_gamma_step():
                 prev = snap.pair
 
 
+def test_solve_steps_never_raise_the_majorized_objective():
+    # Criterion 2's instances. Each update step minimizes a majorizer of
+    # fit + beta * sum log1p(d^2 / epsilon) that touches it at the step's
+    # start, so neither may raise it beyond rounding. The rescale between
+    # iterations is left out: it keeps the fit but not the penalty.
+    rng = np.random.default_rng(99)
+    worst = -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for i in range(100):
+            n_r, t, k = int(rng.integers(2, 21)), int(rng.integers(2, 101)), int(rng.integers(1, 6))
+            scale = float(rng.choice([1.0, 50.0]))
+            mask = (rng.random((n_r, t)) < rng.uniform(0.3, 1.0)).astype(float)
+            s = MaskedMatrix(rng.uniform(0.0, scale, (n_r, t)), mask)
+            cfg = SolverConfig(beta=(0.0, 5e-3, 1.0)[i % 3], rank=k, max_iters=10,
+                               rel_tol=0.0, init_seed=i)
+            _, trace = solve(s, cfg, record_factors=True)
+            prev = trace.initial
+            for snap in trace.iterates:
+                values = [majorized(s, prev.gains, prev.activations, cfg),
+                          majorized(s, prev.gains, snap.activations_updated, cfg),
+                          majorized(s, snap.gains_updated, snap.activations_updated, cfg)]
+                worst = max(worst, *(np.diff(values) / np.abs(values[:-1])))
+                prev = snap.pair
+    assert worst <= 1e-12, worst
+
+
 def test_solve_iterates_stay_nonnegative():
     s, _ = random_instance(90, n_rows=7, n_cols=10, rank=3, p_obs=0.5)
     cfg = SolverConfig(beta=5e-3, rank=3, max_iters=30, rel_tol=0.0)
