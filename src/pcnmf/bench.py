@@ -127,7 +127,12 @@ def _swept(cfg: ExperimentConfig, param, value) -> tuple[ExperimentConfig, float
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One method on one trial; the metric defaults describe a failed run."""
+    """One method on one trial; the metric defaults describe a failed run.
+
+    iterations and learn_stop describe the gains-learning solve, infer_iterations and
+    infer_stop the inference ("rel_tol" or "max_iters"). seconds is the time of both
+    phases; simulate_s is the trial's scenario generation, which its methods share.
+    """
 
     sweep_param: str
     sweep_value: int | float | None  # the swept field's type; None when unswept
@@ -142,6 +147,13 @@ class TrialResult:
     transitions: float = _NAN   # mean per-row transition count, NaN when rank != n_pu
     failed: bool = False
     error: str = ""
+    learn_stop: str = ""
+    infer_iterations: int = 0
+    infer_stop: str = ""
+    simulate_s: float = _NAN
+    learn_s: float = _NAN
+    infer_s: float = _NAN
+    score_s: float = _NAN
 
 
 def _missing_entries(reconstructed, truth, mask):
@@ -269,6 +281,44 @@ def _estimate_transitions(acts: np.ndarray, p_true: np.ndarray,
     return float(np.mean(transition_count(scaled, threshold)))
 
 
+def _run_method(truth, gamma_window: int, solver_cfg: SolverConfig, trace_path) -> dict:
+    """The TrialResult fields of one method on one scenario: its scores and phases,
+    or, if it fails, the error and the seconds it ran."""
+    s_full = truth.observed
+    s_window = s_full.window(0, gamma_window)
+    start = time.perf_counter()
+    try:
+        pair, trace = solve(s_window, solver_cfg)
+        learned = time.perf_counter()
+        pair_full, infer_trace = infer_activations(s_full, pair.gains, solver_cfg)
+    except NumericFailureError as exc:
+        return {"error": str(exc), "seconds": time.perf_counter() - start}
+    inferred = time.perf_counter()
+    if trace_path is not None:
+        trace_path.parent.mkdir(parents=True, exist_ok=True)
+        trace.to_csv(trace_path)
+    scoring = time.perf_counter()
+    # A reconstruction that overflows, or whose squared error does, is a
+    # failed row; a NaN score means only that no cell is missing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_hat = pair_full.gains @ pair_full.activations
+        if not np.isfinite(s_hat).all():
+            return {"error": "reconstruction gains @ activations is not finite",
+                    "seconds": inferred - start}
+        rmse = rmse_missing(s_hat, truth.s_clean, s_full.mask)
+        pooled = rmse_missing_pooled(s_hat, truth.s_clean, s_full.mask)
+        fit = weighted_fit(s_full, pair_full)
+        if np.isinf([rmse, pooled]).any() or not np.isfinite(fit):
+            return {"error": "score of gains @ activations is not finite",
+                    "seconds": inferred - start}
+    transitions = _estimate_transitions(pair_full.activations, truth.p_true, truth.activity)
+    return dict(rmse=rmse, rmse_pooled=pooled, fit=fit, iterations=trace.iterations,
+                seconds=inferred - start, transitions=transitions,
+                learn_stop=trace.stop_reason, infer_iterations=infer_trace.iterations,
+                infer_stop=infer_trace.stop_reason, learn_s=learned - start,
+                infer_s=inferred - learned, score_s=time.perf_counter() - scoring)
+
+
 def run_trial(cfg: ExperimentConfig, trial_index: int,
               sweep_param: str = "none",
               sweep_value: int | float | None = None,
@@ -277,54 +327,32 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
     """Run every configured method on one freshly generated scenario.
 
     Any (sweep_param, sweep_value) but ("none", None) runs the cell it makes of cfg by
-    ExperimentConfig's sweep rule, or raises its ValueError. With trace_dir set, each
-    method's gains-learning trace is written there, to trace_<tag><trial>_<method>.csv.
+    ExperimentConfig's sweep rule, or raises its ValueError. A scenario of this trial's
+    seed that overflows float64 is a failed row for every method, with the generator's
+    message. With trace_dir set, each method's gains-learning trace is written there,
+    to trace_<tag><trial>_<method>.csv.
     """
     if sweep_param != "none" or sweep_value is not None:
         cfg, sweep_value = _swept(cfg, sweep_param, sweep_value)
     scen_seed, init_seed = derive_trial_seeds(cfg.scenario.seed, trial_index)
-    truth = generate_scenario(replace(cfg.scenario, seed=scen_seed))
-    s_full = truth.observed
-    s_window = s_full.window(0, cfg.gamma_window)
+    scenario = replace(cfg.scenario, seed=scen_seed)
+    start = time.perf_counter()
+    try:
+        truth = generate_scenario(scenario)
+    except ValueError as exc:  # the cell is valid, but this seed's draw overflows
+        truth, overflow = None, {"error": str(exc)}
+    simulate_s = time.perf_counter() - start
 
     results = []
     for method in cfg.methods:
-        key = (sweep_param, sweep_value, trial_index, method, scen_seed)
-        beta = cfg.solver.beta if method == "pcnmf" else 0.0
-        solver_cfg = replace(cfg.solver, beta=beta, init_seed=init_seed)
-        start = time.perf_counter()
-        error = ""
-        try:
-            pair, trace = solve(s_window, solver_cfg)
-            acts = infer_activations(s_full, pair.gains, solver_cfg)
-        except NumericFailureError as exc:
-            error = str(exc)
-        seconds = time.perf_counter() - start
-        if not error:
-            if trace_dir is not None:
-                out = Path(trace_dir)
-                out.mkdir(parents=True, exist_ok=True)
-                trace.to_csv(out / f"trace_{trace_tag}{trial_index}_{method}.csv")
-            # A reconstruction that overflows, or whose squared error does, is a
-            # failed row; a NaN score means only that no cell is missing.
-            with np.errstate(over="ignore", invalid="ignore"):
-                s_hat = pair.gains @ acts
-                if not np.isfinite(s_hat).all():
-                    error = "reconstruction gains @ activations is not finite"
-                else:
-                    rmse = rmse_missing(s_hat, truth.s_clean, s_full.mask)
-                    pooled = rmse_missing_pooled(s_hat, truth.s_clean, s_full.mask)
-                    fit = weighted_fit(s_full, FactorPair(pair.gains, acts))
-                    if np.isinf([rmse, pooled]).any() or not np.isfinite(fit):
-                        error = "score of gains @ activations is not finite"
-        if error:
-            results.append(TrialResult(*key, seconds=seconds, failed=True, error=error))
-            continue
-        results.append(TrialResult(
-            *key, rmse=rmse, rmse_pooled=pooled, fit=fit,
-            iterations=trace.iterations, seconds=seconds,
-            transitions=_estimate_transitions(acts, truth.p_true, truth.activity),
-        ))
+        solver_cfg = replace(cfg.solver, beta=cfg.solver.beta if method == "pcnmf" else 0.0,
+                             init_seed=init_seed)
+        trace_path = (None if trace_dir is None
+                      else Path(trace_dir) / f"trace_{trace_tag}{trial_index}_{method}.csv")
+        row = overflow if truth is None else _run_method(
+            truth, cfg.gamma_window, solver_cfg, trace_path)
+        results.append(TrialResult(sweep_param, sweep_value, trial_index, method, scen_seed,
+                                   simulate_s=simulate_s, failed="error" in row, **row))
     return results
 
 
@@ -478,13 +506,14 @@ def write_benchmark_outputs(outdir, summary: list[SummaryRow],
                             include_timing: bool = True) -> None:
     """Write summary.csv and trials.csv into outdir, creating it.
 
-    include_timing=False blanks every timing cell (mean_seconds, seconds),
-    so that two runs of one configuration write the same bytes.
+    include_timing=False blanks every timing cell (mean_seconds, seconds and the four
+    phase times), so that two runs of one configuration write the same bytes.
     """
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     if not include_timing:
         summary = [replace(row, mean_seconds=None) for row in summary]
-        trials = [replace(r, seconds=None) for r in trials]
+        trials = [replace(r, seconds=None, simulate_s=None, learn_s=None, infer_s=None,
+                          score_s=None) for r in trials]
     _write_table(summary, SummaryRow, out / "summary.csv")
     _write_table(trials, TrialResult, out / "trials.csv")

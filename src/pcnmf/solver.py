@@ -38,8 +38,8 @@ before its loop and two products per iteration, G^T (W ⊙ G P) and G P.
 At beta > 0 its joint step then reduces the K tridiagonal systems in
 ceil(log2 T) levels of fourteen elementwise passes over K x T each; at the
 paper shape (K = 5, T = 600) those levels cost more than both products.
-Besides its levels the joint step makes seventeen passes over K x T, six
-of them for the residual.
+Besides its levels the joint step makes nineteen passes over K x T, six
+of them for the residual and two to count its clamps.
 The state at the end of an iteration (W ⊙ G P and d^2 = diff(P)^2) is
 carried into the next one: W ⊙ G P feeds the next curvature, and d^2 both
 the penalty term of the stop objective and the next reweights. The
@@ -49,12 +49,12 @@ reads its neighbors and their weights from it by slicing. At beta = 0 the
 penalty terms of both steps are exact zeros, so neither loop computes
 reweights, and the sweep skips its neighbor terms.
 
-One MM loop. solve and infer_activations each hand their iteration body to
-_descend as a step that returns its stop objective; _descend alone holds
-the previous objective, the iteration counter and the relative-change stop
-test. solve's stop objective is the traced fit + beta * penalty.
-infer_activations' is majorized = fit + beta * sum log1p(d^2 / epsilon),
-the objective its joint step descends, which at beta = 0 is the fit. Each
+One MM loop. solve and infer_activations each hand _descend their start
+(fit, penalty) and a step that returns the next one and its clamp count.
+_descend alone counts iterations, stops on the relative change of
+fit + beta * penalty and builds the SolveTrace both return. solve's
+penalty is the traced rho sum, infer_activations' sum log1p(d^2 / epsilon),
+so that its objective is majorized, which its joint step descends. Each
 step checks its iterates for non-finite values itself, before it rescales
 or records them. No step evaluates the surrogate: surrogate_per_slot on
 solve(..., record_factors=True) iterates checks MM monotonicity after the
@@ -163,13 +163,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One outer iteration of the trace.
+    """One outer iteration of solve's or infer_activations' trace.
 
-    fit/penalty/objective are evaluated at the end of the iteration, after
-    rescaling, and objective == fit + beta * penalty by construction; clamped
-    counts the activation sweep's guarded denominators. The fit between the
-    sweep and the gains update is not evaluated: with record_factors=True it
-    is weighted_fit(s, FactorPair(previous gains, activations_updated)).
+    Evaluated at the end of the iteration, after solve's rescale, with
+    objective == fit + beta * penalty, the value the stop test reads.
+    solve's penalty is penalty_smoothed, inference's sum log1p(d^2 / epsilon),
+    0 at beta = 0. clamped counts the sweep's guarded denominators, or the
+    curvatures the joint step floors at GUARD. With record_factors=True, the
+    unevaluated fit between solve's two steps is
+    weighted_fit(s, FactorPair(previous gains, activations_updated)).
     """
 
     iteration: int
@@ -194,8 +196,8 @@ class IterateSnapshot:
 
 @dataclass
 class SolveTrace:
-    """solve's records, its iterates and start when record_factors=True, and
-    why its loop stopped: "rel_tol" or "max_iters"."""
+    """The records of one solve or inference, why its loop stopped ("rel_tol"
+    or "max_iters"), and solve's iterates and start when record_factors=True."""
 
     records: list[IterationRecord] = field(default_factory=list)
     iterates: list[IterateSnapshot] | None = None
@@ -346,7 +348,7 @@ def _activation_step(ws, p, data, curv, w, beta: float):
 
 
 def _joint_activation_step(ws, p, data, curv, w, beta: float):
-    """One reweighted activation step solved jointly along time; returns new acts.
+    """One activation step solved jointly along time; returns (new acts, clamped).
 
     Minimizes the two majorizers of _activation_step, the diagonal fit
     majorizer with curvature c = max(curv, GUARD) / p and the reweighted
@@ -359,10 +361,11 @@ def _joint_activation_step(ws, p, data, curv, w, beta: float):
         lower[:, 1:] = 2*beta * w * p[:, 1:],  upper[:, :-1] = 2*beta * w * p[:, :-1]
         diag = max(curv, GUARD) + lower + upper
 
-    diag is _activation_step's denominator, with GUARD taken on curv
-    alone so that every row stays strictly diagonally dominant, also a row
-    that sees no data (curv = 0), where the system would be singular. The
-    matrix is then an M-matrix and the right side is >= 0, so new >= 0.
+    diag is _activation_step's denominator, with GUARD taken on curv alone
+    (clamped counts where) so that every row stays strictly diagonally
+    dominant, also a row that sees no data (curv = 0), where the system
+    would be singular. The matrix is then an M-matrix and the right side
+    is >= 0, so new >= 0.
 
     The system is solved for the increment new - p, whose right side is the
     residual data_t p_t - (diag_t p_t - lower_t p_(t-1) - upper_t p_(t+1)),
@@ -370,8 +373,9 @@ def _joint_activation_step(ws, p, data, curv, w, beta: float):
     the iterates converge, so the rounding of the reduction shrinks with it
     instead of jittering the iterates near a plateau. Only coupled slots
     need this step: it takes beta > 0 and T > 1. Writes ws.den, ws.pull,
-    ws.lower, ws.upper and ws.flat; the new acts are a fresh array.
+    ws.low, ws.lower, ws.upper and ws.flat; the new acts are a fresh array.
     """
+    clamped = int(np.count_nonzero(np.less(curv, GUARD, out=ws.low)))
     diag = np.maximum(curv, GUARD, out=ws.den)
     rhs = np.multiply(data, p, out=ws.pull)
     two_beta, lower, upper = 2.0 * beta, ws.lower, ws.upper
@@ -395,7 +399,7 @@ def _joint_activation_step(ws, p, data, curv, w, beta: float):
     _reduce_rows(ws, p.shape[1])
     new = np.divide(rhs, diag)
     np.add(p, new, out=new)
-    return np.maximum(new, ACTIVATION_FLOOR, out=new)
+    return np.maximum(new, ACTIVATION_FLOOR, out=new), clamped
 
 
 def _reduce_rows(ws, n_cols: int) -> None:
@@ -554,16 +558,24 @@ def _init_draw(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     return rng.uniform(0.1, 1.1, size=shape)
 
 
-def _descend(step, obj: float, cfg: SolverConfig) -> str:
-    """Run step(1), step(2), ... from objective obj until cfg's stop rule.
+def _descend(step, start: tuple[float, float], cfg: SolverConfig,
+             initial: FactorPair | None = None, iterates=None) -> SolveTrace:
+    """Run step(1), step(2), ... from the state start until cfg's stop rule.
 
-    Returns why the loop stopped: "rel_tol" or "max_iters".
+    A state is (fit, penalty); a step returns the next one and its clamp count.
+    Returns the trace of every step, with initial and iterates (the steps fill it).
     """
+    fit, pen = start
+    obj, records, stop_reason = fit + cfg.beta * pen, [], "max_iters"
     for iteration in range(1, cfg.max_iters + 1):
-        prev, obj = obj, step(iteration)
+        fit, pen, clamped = step(iteration)
+        prev, obj = obj, fit + cfg.beta * pen
+        records.append(IterationRecord(
+            iteration=iteration, fit=fit, penalty=pen, objective=obj, clamped=clamped))
         if abs(prev - obj) / max(abs(prev), GUARD) < cfg.rel_tol:
-            return "rel_tol"
-    return "max_iters"
+            stop_reason = "rel_tol"
+            break
+    return SolveTrace(records, iterates, initial, stop_reason)
 
 
 def _check_finite(iteration: int, *arrays: np.ndarray) -> None:
@@ -593,11 +605,8 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
     values, mask, beta, eps = s.values, s.mask, cfg.beta, cfg.epsilon
     rng = np.random.default_rng(cfg.init_seed)
     gains, acts = _init_draw(rng, (s.n_rows, cfg.rank)), _init_draw(rng, (cfg.rank, s.n_cols))
-    trace = SolveTrace(iterates=[] if record_factors else None)
-    if record_factors:
-        trace.initial = FactorPair(gains, acts)
+    initial, iterates = (FactorPair(gains, acts), []) if record_factors else (None, None)
     ws = _Workspace(gains, acts)
-    fit, pen = _state(ws, values, mask, gains, acts, eps)
 
     def step(iteration):
         nonlocal gains, acts
@@ -612,23 +621,16 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
         # A dead component cannot be renormalized; restart it from the init
         # distribution and let the next iterations repurpose it.
         gains, acts = _rescale(gains_new, acts_new, rng)
-
-        fit, pen = _state(ws, values, mask, gains, acts, eps)
-        obj = fit + beta * pen
-        trace.records.append(IterationRecord(
-            iteration=iteration, fit=fit, penalty=pen, objective=obj, clamped=clamped))
         if record_factors:
-            trace.iterates.append(IterateSnapshot(
-                activations_updated=acts_new, gains_updated=gains_new,
-                pair=FactorPair(gains, acts)))
-        return obj
+            iterates.append(IterateSnapshot(acts_new, gains_new, FactorPair(gains, acts)))
+        return *_state(ws, values, mask, gains, acts, eps), clamped
 
-    trace.stop_reason = _descend(step, fit + beta * pen, cfg)
+    trace = _descend(step, _state(ws, values, mask, gains, acts, eps), cfg, initial, iterates)
     return FactorPair(gains, acts), trace
 
 
 def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
-                      cfg: SolverConfig) -> np.ndarray:
+                      cfg: SolverConfig) -> tuple[FactorPair, SolveTrace]:
     """Estimate activations for frozen gains (no gains update, no rescale).
 
     Starts from the raw init draw of cfg.init_seed. Each iteration
@@ -642,7 +644,7 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     recovers that scale within a few iterations. Runs until cfg's stop rule on
     majorized = fit + beta * sum log1p(d^2 / epsilon), the objective the
     joint step descends; at beta = 0 that is the fit, and no transition or
-    reweight is computed.
+    reweight is computed. Returns (gains, activations) and the trace, as solve does.
     """
     gains = nonnegative(gains_fixed, "gains", shape=(s.n_rows, "K"))
     values, mask, beta, eps = s.values, s.mask, cfg.beta, cfg.epsilon
@@ -651,23 +653,21 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     data = np.dot(gains.T, values, out=ws.data)
     coupled = beta > 0 and s.n_cols > 1
 
-    def majorized():
-        """fit + beta * sum log1p(d^2 / epsilon) at acts; leaves W ⊙ G P and d^2 in ws."""
+    def state():
+        """(fit, sum log1p(d^2 / epsilon)) at acts; leaves W ⊙ G P and d^2 in ws."""
         fit = _masked_fit(ws, values, mask, gains, acts)
-        if not beta:
-            return fit
-        return fit + beta * _log_penalty(_transitions(acts, ws.d2), eps, ws.scratch)
+        return fit, _log_penalty(_transitions(acts, ws.d2), eps, ws.scratch) if beta else 0.0
 
     def step(iteration):
         nonlocal acts
         curv = np.dot(gains.T, ws.wgp, out=ws.curv)
         if coupled:
-            acts = _joint_activation_step(ws, acts, data, curv,
-                                          _reweights(ws.d2, eps, out=ws.scratch), beta)
+            acts, clamped = _joint_activation_step(
+                ws, acts, data, curv, _reweights(ws.d2, eps, out=ws.scratch), beta)
         else:
-            acts, _ = _activation_step(ws, acts, data, curv, None, 0.0)
+            acts, clamped = _activation_step(ws, acts, data, curv, None, 0.0)
         _check_finite(iteration, acts)
-        return majorized()
+        return *state(), clamped
 
-    _descend(step, majorized(), cfg)
-    return acts
+    trace = _descend(step, state(), cfg)
+    return FactorPair(gains, acts), trace

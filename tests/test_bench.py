@@ -16,9 +16,11 @@ import pcnmf.bench as bench
 from pcnmf.cli import main
 from pcnmf import (
     ExperimentConfig,
+    FactorPair,
     NumericFailureError,
     ScenarioConfig,
     ShapeMismatchError,
+    SolveTrace,
     SolverConfig,
     read_trials_csv,
     rmse_missing,
@@ -283,8 +285,8 @@ def test_reconstruction_that_is_not_finite_is_a_failed_row(monkeypatch):
     # adds two activations of 1e308 and overflows. The row fails by name, with
     # no RuntimeWarning (an error under this suite) and no inf score.
     cfg = tiny_experiment(trials=1, scenario=ScenarioConfig(seed=42, n_pu=2, n_su=1, t_slots=30))
-    monkeypatch.setattr(bench, "infer_activations",
-                        lambda s, gains, cfg: np.full((gains.shape[1], s.n_cols), 1e308))
+    monkeypatch.setattr(bench, "infer_activations", lambda s, gains, cfg: (
+        FactorPair(gains, np.full((gains.shape[1], s.n_cols), 1e308)), SolveTrace()))
     summary, rows = run_sweep(cfg)
     assert [(r.method, r.failed, r.error) for r in rows] == [
         (method, True, "reconstruction gains @ activations is not finite")
@@ -298,8 +300,8 @@ def test_score_that_overflows_is_a_failed_row(monkeypatch):
     # both scorers and in the fit. The row fails by name, with no
     # RuntimeWarning and no inf score.
     cfg = tiny_experiment(trials=1, scenario=ScenarioConfig(seed=42, n_pu=2, n_su=1, t_slots=30))
-    monkeypatch.setattr(bench, "infer_activations",
-                        lambda s, gains, cfg: np.full((gains.shape[1], s.n_cols), 1e200))
+    monkeypatch.setattr(bench, "infer_activations", lambda s, gains, cfg: (
+        FactorPair(gains, np.full((gains.shape[1], s.n_cols), 1e200)), SolveTrace()))
     summary, rows = run_sweep(cfg)
     assert [(r.method, r.failed, r.error) for r in rows] == [
         (method, True, "score of gains @ activations is not finite")
@@ -600,8 +602,7 @@ def test_sweep_pool_has_at_most_one_worker_per_task(monkeypatch):
     _, trials_serial = run_sweep(cfg, jobs=1)
     assert sizes == [3, 2]
     for a, b, c in zip(trials_many, trials_two, trials_serial):
-        assert dataclasses.replace(a, seconds=0) == dataclasses.replace(b, seconds=0) \
-            == dataclasses.replace(c, seconds=0)
+        assert _untimed(a) == _untimed(b) == _untimed(c)
 
 
 def test_experiment_config_normalises_sweep_and_methods_once():
@@ -631,6 +632,48 @@ def test_sweep_trials_come_back_in_task_order():
     assert all(r.trials_ok == cfg.trials for r in summary)
 
 
+def test_trial_records_how_each_phase_stopped_and_its_times():
+    cfg = tiny_experiment(trials=1, solver=SolverConfig(beta=5e-3, rank=2, max_iters=60,
+                                                        rel_tol=1e-4))
+    scen_seed, init_seed = bench.derive_trial_seeds(cfg.scenario.seed, 0)
+    s = bench.generate_scenario(dataclasses.replace(cfg.scenario, seed=scen_seed)).observed
+    for res in run_trial(cfg, 0):
+        solver_cfg = dataclasses.replace(cfg.solver, init_seed=init_seed,
+                                         beta=cfg.solver.beta if res.method == "pcnmf" else 0.0)
+        pair, trace = bench.solve(s.window(0, cfg.gamma_window), solver_cfg)
+        _, infer_trace = bench.infer_activations(s, pair.gains, solver_cfg)
+        assert (res.iterations, res.learn_stop, res.infer_iterations, res.infer_stop) == (
+            trace.iterations, trace.stop_reason, infer_trace.iterations, infer_trace.stop_reason)
+        assert min(res.simulate_s, res.learn_s, res.infer_s, res.score_s) >= 0
+        assert res.learn_s + res.infer_s == pytest.approx(res.seconds, rel=1e-9)
+
+
+def test_scenario_overflow_is_a_failed_row_for_every_method(tmp_path):
+    # At alpha = 255 the path gains (d0 / d)^alpha of this 1 x 1 area overflow
+    # float64 on every seed; at alpha = 2.5 they do not. Both sweep cells are
+    # valid, so the overflow is a property of the trial, not of the config.
+    cfg = {"scenario": {"n_su": 6, "area_side": 1.0, "d0": 10.0, "t_slots": 30},
+           "solver": {"rank": 2, "max_iters": 20}, "trials": 2, "gamma_window": 20,
+           "sweep": [["alpha", [2.5, 255.0]]]}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    tables = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["benchmark", "--config", str(tmp_path / "cfg.json"), "--jobs", str(jobs),
+                     "--no-timing", "--out", str(out)]) == 0
+        rows = read_trials_csv(out / "trials.csv")
+        assert [(r["sweep_value"], r["failed"]) for r in rows] == [
+            (alpha, alpha == 255.0) for alpha in (2.5, 255.0) for _ in range(4)]
+        for r in rows[4:]:
+            assert r["error"] == f"scenario seed {r['seed']}: path gain overflows float64"
+            assert (r["iterations"], r["learn_stop"], r["infer_iterations"], r["infer_stop"]) \
+                == (0, "", 0, "")
+        summary = (out / "summary.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[5:7] for line in summary] == [["2", "0"]] * 2 + [["0", "2"]] * 2
+        tables.append([(out / name).read_bytes() for name in ("summary.csv", "trials.csv")])
+    assert tables[0] == tables[1]
+
+
 def test_failed_method_row_holds_metric_defaults(monkeypatch):
     def exploding_solve(s, cfg, **kwargs):
         raise NumericFailureError(7)
@@ -640,6 +683,7 @@ def test_failed_method_row_holds_metric_defaults(monkeypatch):
         assert (res.sweep_param, res.sweep_value, res.trial) == ("p_obs", 0.5, 2)
         assert res.failed and res.error == "non-finite iterate at iteration 7"
         assert res.iterations == 0 and res.seconds >= 0
+        assert (res.learn_stop, res.infer_iterations, res.infer_stop) == ("", 0, "")
         assert all(np.isnan(v) for v in (res.rmse, res.rmse_pooled, res.fit,
                                           res.transitions))
 
@@ -685,9 +729,15 @@ def test_run_trial_applies_the_sweep_rule(monkeypatch, param, value, named):
         run_trial(tiny_experiment(), 0, param, value)
 
 
+def _untimed(row, **fields):
+    """row with every timing cell zeroed, and fields replaced."""
+    return dataclasses.replace(row, seconds=0, simulate_s=0, learn_s=0, infer_s=0, score_s=0,
+                               **fields)
+
+
 def _rows_of_cell(rows, value):
     """The rows of the sweep cell at value, labelled as unswept and with timing zeroed."""
-    return [dataclasses.replace(r, sweep_param="none", sweep_value=None, seconds=0)
+    return [_untimed(r, sweep_param="none", sweep_value=None)
             for r in rows if r.sweep_value == value]
 
 
@@ -701,7 +751,7 @@ def test_int_sweep_keeps_its_ints_and_runs_the_cell(tmp_path):
     assert [line.split(",")[:2] for line in lines] == [["n_su", "6"]] * 4 + [["n_su", "8"]] * 4
     unswept = dataclasses.replace(cfg, sweep=(), scenario=dataclasses.replace(cfg.scenario,
                                                                                n_su=8))
-    expected = [dataclasses.replace(r, seconds=0) for t in range(2) for r in run_trial(unswept, t)]
+    expected = [_untimed(r) for t in range(2) for r in run_trial(unswept, t)]
     assert _rows_of_cell(trials, 8) == expected
 
 
@@ -725,8 +775,7 @@ def test_solver_beta_sweep_moves_only_pcnmf():
         unswept = dataclasses.replace(cfg, sweep=(),
                                       solver=dataclasses.replace(cfg.solver, beta=beta))
         assert [r for r in _rows_of_cell(trials, beta) if r.method == "pcnmf"] == [
-            dataclasses.replace(r, seconds=0)
-            for t in range(2) for r in run_trial(unswept, t) if r.method == "pcnmf"]
+            _untimed(r) for t in range(2) for r in run_trial(unswept, t) if r.method == "pcnmf"]
 
 
 @pytest.mark.parametrize("call, named", [
@@ -745,13 +794,14 @@ def test_integer_argument_of_the_trial_api_is_named_error(call, named):
 
 
 _TRIALS_HEADER = ",".join(f.name for f in dataclasses.fields(bench.TrialResult))
-_TRIALS_ROW = "p_obs,0.5,1,pcnmf,7,0.25,0.5,0.125,40,1.5,3.0,0,"
+_TRIALS_ROW = ("p_obs,0.5,1,pcnmf,7,0.25,0.5,0.125,40,1.5,3.0,0,"
+               ",max_iters,30,rel_tol,0.5,1.0,0.5,0.0")
 
 
 @pytest.mark.parametrize("text, message", [
     (f"{_TRIALS_HEADER},extra\n{_TRIALS_ROW},x\n", "unexpected trials.csv header"),
     ("sweep_param,trial\np_obs,1\n", "unexpected trials.csv header"),
-    (f"{_TRIALS_HEADER}\n{_TRIALS_ROW}\np_obs,0.5,1\n", "line 3 has 3 fields, expected 13"),
+    (f"{_TRIALS_HEADER}\n{_TRIALS_ROW}\np_obs,0.5,1\n", "line 3 has 3 fields, expected 20"),
     (f"{_TRIALS_HEADER}\n{_TRIALS_ROW.replace(',40,', ',4x,')}\n",
      "line 2, column 'iterations': invalid literal for int"),
     (f"{_TRIALS_HEADER}\n{_TRIALS_ROW.replace(',3.0,0,', ',3.0,2,')}\n",
@@ -796,7 +846,9 @@ def test_read_trials_csv_types_sweep_value_by_the_swept_field(tmp_path, param):
 def test_read_trials_csv_types_every_field(tmp_path):
     rows = [
         bench.TrialResult("p_obs", 0.5, 1, "pcnmf", 7, 0.25, 0.5, 1e-300, 40,
-                          1.5, 3.0),
+                          1.5, 3.0, learn_stop="max_iters", infer_iterations=30,
+                          infer_stop="rel_tol", simulate_s=0.5, learn_s=1.0, infer_s=0.5,
+                          score_s=0.0),
         bench.TrialResult("none", None, 0, "wnmf", 9, seconds=0.125, failed=True,
                           error="non-finite iterate at iteration 3"),
     ]
@@ -804,5 +856,6 @@ def test_read_trials_csv_types_every_field(tmp_path):
     parsed = read_trials_csv(tmp_path / "trials.csv")
     assert parsed[0] == dataclasses.asdict(rows[0])
     assert [type(v) for v in parsed[1].values()] == [
-        str, float, int, str, int, float, float, float, int, float, float, bool, str]
+        str, float, int, str, int, float, float, float, int, float, float, bool, str,
+        str, int, str, float, float, float, float]
     assert np.isnan(parsed[1]["sweep_value"]) and parsed[1]["failed"] is True

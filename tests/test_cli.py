@@ -7,7 +7,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from pcnmf import load_dense_csv, load_masked_csv
+from pcnmf import load_dense_csv, load_masked_csv, read_trials_csv
 from pcnmf.cli import main
 
 
@@ -111,6 +111,9 @@ def test_benchmark_no_timing_blanks_seconds(tmp_path):
     assert rc == 0
     for line in (out / "summary.csv").read_text().splitlines()[1:]:
         assert line.endswith(",")
+    for row in read_trials_csv(out / "trials.csv"):
+        assert all(math.isnan(row[name])
+                   for name in ("seconds", "simulate_s", "learn_s", "infer_s", "score_s"))
 
 
 def test_benchmark_save_traces(tmp_path):

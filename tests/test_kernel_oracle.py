@@ -81,7 +81,7 @@ def test_solve_and_infer_match_reference(seed, beta):
     cfg = SolverConfig(beta=beta, rank=rank, max_iters=60, rel_tol=0.0,
                        init_seed=seed)
     pair, _ = assert_same_solve(s, cfg)
-    assert np.array_equal(infer_activations(s, pair.gains, cfg),
+    assert np.array_equal(infer_activations(s, pair.gains, cfg)[0].activations,
                           reference_infer(s, pair.gains, cfg))
 
 
@@ -90,7 +90,7 @@ def test_paper_window_matches_reference(beta):
     s = generate_scenario(ScenarioConfig(seed=3)).observed.window(0, 300)
     cfg = SolverConfig(beta=beta, rank=5, max_iters=200, rel_tol=0.0)
     pair, _ = assert_same_solve(s, cfg)
-    assert np.array_equal(infer_activations(s, pair.gains, cfg),
+    assert np.array_equal(infer_activations(s, pair.gains, cfg)[0].activations,
                           reference_infer(s, pair.gains, cfg))
 
 
@@ -104,7 +104,7 @@ def test_single_slot_matches_reference(beta, n_cols):
     s = masked_instance(7, 5, n_cols, p_obs=1.0)
     cfg = SolverConfig(beta=beta, rank=2, max_iters=20, rel_tol=0.0)
     pair, _ = assert_same_solve(s, cfg)
-    assert np.array_equal(infer_activations(s, pair.gains, cfg),
+    assert np.array_equal(infer_activations(s, pair.gains, cfg)[0].activations,
                           reference_infer(s, pair.gains, cfg))
 
 
@@ -113,7 +113,7 @@ def test_relative_tolerance_stop_matches_reference():
     cfg = SolverConfig(beta=5e-3, rank=2, max_iters=5000, rel_tol=1e-6)
     pair, trace = assert_same_solve(s, cfg)
     assert trace.iterations < cfg.max_iters
-    assert np.array_equal(infer_activations(s, pair.gains, cfg),
+    assert np.array_equal(infer_activations(s, pair.gains, cfg)[0].activations,
                           reference_infer(s, pair.gains, cfg))
 
 
@@ -138,7 +138,7 @@ def test_observed_zeros_dead_columns_match_reference(beta):
     pair, trace = assert_same_solve(s, cfg)
     assert not any(snap.gains_updated.any() for snap in trace.iterates)
     assert np.allclose(np.linalg.norm(pair.gains, axis=0), 1.0, rtol=0, atol=1e-15)
-    assert np.array_equal(infer_activations(s, pair.gains, cfg),
+    assert np.array_equal(infer_activations(s, pair.gains, cfg)[0].activations,
                           reference_infer(s, pair.gains, cfg))
 
 
@@ -178,7 +178,7 @@ def test_repeated_calls_return_equal_unaliased_arrays():
         pair, trace = solve(s, cfg, record_factors=True)
         gains, acts = pair.gains, pair.activations
         y = compute_reweights(acts, cfg.epsilon)
-        out = [gains, acts, infer_activations(s, gains, cfg), y,
+        out = [gains, acts, infer_activations(s, gains, cfg)[0].activations, y,
                update_activations(s, gains, acts, y, cfg), update_gains(s, pair),
                fit_gradient(s, gains, acts),
                surrogate_per_slot(s, gains, acts, acts, y, cfg.beta)]

@@ -1,5 +1,6 @@
 """Solver tests: objective pieces, update rules vs naive oracles, solve/infer."""
 
+import dataclasses
 import re
 import warnings
 
@@ -659,22 +660,27 @@ def test_solve_trace_objective_identity_and_monotone_gamma_step():
                 prev = snap.pair
 
 
+def criterion_2_instances():
+    """(s, cfg) of criterion 2's 100 instances: beta cycles 0, 5e-3, 1; 10 iterations."""
+    rng = np.random.default_rng(99)
+    for i in range(100):
+        n_r, t, k = int(rng.integers(2, 21)), int(rng.integers(2, 101)), int(rng.integers(1, 6))
+        scale = float(rng.choice([1.0, 50.0]))
+        mask = (rng.random((n_r, t)) < rng.uniform(0.3, 1.0)).astype(float)
+        yield (MaskedMatrix(rng.uniform(0.0, scale, (n_r, t)), mask),
+               SolverConfig(beta=(0.0, 5e-3, 1.0)[i % 3], rank=k, max_iters=10, rel_tol=0.0,
+                            init_seed=i))
+
+
 def test_solve_steps_never_raise_the_majorized_objective():
     # Criterion 2's instances. Each update step minimizes a majorizer of
     # fit + beta * sum log1p(d^2 / epsilon) that touches it at the step's
     # start, so neither may raise it beyond rounding. The rescale between
     # iterations is left out: it keeps the fit but not the penalty.
-    rng = np.random.default_rng(99)
     worst = -np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        for i in range(100):
-            n_r, t, k = int(rng.integers(2, 21)), int(rng.integers(2, 101)), int(rng.integers(1, 6))
-            scale = float(rng.choice([1.0, 50.0]))
-            mask = (rng.random((n_r, t)) < rng.uniform(0.3, 1.0)).astype(float)
-            s = MaskedMatrix(rng.uniform(0.0, scale, (n_r, t)), mask)
-            cfg = SolverConfig(beta=(0.0, 5e-3, 1.0)[i % 3], rank=k, max_iters=10,
-                               rel_tol=0.0, init_seed=i)
+        for s, cfg in criterion_2_instances():
             _, trace = solve(s, cfg, record_factors=True)
             prev = trace.initial
             for snap in trace.iterates:
@@ -683,6 +689,30 @@ def test_solve_steps_never_raise_the_majorized_objective():
                           majorized(s, snap.gains_updated, snap.activations_updated, cfg)]
                 worst = max(worst, *(np.diff(values) / np.abs(values[:-1])))
                 prev = snap.pair
+    assert worst <= 1e-12, worst
+
+
+def test_inference_trace_never_raises_its_objective():
+    # Criterion 2's instances, with gains from a 10-iteration solve. Each
+    # inference step minimizes a majorizer of the recorded objective
+    # (majorized) that touches it at the step's start, so the trace may not
+    # rise beyond rounding; at rel_tol = 0 it holds exactly max_iters records.
+    worst = -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for s, cfg in criterion_2_instances():
+            pair, _ = solve(s, cfg)
+            pair_full, trace = infer_activations(s, pair.gains, dataclasses.replace(
+                cfg, max_iters=30))
+            assert (trace.iterations, trace.stop_reason) == (30, "max_iters")
+            assert [rec.iteration for rec in trace.records] == list(range(1, 31))
+            for rec in trace.records:
+                assert rec.objective == rec.fit + cfg.beta * rec.penalty
+                assert rec.penalty == 0.0 or cfg.beta > 0
+            last = trace.records[-1]
+            assert last.objective == majorized(s, pair.gains, pair_full.activations, cfg)
+            objectives = np.array([rec.objective for rec in trace.records])
+            worst = max(worst, *(np.diff(objectives) / np.abs(objectives[:-1])))
     assert worst <= 1e-12, worst
 
 
@@ -726,7 +756,8 @@ def test_solve_and_infer_accept_zero_slots():
         warnings.simplefilter("ignore", UserWarning)
         pair, trace = solve(s, cfg)
     assert pair.activations.shape == (2, 0) and trace.records[0].objective == 0.0
-    assert infer_activations(s, pair.gains, cfg).shape == (2, 0)
+    pair_full, trace = infer_activations(s, pair.gains, cfg)
+    assert pair_full.activations.shape == (2, 0) and trace.records[0].objective == 0.0
 
 
 def test_solve_warns_on_silent_rows():
@@ -747,25 +778,27 @@ def test_solve_stops_on_relative_tolerance():
 # ------------------------------------------------------------ MM loop driver
 
 def scripted(objectives):
-    """A step that returns the given objectives in turn and logs its calls."""
+    """A step whose states have the given objectives in turn; it logs its calls."""
     calls = []
 
     def step(iteration):
         calls.append(iteration)
-        return objectives[len(calls) - 1]
+        return objectives[len(calls) - 1], 0.0, 0
     return step, calls
 
 
 def test_descend_stops_at_first_relative_change_below_tolerance():
     # Relative changes 0.5, 0.5 (not below 0.5), 1e-3: stop after step 3.
     step, calls = scripted([2.0, 1.0, 0.999, 0.5, 0.25])
-    assert solver._descend(step, 4.0, SolverConfig(max_iters=10, rel_tol=0.5)) == "rel_tol"
+    trace = solver._descend(step, (4.0, 0.0), SolverConfig(max_iters=10, rel_tol=0.5))
+    assert trace.stop_reason == "rel_tol"
     assert calls == [1, 2, 3]
 
 
 def test_descend_runs_exactly_max_iters_at_zero_tolerance():
     step, calls = scripted([1.0] * 7)
-    assert solver._descend(step, 1.0, SolverConfig(max_iters=7, rel_tol=0.0)) == "max_iters"
+    trace = solver._descend(step, (1.0, 0.0), SolverConfig(max_iters=7, rel_tol=0.0))
+    assert trace.stop_reason == "max_iters"
     assert calls == list(range(1, 8))
 
 
@@ -773,14 +806,14 @@ def test_descend_divides_by_guard_at_zero_objective():
     # From 0, a change of 1e-13 is 0.1 relative to GUARD = 1e-12, so no stop
     # at rel_tol = 0.05; the next, zero change stops.
     step, calls = scripted([1e-13, 1e-13, 5.0])
-    solver._descend(step, 0.0, SolverConfig(max_iters=10, rel_tol=0.05))
+    solver._descend(step, (0.0, 0.0), SolverConfig(max_iters=10, rel_tol=0.05))
     assert calls == [1, 2]
     step, calls = scripted([0.0, 5.0])
-    solver._descend(step, 0.0, SolverConfig(max_iters=10, rel_tol=0.05))
+    solver._descend(step, (0.0, 0.0), SolverConfig(max_iters=10, rel_tol=0.05))
     assert calls == [1]
     # Below GUARD, |prev| is not the divisor: 1e-14 / 1e-12 = 0.01 stops.
     step, calls = scripted([2e-14, 5.0])
-    solver._descend(step, 1e-14, SolverConfig(max_iters=10, rel_tol=0.05))
+    solver._descend(step, (1e-14, 0.0), SolverConfig(max_iters=10, rel_tol=0.05))
     assert calls == [1]
 
 
@@ -788,7 +821,8 @@ def test_descend_divides_by_guard_at_zero_objective():
 def test_descend_never_stops_early_on_non_finite_objective(bad):
     # The relative change is inf or NaN, and neither is below any rel_tol.
     step, calls = scripted([bad] * 5)
-    assert solver._descend(step, 1.0, SolverConfig(max_iters=5, rel_tol=1.0)) == "max_iters"
+    trace = solver._descend(step, (1.0, 0.0), SolverConfig(max_iters=5, rel_tol=1.0))
+    assert trace.stop_reason == "max_iters"
     assert calls == [1, 2, 3, 4, 5]
 
 
@@ -815,7 +849,7 @@ def test_infer_matches_nnls_oracle():
     p_true = rng.uniform(0.5, 2.0, size=(3, 10))
     s = MaskedMatrix(gains @ p_true, np.ones((12, 10)))
     cfg = SolverConfig(beta=0.0, rank=3, max_iters=20000, rel_tol=0.0, init_seed=1)
-    p_hat = infer_activations(s, gains, cfg)
+    p_hat = infer_activations(s, gains, cfg)[0].activations
     oracle = np.column_stack([nnls(gains, s.values[:, t])[0] for t in range(10)])
     assert np.linalg.norm(p_hat - oracle) / np.linalg.norm(oracle) < 1e-6
 
@@ -828,7 +862,7 @@ def test_infer_interpolates_missing_column():
     mask[:, 3] = 0.0
     s = MaskedMatrix(gains @ p_true, mask)
     cfg = SolverConfig(beta=0.05, rank=2, max_iters=5000, rel_tol=0.0, init_seed=2)
-    p_hat = infer_activations(s, gains, cfg)
+    p_hat = infer_activations(s, gains, cfg)[0].activations
     # constant truth on both sides: the unobserved slot settles between them
     lo = np.minimum(p_hat[:, 2], p_hat[:, 4]) - 1e-6
     hi = np.maximum(p_hat[:, 2], p_hat[:, 4]) + 1e-6
@@ -842,7 +876,8 @@ def test_infer_single_slot_equals_plain_update():
     cfg_pen = SolverConfig(beta=3.0, rank=2, max_iters=50, rel_tol=0.0, init_seed=5)
     cfg_fit = SolverConfig(beta=0.0, rank=2, max_iters=50, rel_tol=0.0, init_seed=5)
     assert np.array_equal(
-        infer_activations(s, gains, cfg_pen), infer_activations(s, gains, cfg_fit)
+        infer_activations(s, gains, cfg_pen)[0].activations,
+        infer_activations(s, gains, cfg_fit)[0].activations,
     )
 
 
@@ -887,8 +922,8 @@ def test_infer_joint_step_never_raises_the_majorized_objective(beta):
         s, gains, rank = joint_instance(seed)
         cfgs = [SolverConfig(beta=beta, rank=rank, max_iters=k, rel_tol=0.0, init_seed=seed)
                 for k in range(1, 11)]
-        values = np.array([majorized(s, gains, infer_activations(s, gains, cfg), cfg)
-                           for cfg in cfgs])
+        values = np.array([majorized(s, gains, infer_activations(s, gains, cfg)[0].activations,
+                                     cfg) for cfg in cfgs])
         rises = np.diff(values) / np.abs(values[:-1])
         assert rises.max() <= 1e-12, (seed, rises.max())
 
@@ -903,7 +938,7 @@ def test_infer_joint_step_holds_still_on_a_converged_plateau():
     assert s.shape == (2, 18) and rank == 1 and (s.mask.sum(axis=0) == 0).sum() == 7
     cfgs = [SolverConfig(beta=1.0, rank=1, max_iters=k, rel_tol=0.0, init_seed=81)
             for k in range(10, 41)]
-    values = np.array([majorized(s, gains, infer_activations(s, gains, cfg), cfg)
+    values = np.array([majorized(s, gains, infer_activations(s, gains, cfg)[0].activations, cfg)
                        for cfg in cfgs])
     changes = np.abs(np.diff(values)) / np.abs(values[:-1])
     assert changes.max() <= 1e-14, changes.max()
@@ -922,13 +957,15 @@ def test_infer_stops_at_first_relative_majorized_change_below_rel_tol(seed, rel_
     prev = majorized(s, gains, start, cfg)
     for n in range(1, cfg.max_iters + 1):
         acts = infer_activations(s, gains, SolverConfig(
-            beta=cfg.beta, rank=2, max_iters=n, rel_tol=0.0, init_seed=seed))
+            beta=cfg.beta, rank=2, max_iters=n, rel_tol=0.0, init_seed=seed))[0].activations
         obj = majorized(s, gains, acts, cfg)
         if abs(prev - obj) / max(abs(prev), solver.GUARD) < rel_tol:
             break
         prev = obj
     assert n < cfg.max_iters
-    assert np.array_equal(infer_activations(s, gains, cfg), acts)
+    pair_full, trace = infer_activations(s, gains, cfg)
+    assert np.array_equal(pair_full.activations, acts)
+    assert (trace.iterations, trace.stop_reason) == (n, "rel_tol")
 
 
 @pytest.mark.parametrize("beta", [5e-3, 1.0])
@@ -952,7 +989,7 @@ def test_infer_joint_step_degenerate_input_stays_finite(case, n_cols, beta):
     cfg = SolverConfig(beta=beta, rank=3, max_iters=50, rel_tol=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        acts = infer_activations(MaskedMatrix(values, mask), gains, cfg)
+        acts = infer_activations(MaskedMatrix(values, mask), gains, cfg)[0].activations
     assert acts.shape == (3, n_cols)
     assert np.isfinite(acts).all() and (acts >= solver.ACTIVATION_FLOOR).all()
 
@@ -964,11 +1001,11 @@ def test_joint_step_matches_banded_solve():
     pair, _ = solve(s.window(0, 300), SolverConfig(rank=5, max_iters=200))
     gains, beta = pair.gains, 5e-3
     for iters in (1, 20):
-        p = infer_activations(s, gains, SolverConfig(rank=5, max_iters=iters))
+        p = infer_activations(s, gains, SolverConfig(rank=5, max_iters=iters))[0].activations
         w = compute_reweights(p, 1e-6)
         ws = solver._Workspace(gains, p)
         data, curv, _ = solver._expand_at(ws, s, gains, p)
-        new = solver._joint_activation_step(ws, p, data, curv, w, beta)
+        new, _ = solver._joint_activation_step(ws, p, data, curv, w, beta)
         # The system before its rows are scaled by p:
         # (diag(max(curv, GUARD) / p) + 2 beta L_w) x = data.
         for row in range(p.shape[0]):

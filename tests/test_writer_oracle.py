@@ -2,7 +2,8 @@
 
 The reference writers below are the earlier implementations, copied
 unchanged apart from taking the trace records as an argument, the trace's
-clamped column, added after them, and dropping the dense writer's shape
+clamped column and the seven trials.csv columns from learn_stop to
+score_s, added after the others, and dropping the dense writer's shape
 check: csv.writer with repr of each float for the matrix files, and
 hand-joined lines for the trace and the two benchmark tables. Traces and
 tables must match byte for byte; matrix files once the references' CRLF
@@ -116,7 +117,8 @@ def _ref_write_trials_csv(rows, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(
             "sweep_param,sweep_value,trial,method,seed,rmse,rmse_pooled,"
-            "fit,iterations,seconds,transitions,failed,error\n"
+            "fit,iterations,seconds,transitions,failed,error,"
+            "learn_stop,infer_iterations,infer_stop,simulate_s,learn_s,infer_s,score_s\n"
         )
         for r in rows:
             fh.write(
@@ -127,6 +129,9 @@ def _ref_write_trials_csv(rows, path) -> None:
                         _cell(r.rmse_pooled), _cell(r.fit), str(r.iterations),
                         _cell(r.seconds), _cell(r.transitions),
                         str(int(r.failed)), r.error,
+                        r.learn_stop, str(r.infer_iterations), r.infer_stop,
+                        _cell(r.simulate_s), _cell(r.learn_s), _cell(r.infer_s),
+                        _cell(r.score_s),
                     ]
                 )
                 + "\n"
@@ -216,13 +221,18 @@ def test_summary_csv_matches_reference(tmp_path, include_timing):
 def test_trials_csv_matches_reference(tmp_path):
     rows = [
         TrialResult("none", None, 0, "pcnmf", 2277900426, VALUES[1], VALUES[2],
-                    VALUES[3], 1000, VALUES[4], 15.0),
+                    VALUES[3], 1000, VALUES[4], 15.0, learn_stop="max_iters",
+                    infer_iterations=31, infer_stop="rel_tol", simulate_s=VALUES[1],
+                    learn_s=VALUES[2], infer_s=VALUES[3], score_s=VALUES[4]),
         TrialResult("none", None, 0, "wnmf", 2277900426, NAN, NAN, 0.0, 40,
-                    1e-300, NAN),
+                    1e-300, NAN, learn_stop="rel_tol", infer_iterations=1000,
+                    infer_stop="max_iters", simulate_s=0.0, learn_s=1e-300),
         TrialResult("p_obs", 0.5, 1, "pcnmf", 7, NAN, NAN, NAN, 0, 0.25, NAN,
-                    failed=True, error="non-finite iterate at iteration 17"),
+                    failed=True, error="non-finite iterate at iteration 17",
+                    simulate_s=0.125),
         TrialResult("noise_var", 1e16, 2, "wnmf", 0, 123.456, 5e-324, 1e16, 3,
-                    math.inf, 2.5),
+                    math.inf, 2.5, learn_stop="max_iters", infer_iterations=3,
+                    infer_stop="max_iters", score_s=math.inf),
     ]
     _assert_same(tmp_path, lambda p: _write_via_outputs("trials.csv", [], rows, p),
                  lambda p: _ref_write_trials_csv(rows, p))
