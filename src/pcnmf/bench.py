@@ -281,11 +281,10 @@ def _estimate_transitions(acts: np.ndarray, p_true: np.ndarray,
     return float(np.mean(transition_count(scaled, threshold)))
 
 
-def _run_method(truth, gamma_window: int, solver_cfg: SolverConfig, trace_path) -> dict:
-    """The TrialResult fields of one method on one scenario: its scores and phases,
-    or, if it fails, the error and the seconds it ran."""
+def _run_method(truth, s_window, solver_cfg: SolverConfig, trace_path) -> dict:
+    """The TrialResult fields of one method on one scenario, learning on s_window: its
+    scores and phases, or, if it fails, the error and the seconds it ran."""
     s_full = truth.observed
-    s_window = s_full.window(0, gamma_window)
     start = time.perf_counter()
     try:
         pair, trace = solve(s_window, solver_cfg)
@@ -342,6 +341,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
     except ValueError as exc:  # the cell is valid, but this seed's draw overflows
         truth, overflow = None, {"error": str(exc)}
     simulate_s = time.perf_counter() - start
+    s_window = None if truth is None else truth.observed.window(0, cfg.gamma_window)
 
     results = []
     for method in cfg.methods:
@@ -349,8 +349,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
                              init_seed=init_seed)
         trace_path = (None if trace_dir is None
                       else Path(trace_dir) / f"trace_{trace_tag}{trial_index}_{method}.csv")
-        row = overflow if truth is None else _run_method(
-            truth, cfg.gamma_window, solver_cfg, trace_path)
+        row = overflow if truth is None else _run_method(truth, s_window, solver_cfg, trace_path)
         results.append(TrialResult(sweep_param, sweep_value, trial_index, method, scen_seed,
                                    simulate_s=simulate_s, failed="error" in row, **row))
     return results

@@ -36,7 +36,7 @@ six products:
 `infer_activations` freezes the gains, so it computes G^T (W ⊙ S) once
 before its loop and two products per iteration, G^T (W ⊙ G P) and G P.
 At beta > 0 its joint step then reduces the K tridiagonal systems in
-ceil(log2 T) levels of fourteen elementwise passes over K x T each; at the
+ceil(log2 T) levels of twelve elementwise passes over K x T each; at the
 paper shape (K = 5, T = 600) those levels cost more than both products.
 Besides its levels the joint step makes nineteen passes over K x T, six
 of them for the residual and two to count its clamps.
@@ -66,7 +66,8 @@ intermediate into it through ufunc out=, np.matmul(..., out=) and
 np.dot(..., out=): two N x T buffers (W ⊙ G P, the residual), two
 K x (T-1) ones (d^2, the reweights) and the K x T ones of the sweep and of
 the joint step. An iteration allocates only its new iterates, which may
-outlive it (returned pairs, snapshots) and so are never workspace buffers.
+outlive it (returned pairs, snapshots) and so are never workspace buffers,
+and the copies numpy takes of the couplings a reduction level overwrites.
 The four products with a transposed operand (G^T on the left, P^T on the
 right) go through np.dot, which costs less per call than np.matmul at
 these small shapes and gives its result bit for bit (the kernel oracle pins
@@ -76,10 +77,10 @@ sweep, for the gains denominator, then the mask, residual, square and sum
 after the rescale. The fit between the sweep and the gains update serves no
 output, so it is not evaluated. infer_activations makes four, besides its
 reduction levels over K x T.
-Over K x T the sweep makes fifteen passes at beta > 0 and five at
-beta = 0. Over K x (T-1) each loop makes seven at beta > 0 (d^2, the
-penalty terms and their sum, the reweights); at beta = 0 solve makes five,
-for the traced penalty, and infer_activations none.
+Over K x T the sweep makes sixteen passes at beta > 0 and six at beta = 0,
+one the floor of its denominator. Over K x (T-1) each loop makes seven at
+beta > 0 (d^2, the penalty terms and their sum, the reweights); at beta = 0
+solve makes five, for the traced penalty, and infer_activations none.
 weighted_fit, fit_gradient and surrogate_per_slot give the same helpers a
 fresh workspace per call. Each in-place operation does the arithmetic of
 the plain numpy expression it spells out, in the same order, so the
@@ -316,10 +317,11 @@ def _activation_step(ws, p, data, curv, w, beta: float):
 
     so the first and last slots see one neighbor each. At beta = 0 the pull
     and wsum terms are exact zeros, so they are skipped (w may be None) and
-    the step is p * data / curv, the multiplicative Euclidean update, with
-    the same result and clamp count. It is the one uncoupled update:
-    infer_activations takes it too wherever no slot is coupled. Writes
-    ws.pull, ws.wsum, ws.den and ws.low; the new acts are a fresh array.
+    the step is p * data / curv, the multiplicative Euclidean update: the
+    one uncoupled update, which infer_activations takes too wherever no slot
+    is coupled. As in the joint step, the denominator is floored at GUARD
+    unconditionally and clamped counts where. Writes ws.pull, ws.wsum, ws.den
+    and ws.low; the new acts are a fresh array.
     """
     pull, wsum, den = ws.pull, ws.wsum, ws.den
     if beta:
@@ -341,9 +343,7 @@ def _activation_step(ws, p, data, curv, w, beta: float):
         num = np.multiply(data, p, out=pull)
         den = curv
     clamped = int(np.count_nonzero(np.less(den, GUARD, out=ws.low)))
-    if clamped:
-        den = np.maximum(den, GUARD, out=ws.den)
-    new = np.divide(num, den)
+    new = np.divide(num, np.maximum(den, GUARD, out=ws.den))
     return np.maximum(new, ACTIVATION_FLOOR, out=new), clamped
 
 
@@ -411,7 +411,8 @@ def _reduce_rows(ws, n_cols: int) -> None:
     is left and new = rhs / diag. All K rows are reduced at once on the flat
     K*T layout: lower is zero in a row's first s slots and upper in its last
     s, so the factors that would reach into a neighboring row are exact
-    zeros. Overwrites ws.lower, ws.den, ws.upper and ws.pull in place.
+    zeros. Overwrites ws.lower, ws.den, ws.upper and ws.pull in place; numpy
+    buffers an input that overlaps its output, so couplings read the old ones.
     """
     lower, diag, upper, rhs = (a.reshape(-1) for a in (ws.lower, ws.den, ws.upper, ws.pull))
     s = 1
@@ -425,10 +426,8 @@ def _reduce_rows(ws, n_cols: int) -> None:
         np.multiply(k_up, rhs[s:], out=add_up)
         rhs[s:] += add_lo
         rhs[:-s] += add_up
-        np.multiply(k_lo, lower[:-s], out=add_lo)  # couplings 2s away
-        np.multiply(k_up, upper[s:], out=add_up)
-        lower[s:] = add_lo
-        upper[:-s] = add_up
+        np.multiply(k_lo, lower[:-s], out=lower[s:])  # couplings 2s away
+        np.multiply(k_up, upper[s:], out=upper[:-s])
         s *= 2
 
 

@@ -17,6 +17,7 @@ from pcnmf.cli import main
 from pcnmf import (
     ExperimentConfig,
     FactorPair,
+    MaskedMatrix,
     NumericFailureError,
     ScenarioConfig,
     ShapeMismatchError,
@@ -646,6 +647,33 @@ def test_trial_records_how_each_phase_stopped_and_its_times():
             trace.iterations, trace.stop_reason, infer_trace.iterations, infer_trace.stop_reason)
         assert min(res.simulate_s, res.learn_s, res.infer_s, res.score_s) >= 0
         assert res.learn_s + res.infer_s == pytest.approx(res.seconds, rel=1e-9)
+
+
+def test_trial_builds_one_learning_window_for_every_method(monkeypatch):
+    # Both methods learn their gains on the same window of the trial's
+    # scenario, so run_trial slices it once and hands it to each method.
+    cfg = tiny_experiment(trials=1)
+    truth = scenario_of(cfg, 0)
+    s, init_seed = truth.observed, bench.derive_trial_seeds(cfg.scenario.seed, 0)[1]
+    s_window = s.window(0, cfg.gamma_window)
+    calls, window = [], MaskedMatrix.window
+    monkeypatch.setattr(MaskedMatrix, "window",
+                        lambda self, *args: calls.append(args) or window(self, *args))
+    results = run_trial(cfg, 0)
+    assert calls == [(0, cfg.gamma_window)]
+    assert [r.method for r in results] == ["pcnmf", "wnmf"]
+    for res in results:
+        solver_cfg = dataclasses.replace(cfg.solver, init_seed=init_seed,
+                                         beta=cfg.solver.beta if res.method == "pcnmf" else 0.0)
+        pair, trace = bench.solve(s_window, solver_cfg)
+        pair_full, infer_trace = bench.infer_activations(s, pair.gains, solver_cfg)
+        s_hat = pair_full.gains @ pair_full.activations
+        assert (res.rmse, res.rmse_pooled, res.fit, res.iterations, res.learn_stop,
+                res.infer_iterations, res.infer_stop, res.failed) == (
+            rmse_missing(s_hat, truth.s_clean, s.mask),
+            rmse_missing_pooled(s_hat, truth.s_clean, s.mask),
+            bench.weighted_fit(s, pair_full), trace.iterations, trace.stop_reason,
+            infer_trace.iterations, infer_trace.stop_reason, False)
 
 
 def test_scenario_overflow_is_a_failed_row_for_every_method(tmp_path):
