@@ -125,12 +125,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--jobs", type=int, default=1, help="parallel trial workers (>= 1)")
     p_bench.add_argument(
         "--no-timing", action="store_true",
-        help="leave the mean_seconds and seconds columns empty, so that "
-             "summary.csv and trials.csv are byte-reproducible",
+        help="leave the timing columns (mean_seconds, seconds, simulate_s, learn_s, "
+             "infer_s and score_s) empty, so that summary.csv and trials.csv are "
+             "byte-reproducible",
     )
     p_bench.add_argument(
         "--save-traces", action="store_true",
-        help="also write per-trial solver traces as trace_<trial>_<method>.csv",
+        help="also write per-trial solver traces as trace_<trial>_<method>.csv, "
+             "or trace_c<cell>_<trial>_<method>.csv when the sweep has more than one cell",
     )
     p_bench.set_defaults(func=_cmd_benchmark)
     return parser

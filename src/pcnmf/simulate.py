@@ -23,8 +23,9 @@ and multiplied by 1/sqrt(2), the same bits as numpy's complex division
 
 `save_scenario` exports a scenario directory on two CPUs where the platform
 can fork: a forked child writes the three truth files from the arrays it
-inherits, nothing pickled, while the caller writes observed.csv. Every file
-and every error is the same as from the writes made one after another; a
+inherits, nothing pickled, while the caller writes observed.csv. The caller
+rewrites the truth files of a child that did not exit 0, so every file and
+every error is the same as from the writes made one after another; a
 failure can leave a partial directory.
 """
 
@@ -292,14 +293,13 @@ def _save_truth(truth: ScenarioTruth, out) -> None:
     save_dense_csv(truth.activity.astype(float), out / "activity.csv")
 
 
-def _report(conn, fn, *args) -> None:
-    """Run fn(*args) and send through conn the exception it raised, or None."""
+def _save_truth_in_child(truth: ScenarioTruth, out) -> None:
+    """The forked child's target: _save_truth, exiting 1 without a traceback if it
+    raises; save_scenario then repeats the writes and raises the error itself."""
     try:
-        fn(*args)
-    except Exception as exc:
-        conn.send(exc)
-    else:
-        conn.send(None)
+        _save_truth(truth, out)
+    except Exception:
+        raise SystemExit(1)
 
 
 def _can_fork() -> bool:
@@ -313,49 +313,34 @@ def _can_fork() -> bool:
             and threading.active_count() == 1)
 
 
-def _join(child, reader, out) -> Exception | None:
-    """Join child; return the exception it sent, None, or OSError if it sent nothing."""
-    try:
-        return reader.recv()
-    except EOFError:
-        pass
-    finally:
-        child.join()
-    return OSError(f"the process writing truth_s.csv, truth_p.csv and activity.csv "
-                   f"in {out} exited with code {child.exitcode} before reporting")
-
-
 def save_scenario(truth: ScenarioTruth, cfg: ScenarioConfig, outdir) -> None:
     """Export a scenario directory: observed/truth CSVs plus config echo.
 
     Where the process can fork, a forked child writes truth_s.csv,
     truth_p.csv and activity.csv, inheriting the arrays, while this process
     writes observed.csv; elsewhere this process writes all of them. The
-    child is joined before config.json is written, and before any error is
-    raised: observed.csv's, else the truth files', as the same writes made
-    one after another would raise it. A failure can leave a partial
-    directory.
+    child is joined once observed.csv is written or has failed. If it did
+    not exit 0, this process writes the truth files again itself, so a
+    child that dies is recovered and every file and every error is that of
+    the writes made one after another: observed.csv's, else the truth
+    files'. config.json comes last. A failure can leave a partial directory.
     """
     from pathlib import Path
 
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
+    child = None
     if _can_fork():
         import multiprocessing
 
-        ctx = multiprocessing.get_context("fork")
-        reader, writer = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=_report, args=(writer, _save_truth, truth, out))
-        with reader:
-            with writer:
-                child.start()
-            try:
-                save_masked_csv(truth.observed, out / "observed.csv")
-            finally:
-                error = _join(child, reader, out)
-        if error is not None:
-            raise error
-    else:
+        child = multiprocessing.get_context("fork").Process(
+            target=_save_truth_in_child, args=(truth, out))
+        child.start()
+    try:
         save_masked_csv(truth.observed, out / "observed.csv")
+    finally:
+        if child is not None:
+            child.join()
+    if child is None or child.exitcode != 0:
         _save_truth(truth, out)
     write_json(out / "config.json", cfg.to_dict())

@@ -1,13 +1,29 @@
 """CLI tests: simulate/solve/benchmark subcommands and their artifacts."""
 
+import csv
 import json
 import math
 import multiprocessing
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pcnmf import load_dense_csv, load_masked_csv, read_trials_csv
+import pcnmf
+from pcnmf import (
+    ExperimentConfig,
+    ScenarioConfig,
+    SolverConfig,
+    load_dense_csv,
+    load_masked_csv,
+    read_trials_csv,
+    run_sweep,
+    write_benchmark_outputs,
+)
 from pcnmf.cli import main
 
 
@@ -361,3 +377,39 @@ def test_simulate_unwritable_file_is_named_error(tmp_path, capsys, blocked):
     assert err.startswith("error: ") and err.count("\n") == 1 and f"{blocked}'" in err
     assert not (out / "config.json").exists()
     assert multiprocessing.active_children() == []
+
+
+def test_simulate_truth_file_error_is_one_line_in_a_real_process(tmp_path):
+    # capsys cannot see a forked child's stderr: only a real process shows
+    # whether the child printed a traceback beside the error line.
+    out = tmp_path / "scenario"
+    (out / "truth_p.csv").mkdir(parents=True)
+    src = str(Path(pcnmf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "pcnmf.cli", "simulate", "--seed", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and done.stderr.endswith("truth_p.csv'\n")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+    assert not (out / "config.json").exists()
+
+
+def test_benchmark_help_names_every_column_no_timing_blanks(tmp_path, capsys):
+    cfg = ExperimentConfig(
+        scenario=ScenarioConfig(seed=1, n_pu=2, n_su=4, t_slots=16, noise_var=1e-8),
+        solver=SolverConfig(rank=2, max_iters=5), trials=1, gamma_window=10,
+        methods=("pcnmf",))
+    summary, trials = run_sweep(cfg)
+    for timing in (True, False):
+        write_benchmark_outputs(tmp_path / str(timing), summary, trials, include_timing=timing)
+    blanked = set()
+    for name in ("summary.csv", "trials.csv"):
+        timed, untimed = (next(csv.DictReader((tmp_path / str(timing) / name).read_text()
+                                              .splitlines())) for timing in (True, False))
+        blanked |= {col for col in timed if timed[col] != untimed[col]}
+    assert {"mean_seconds", "seconds", "simulate_s", "score_s"} <= blanked
+    with pytest.raises(SystemExit):
+        main(["benchmark", "--help"])
+    help_text = capsys.readouterr().out
+    assert [col for col in sorted(blanked) if not re.search(rf"\b{col}\b", help_text)] == []

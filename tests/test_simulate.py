@@ -536,14 +536,19 @@ def test_save_scenario_observed_error_wins_after_the_child_is_joined(tmp_path, f
 
 
 @pytest.mark.skipif(not _HAS_FORK, reason="fork start method unavailable")
-def test_save_scenario_child_that_dies_silently_is_named_error(tmp_path, monkeypatch):
-    monkeypatch.setattr(simulate, "_save_truth", lambda truth, out: os._exit(3))
+def test_save_scenario_rewrites_the_truth_files_of_a_child_that_dies(tmp_path, monkeypatch):
+    def die_halfway(truth, out):
+        (out / "truth_s.csv").write_text("r,t,val")
+        os._exit(3)
+
+    monkeypatch.setattr(simulate, "_save_truth_in_child", die_halfway)
     cfg = ScenarioConfig(t_slots=20, seed=2)
-    with pytest.raises(OSError, match=r"truth_s\.csv, truth_p\.csv and activity\.csv "
-                                      r"in .* exited with code 3"):
-        save_scenario(generate_scenario(cfg), cfg, tmp_path)
-    assert (tmp_path / "observed.csv").exists() and not (tmp_path / "config.json").exists()
+    truth = generate_scenario(cfg)
+    save_scenario(truth, cfg, tmp_path / "got")
     assert multiprocessing.active_children() == []
+    _write_one_by_one(truth, cfg, tmp_path / "want")
+    assert sorted(p.name for p in (tmp_path / "got").iterdir()) == sorted(_FILES)
+    _assert_same_bytes(tmp_path / "got", tmp_path / "want", _FILES)
 
 
 @pytest.mark.skipif(not _HAS_FORK, reason="fork start method unavailable")
