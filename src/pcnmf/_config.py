@@ -16,7 +16,10 @@ def _is(kind, value) -> bool:
     """isinstance(value, kind) for a value that is not a bool and is finite."""
     if not isinstance(value, kind) or isinstance(value, bool):
         return False
-    return isinstance(value, Integral) or math.isfinite(value)
+    try:
+        return kind is Integral or math.isfinite(value)
+    except OverflowError:  # a Real past float64's range, such as a large JSON int
+        return False
 
 
 # The field annotations check holds values to; the configuration modules postpone

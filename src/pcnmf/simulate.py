@@ -17,20 +17,19 @@ independent scenarios can be produced in parallel.
 `generate_scenario` holds about 3x `gamma_true` at its peak: the complex
 fading array h (2x) and `gamma_true`, which is written through its
 transposed view and squared and scaled in place. h is freed before the
-noise and the mask are drawn. The innovations are drawn as two real rows
-and multiplied by 1/sqrt(2), the same bits as numpy's complex division
-(re + 1j*im) / sqrt(2), which multiplies by that rounded reciprocal.
+noise and the mask are drawn.
 
 `save_scenario` exports a scenario directory on two CPUs where the platform
-can fork: a forked child writes the three truth files from the arrays it
-inherits, nothing pickled, while the caller writes observed.csv. The caller
-rewrites the truth files of a child that did not exit 0, so every file and
-every error is the same as from the writes made one after another; a
-failure can leave a partial directory.
+can fork: a bare os.fork child writes the three truth files from the arrays
+it inherits, nothing pickled, and reports only its exit status, while the
+caller writes observed.csv. The caller rewrites the truth files of a child
+that did not exit 0, so every file and every error is the same as from the
+writes made one after another; a failure can leave a partial directory.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -135,11 +134,7 @@ def path_gain(d, cfg: ScenarioConfig):
 
 
 def _cn01(rng: np.random.Generator, size=None):
-    """CN(0, 1) draws; size=None gives a Python scalar, not a 0-d array that rounds apart.
-
-    `generate_scenario` draws its innovations as real rows instead, and must
-    stay bit-equal to this.
-    """
+    """CN(0, 1) draws; size=None gives a Python scalar, not a 0-d array that rounds apart."""
     return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
 
 
@@ -228,17 +223,11 @@ def generate_scenario(cfg: ScenarioConfig) -> ScenarioTruth:
     # h[1:] holds each pair's innovations until the recursion overwrites them.
     n_pairs = cfg.n_su * cfg.n_pu
     h = np.empty((cfg.t_slots, n_pairs), dtype=np.complex128)
-    re = np.empty(cfg.t_slots - 1)
-    im = np.empty(cfg.t_slots - 1)
-    scale = 1.0 / np.sqrt(2.0)
     for idx in range(n_pairs):
         r, j = divmod(idx, cfg.n_pu)
         rng_pair = _substream(cfg.seed, _FADING, r, j)
         h[0, idx] = _cn01(rng_pair)
-        rng_pair.standard_normal(out=re)
-        rng_pair.standard_normal(out=im)
-        np.multiply(re, scale, out=h.real[1:, idx])
-        np.multiply(im, scale, out=h.imag[1:, idx])
+        h[1:, idx] = _cn01(rng_pair, cfg.t_slots - 1)
     for t in range(1, cfg.t_slots):
         _ar1(h[t - 1], cfg.eta, h[t], out=h[t])
 
@@ -293,54 +282,43 @@ def _save_truth(truth: ScenarioTruth, out) -> None:
     save_dense_csv(truth.activity.astype(float), out / "activity.csv")
 
 
-def _save_truth_in_child(truth: ScenarioTruth, out) -> None:
-    """The forked child's target: _save_truth, exiting 1 without a traceback if it
-    raises; save_scenario then repeats the writes and raises the error itself."""
-    try:
-        _save_truth(truth, out)
-    except Exception:
-        raise SystemExit(1)
-
-
 def _can_fork() -> bool:
-    # A daemonic process may not start children, and in a process running
-    # other threads a forked child could wait forever on a lock one held.
-    import multiprocessing
+    # In a process running other threads a forked child could wait forever
+    # on a lock one held.
     import threading
 
-    return ("fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon
-            and threading.active_count() == 1)
+    return hasattr(os, "fork") and threading.active_count() == 1
 
 
 def save_scenario(truth: ScenarioTruth, cfg: ScenarioConfig, outdir) -> None:
     """Export a scenario directory: observed/truth CSVs plus config echo.
 
-    Where the process can fork, a forked child writes truth_s.csv,
+    Where the process can fork, a bare os.fork child writes truth_s.csv,
     truth_p.csv and activity.csv, inheriting the arrays, while this process
     writes observed.csv; elsewhere this process writes all of them. The
-    child is joined once observed.csv is written or has failed. If it did
-    not exit 0, this process writes the truth files again itself, so a
-    child that dies is recovered and every file and every error is that of
-    the writes made one after another: observed.csv's, else the truth
-    files'. config.json comes last. A failure can leave a partial directory.
+    child reports only its exit status, 0 or 1, and never prints. It is
+    reaped once observed.csv is written or has failed. If it did not exit
+    0, this process writes the truth files again itself, so a child that
+    dies is recovered and every file and every error is that of the writes
+    made one after another: observed.csv's, else the truth files'.
+    config.json comes last. A failure can leave a partial directory.
     """
     from pathlib import Path
 
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    child = None
-    if _can_fork():
-        import multiprocessing
-
-        child = multiprocessing.get_context("fork").Process(
-            target=_save_truth_in_child, args=(truth, out))
-        child.start()
+    child = os.fork() if _can_fork() else None
+    if child == 0:
+        code = 1
+        try:
+            _save_truth(truth, out)
+            code = 0
+        finally:
+            os._exit(code)
     try:
         save_masked_csv(truth.observed, out / "observed.csv")
     finally:
-        if child is not None:
-            child.join()
-    if child is None or child.exitcode != 0:
+        code = None if child is None else os.waitstatus_to_exitcode(os.waitpid(child, 0)[1])
+    if code != 0:
         _save_truth(truth, out)
     write_json(out / "config.json", cfg.to_dict())

@@ -3,7 +3,6 @@
 import csv
 import json
 import math
-import multiprocessing
 import os
 import re
 import subprocess
@@ -275,6 +274,9 @@ def test_retired_guard_setting_is_named_error(tmp_path, capsys, command, config)
     assert not (tmp_path / "x").exists()
 
 
+_PAST_FLOAT64 = 10**400
+
+
 @pytest.mark.parametrize("command, config_text, key", [
     ("simulate", '{"area_side": Infinity}', "area_side"),
     ("simulate", '{"power_range": [100, Infinity]}', "power_range"),
@@ -286,11 +288,22 @@ def test_retired_guard_setting_is_named_error(tmp_path, capsys, command, config)
      "beta"),
     ("benchmark", json.dumps({**TINY_BENCHMARK, "sweep": [["noise_var", [math.nan]]]}),
      "noise_var"),
+    # A JSON integer too large for float64 is no finite float either.
+    pytest.param("simulate", json.dumps({"noise_var": _PAST_FLOAT64}), "'noise_var'",
+                 id="simulate-noise_var-past-float64"),
+    pytest.param("simulate", json.dumps({"power_range": [100, _PAST_FLOAT64]}), "power_range",
+                 id="simulate-power_range-past-float64"),
+    pytest.param("solve", json.dumps({"beta": _PAST_FLOAT64}), "'beta'",
+                 id="solve-beta-past-float64"),
+    pytest.param("benchmark",
+                 json.dumps({**TINY_BENCHMARK, "sweep": [["p_obs", [_PAST_FLOAT64]]]}),
+                 f"sweep value {_PAST_FLOAT64} for 'p_obs'", id="benchmark-p_obs-past-float64"),
 ])
 def test_non_finite_config_number_is_named_error(tmp_path, capsys, command,
                                                  config_text, key):
     assert _run_with_config(tmp_path, command, config_text) == 1
     err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert key in err and "finite" in err
     assert not (tmp_path / "x").exists()
 
@@ -376,7 +389,8 @@ def test_simulate_unwritable_file_is_named_error(tmp_path, capsys, blocked):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and f"{blocked}'" in err
     assert not (out / "config.json").exists()
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):  # the forked child was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_simulate_truth_file_error_is_one_line_in_a_real_process(tmp_path):

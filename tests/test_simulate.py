@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import re
+import signal
 import threading
 import tracemalloc
 import warnings
@@ -446,7 +447,7 @@ def test_generator_transient_stays_within_four_gamma_arrays():
 # --------------------------------------------------------------------- export
 
 _FILES = ("observed.csv", "truth_s.csv", "truth_p.csv", "activity.csv", "config.json")
-_HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+_HAS_FORK = hasattr(os, "fork")
 
 
 def _write_one_by_one(truth, cfg, out):
@@ -476,22 +477,28 @@ def large():
     return generate_scenario(cfg), cfg
 
 
+def _assert_no_child_left():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(params=["fork", "caller"])
 def forks(request, monkeypatch):
     """Which way save_scenario writes: "fork" runs the truth files in a forked
-    child, "caller" hides fork as on a platform without it. Yields the list of
-    contexts save_scenario asks for."""
+    child, "caller" hides os.fork as on a platform without it. Yields that name
+    and checks the number of os.fork calls and that no child is left."""
     if request.param == "fork" and not _HAS_FORK:
-        pytest.skip("fork start method unavailable")
+        pytest.skip("os.fork unavailable")
+    calls = []
     if request.param == "caller":
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    asked = []
-    get_context = multiprocessing.get_context
-    monkeypatch.setattr(multiprocessing, "get_context",
-                        lambda method=None: asked.append(method) or get_context(method))
-    yield asked
-    assert asked == (["fork"] if request.param == "fork" else [])
-    assert multiprocessing.active_children() == []
+        monkeypatch.delattr(os, "fork", raising=False)
+    else:
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    yield request.param
+    assert len(calls) == (request.param == "fork")
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("shape", ["t_slots=1", "n_pu=9", "100x3000"])
@@ -529,32 +536,44 @@ def test_save_scenario_observed_error_wins_after_the_child_is_joined(tmp_path, f
         (tmp_path / "activity.csv").mkdir()
     want = _raised(save_masked_csv, truth.observed, tmp_path / "observed.csv")
     assert _raised(save_scenario, truth, cfg, tmp_path) == want
-    if not truth_fails and forks == ["fork"]:  # the child wrote the truth files
+    if not truth_fails and forks == "fork":  # the child wrote the truth files
         _write_one_by_one(truth, cfg, tmp_path / "want")
         _assert_same_bytes(tmp_path, tmp_path / "want", _FILES[1:4])
     assert not (tmp_path / "config.json").exists()
 
 
-@pytest.mark.skipif(not _HAS_FORK, reason="fork start method unavailable")
-def test_save_scenario_rewrites_the_truth_files_of_a_child_that_dies(tmp_path, monkeypatch):
-    def die_halfway(truth, out):
+@pytest.mark.skipif(not _HAS_FORK, reason="os.fork unavailable")
+@pytest.mark.parametrize("death", ["exit-3", "SIGKILL"])
+def test_save_scenario_rewrites_the_truth_files_of_a_child_that_dies(tmp_path, monkeypatch,
+                                                                     death):
+    caller, save_truth = os.getpid(), simulate._save_truth
+
+    def die_halfway_in_the_child(truth, out):
+        if os.getpid() == caller:
+            return save_truth(truth, out)
         (out / "truth_s.csv").write_text("r,t,val")
+        if death == "SIGKILL":
+            os.kill(os.getpid(), signal.SIGKILL)
         os._exit(3)
 
-    monkeypatch.setattr(simulate, "_save_truth_in_child", die_halfway)
+    codes = []
+    to_code = os.waitstatus_to_exitcode
+    monkeypatch.setattr(simulate, "_save_truth", die_halfway_in_the_child)
+    monkeypatch.setattr(os, "waitstatus_to_exitcode",
+                        lambda status: codes.append(to_code(status)) or codes[-1])
     cfg = ScenarioConfig(t_slots=20, seed=2)
     truth = generate_scenario(cfg)
     save_scenario(truth, cfg, tmp_path / "got")
-    assert multiprocessing.active_children() == []
+    assert codes == [-signal.SIGKILL if death == "SIGKILL" else 3]
+    _assert_no_child_left()
     _write_one_by_one(truth, cfg, tmp_path / "want")
     assert sorted(p.name for p in (tmp_path / "got").iterdir()) == sorted(_FILES)
     _assert_same_bytes(tmp_path / "got", tmp_path / "want", _FILES)
 
 
-@pytest.mark.skipif(not _HAS_FORK, reason="fork start method unavailable")
+@pytest.mark.skipif(not _HAS_FORK, reason="os.fork unavailable")
 def test_save_scenario_writes_in_the_caller_beside_other_threads(tmp_path, monkeypatch):
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: pytest.fail(
-        "forked beside another thread"))
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside another thread"))
     cfg = ScenarioConfig(t_slots=20, seed=2)
     truth = generate_scenario(cfg)
     release = threading.Event()
@@ -570,12 +589,25 @@ def test_save_scenario_writes_in_the_caller_beside_other_threads(tmp_path, monke
     _assert_same_bytes(tmp_path / "got", tmp_path / "want", _FILES)
 
 
-@pytest.mark.skipif(not _HAS_FORK, reason="fork start method unavailable")
+def _fork_calls_of_save_scenario(truth, cfg, outdir) -> int:
+    """save_scenario(truth, cfg, outdir) in this process; the os.fork calls it made."""
+    calls, fork = [], os.fork
+    os.fork = lambda: calls.append(1) or fork()
+    try:
+        save_scenario(truth, cfg, outdir)
+    finally:
+        os.fork = fork
+    return len(calls)
+
+
+@pytest.mark.skipif(not _HAS_FORK, reason="os.fork unavailable")
 def test_save_scenario_runs_in_a_daemonic_pool_worker(tmp_path):
-    # A daemonic process may not start children: the worker writes in place.
+    # A pool worker runs one thread, so it forks the truth writer as any such
+    # process does, daemonic or not.
     cfg = ScenarioConfig(t_slots=20, seed=2)
     truth = generate_scenario(cfg)
     with multiprocessing.get_context("fork").Pool(1) as pool:
-        pool.apply(save_scenario, (truth, cfg, tmp_path / "got"))
+        forked = pool.apply(_fork_calls_of_save_scenario, (truth, cfg, tmp_path / "got"))
+    assert forked == 1
     _write_one_by_one(truth, cfg, tmp_path / "want")
     _assert_same_bytes(tmp_path / "got", tmp_path / "want", _FILES)
