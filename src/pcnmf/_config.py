@@ -1,8 +1,9 @@
 """Validation shared by the configuration dataclasses and the public functions.
 
 Each int or float config field declares its range beside its default with
-ranged. check is the one scalar rule, kind and range; check_fields runs it on
-every such field, and check_field on a function argument by its field's rule.
+ranged. check is the one scalar rule, kind and range, and returns the value as
+stored, int(value) or float(value); check_fields stores it in every such field,
+and check_field returns it for a function argument held to its field's rule.
 """
 
 from __future__ import annotations
@@ -35,33 +36,37 @@ def ranged(default, low, high=None, strict: bool = False):
     return field(default=default, metadata={"range": (low, high, strict)})
 
 
-def check(label: str, value, kind: str, low, high=None, strict: bool = False) -> None:
+def check(label: str, value, kind: str, low, high=None, strict: bool = False):
     """ValueError '<label> must be ..., got <value>' unless value is of kind, in the range.
 
-    kind "int" is an int, "float" a finite real number, and neither a bool.
+    kind "int" is an int, "float" a finite real number, and neither a bool. Returns the
+    value as stored: int(value) or float(value), the number the range is checked on.
     """
     cls, noun = _KINDS[kind]
     if not _is(cls, value):
         raise ValueError(f"{label} must be {noun}, got {value!r}")
+    stored = int(value) if kind == "int" else float(value)
     top = math.inf if high is None else high
-    if not (low < value < top if strict else low <= value <= top):
+    if not (low < stored < top if strict else low <= stored <= top):
         bound = (f"{'>' if strict else '>='} {low}" if high is None
                  else f"in {'(' if strict else '['}{low}, {high}{')' if strict else ']'}")
         raise ValueError(f"{label} must be {bound}, got {value!r}")
+    return stored
 
 
 def check_fields(config) -> None:
-    """Raise ValueError naming the first int or float field of config out of its kind or range."""
+    """Store each int or float field of config as check returns it, or raise its ValueError."""
     for f in fields(config):
         if f.type in _KINDS:
-            check(f"{type(config).__name__} field {f.name!r}", getattr(config, f.name),
-                  f.type, *f.metadata["range"])
+            label = f"{type(config).__name__} field {f.name!r}"
+            value = check(label, getattr(config, f.name), f.type, *f.metadata["range"])
+            object.__setattr__(config, f.name, value)
 
 
-def check_field(cls, name: str, value, label: str | None = None) -> None:
-    """Hold value to the kind and range of field name of cls; the error names label, else name."""
+def check_field(cls, name: str, value, label: str | None = None):
+    """value as field name of cls stores it, held to its rule; the error names label, else name."""
     f = next(f for f in fields(cls) if f.name == name)
-    check(label or name, value, f.type, *f.metadata["range"])
+    return check(label or name, value, f.type, *f.metadata["range"])
 
 
 def check_dict(cls, d) -> None:

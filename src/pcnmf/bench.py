@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import csv
 import time
-from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
-from ._config import _is, check, check_dict, check_field, check_fields, ranged
+from ._config import check, check_dict, check_field, check_fields, ranged
 from .matrices import FactorPair, binary, csv_line, finite, write_csv
 from .simulate import ScenarioConfig, generate_scenario
 from .solver import NumericFailureError, SolverConfig, infer_activations, solve, weighted_fit
@@ -43,7 +41,7 @@ class ExperimentConfig:
     """Benchmark protocol: scenario, solver, trial count, window, sweep.
 
     Each sweep value is one cell: it sets an int or float field of the scenario, by its bare
-    name, or of the solver, as solver.<field>, but no seed; a float field stores float(value).
+    name, or of the solver, as solver.<field>, but no seed.
     """
 
     scenario: ScenarioConfig = ScenarioConfig()
@@ -87,7 +85,7 @@ def _check_methods(methods) -> tuple[str, ...]:
 
 
 def _check_sweep(cfg: ExperimentConfig) -> tuple[tuple[str, tuple[float, ...]], ...]:
-    """cfg.sweep as ((param, (value, ...)), ...), each value as _swept stores it.
+    """cfg.sweep as ((param, (value, ...)), ...), each value as its field stores it.
 
     Raises ValueError naming an entry with no values or a cell that repeats.
     """
@@ -109,18 +107,17 @@ def _check_sweep(cfg: ExperimentConfig) -> tuple[tuple[str, tuple[float, ...]], 
     return checked
 
 
-def _swept(cfg: ExperimentConfig, param, value) -> tuple[ExperimentConfig, float]:
-    """(cfg of the sweep cell param = value, with no sweep; the value it stores).
+def _swept(cfg: ExperimentConfig, param, value) -> tuple[ExperimentConfig, int | float]:
+    """(cfg of the sweep cell param = value, with no sweep; the value its field stores).
 
     Every constructor check runs on the cell; a refusal is a ValueError naming param or value.
     """
     if not isinstance(param, str) or param not in _SWEEPABLE:
         raise ValueError(f"unsupported sweep parameter {param!r}")
     part, field = _SWEEPABLE[param]
-    stored = float(value) if field.type == "float" and _is(Real, value) else value
     try:
-        config = replace(getattr(cfg, part), **{field.name: stored})
-        return replace(cfg, sweep=(), **{part: config}), stored
+        config = replace(getattr(cfg, part), **{field.name: value})
+        return replace(cfg, sweep=(), **{part: config}), getattr(config, field.name)
     except ValueError as exc:
         raise ValueError(f"sweep value {value!r} for {param!r}: {exc}") from None
 
@@ -190,7 +187,7 @@ def rmse_missing_pooled(reconstructed: np.ndarray, truth: np.ndarray,
 
 def transition_count(activations: np.ndarray, threshold: float) -> np.ndarray:
     """Per-row count of consecutive differences larger than threshold."""
-    check("threshold", threshold, "float", 0, strict=True)
+    threshold = check("threshold", threshold, "float", 0, strict=True)
     acts = finite(activations, "activations")
     return (np.abs(np.diff(acts, axis=1)) > threshold).sum(axis=1)
 
@@ -264,8 +261,8 @@ def scale_rows_to_reference(estimate: np.ndarray, reference: np.ndarray) -> np.n
 
 def derive_trial_seeds(master_seed: int, trial_index: int) -> tuple[int, int]:
     """(scenario seed, solver init seed) for one trial, keyed on the master seed."""
-    check_field(ScenarioConfig, "seed", master_seed, "master_seed")
-    check("trial_index", trial_index, "int", 0)
+    master_seed = check_field(ScenarioConfig, "seed", master_seed, "master_seed")
+    trial_index = check("trial_index", trial_index, "int", 0)
     return tuple(int(np.random.SeedSequence((master_seed, key, trial_index)).generate_state(1)[0])
                  for key in (_TRIAL_SCENARIO, _TRIAL_INIT))
 
@@ -378,7 +375,7 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
     enables per-trial trace export (file names gain a c<cell>_ prefix when
     sweeping over several cells).
     """
-    check("jobs", jobs, "int", 1)
+    jobs = check("jobs", jobs, "int", 1)
     cells = [(param, value) for param, values in cfg.sweep for value in values]
     cells = cells or [("none", None)]
     tasks = [
@@ -386,14 +383,13 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
         for cell_index, (param, value) in enumerate(cells)
         for trial in range(cfg.trials)
     ]
-    with ExitStack() as stack:
-        mapper = map
-        workers = min(jobs, len(tasks))
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            mapper = stack.enter_context(ProcessPoolExecutor(max_workers=workers)).map
-        per_task = list(mapper(run_trial, *zip(*tasks)))
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_task = list(pool.map(run_trial, *zip(*tasks)))
+    else:
+        per_task = list(map(run_trial, *zip(*tasks)))
 
     groups: dict[tuple[int, str], list[TrialResult]] = {
         (cell_index, method): []

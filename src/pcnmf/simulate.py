@@ -151,7 +151,7 @@ def fading_step(h_prev, eta: float, rng: np.random.Generator):
     Preserves a unit stationary second moment: if E|h_prev|^2 = 1 then the
     output has E|h|^2 = 1 for any eta in [0, 1].
     """
-    check_field(ScenarioConfig, "eta", eta)
+    eta = check_field(ScenarioConfig, "eta", eta)
     return _ar1(h_prev, eta, _cn01(rng, np.shape(h_prev)))
 
 
@@ -162,9 +162,8 @@ def markov_activity(a_j: float, b_j: float, t_slots: int,
     The first slot is drawn from the stationary law b/(a+b). a_j = b_j = 0
     has no stationary law; the chain then starts inactive and stays so.
     """
-    check("a_j", a_j, "float", 0, 1)
-    check("b_j", b_j, "float", 0, 1)
-    check_field(ScenarioConfig, "t_slots", t_slots)
+    a_j, b_j = check("a_j", a_j, "float", 0, 1), check("b_j", b_j, "float", 0, 1)
+    t_slots = check_field(ScenarioConfig, "t_slots", t_slots)
     lam = b_j / (a_j + b_j) if a_j + b_j > 0 else 0.0
     state = int(rng.random() < lam)
     seq = np.zeros(t_slots, dtype=np.int64)
@@ -181,8 +180,8 @@ def markov_activity(a_j: float, b_j: float, t_slots: int,
 
 def activation_rate_for_duty(duty: float, a_j: float) -> float:
     """Activation probability giving the requested duty cycle b/(a+b) = duty."""
-    check_field(ScenarioConfig, "duty", duty)
-    check("a_j", a_j, "float", 0, 1)
+    duty = check_field(ScenarioConfig, "duty", duty)
+    a_j = check("a_j", a_j, "float", 0, 1)
     return duty * a_j / (1.0 - duty)
 
 

@@ -483,7 +483,7 @@ def penalty_smoothed(activations: np.ndarray, epsilon: float) -> float:
     Each consecutive difference d contributes d^2 / (d^2 + epsilon^2),
     which is 0 for a flat pair and approaches 1 for any clear transition.
     """
-    check_field(SolverConfig, "epsilon", epsilon)
+    epsilon = check_field(SolverConfig, "epsilon", epsilon)
     return _penalty(_transitions(nonnegative(activations, "activations")), epsilon)
 
 
@@ -519,7 +519,7 @@ def compute_reweights(p_prev: np.ndarray, epsilon: float) -> np.ndarray:
     transition each, so no slot sees a phantom neighbor. Note epsilon is
     added as-is here but squared in penalty_smoothed.
     """
-    check_field(SolverConfig, "epsilon", epsilon)
+    epsilon = check_field(SolverConfig, "epsilon", epsilon)
     return _reweights(_transitions(nonnegative(p_prev, "activations")), epsilon)
 
 
@@ -533,7 +533,7 @@ def surrogate_per_slot(s: MaskedMatrix, gains: np.ndarray, p_new: np.ndarray,
     transitions, weighted by the K x (T-1) w). Touches the slot fit at
     p_new == p_ref when beta == 0; the activation sweep cannot increase it.
     """
-    check_field(SolverConfig, "beta", beta)
+    beta = check_field(SolverConfig, "beta", beta)
     gains, p_ref = _pair(s, gains, p_ref)
     p_new = nonnegative(p_new, "activations", shape=p_ref.shape)
     w = nonnegative(w, "reweights", shape=(p_ref.shape[0], max(s.n_cols - 1, 0)))

@@ -308,6 +308,27 @@ def test_non_finite_config_number_is_named_error(tmp_path, capsys, command,
     assert not (tmp_path / "x").exists()
 
 
+# A JSON integer in a float field is stored as a float: numpy has no sqrt of the int
+# 10**30, and the int 10**200 squared is too large to convert to a float.
+@pytest.mark.parametrize("command, config", [
+    ("simulate", {"n_pu": 2, "n_su": 4, "t_slots": 16, "noise_var": 10**30}),
+    ("benchmark", {**TINY_BENCHMARK, "scenario": {**TINY_BENCHMARK["scenario"],
+                                                  "noise_var": 10**30}}),
+    ("solve", {"rank": 2, "max_iters": 5, "epsilon": 10**200}),
+    ("benchmark", {**TINY_BENCHMARK, "solver": {"rank": 2, "max_iters": 5,
+                                                "epsilon": 10**200}}),
+], ids=["simulate-noise_var", "benchmark-noise_var", "solve-epsilon", "benchmark-epsilon"])
+def test_large_json_integer_in_a_float_field_runs(tmp_path, capsys, command, config):
+    if command == "solve":
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(TINY_BENCHMARK["scenario"]))
+        assert main(["simulate", "--config", str(scenario), "--out", str(tmp_path)]) == 0
+    assert _run_with_config(tmp_path, command, json.dumps(config)) == 0
+    assert capsys.readouterr().err == ""
+    written = {"simulate": "config.json", "solve": "solve.json", "benchmark": "trials.csv"}
+    assert (tmp_path / "x" / written[command]).is_file()
+
+
 @pytest.mark.parametrize("config, named", [
     ({"a_range": [-0.1, 0.1]}, ["a_range"]),
     ({"duty": 0.9}, ["duty", "a_range"]),

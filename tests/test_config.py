@@ -1,6 +1,7 @@
 """Declared field ranges: each bound is where its config refuses, and the
 public functions that take one of these quantities refuse exactly what its
-field refuses, with the same message."""
+field refuses, with the same message. A value a field accepts is stored in
+the field's type, a numpy scalar included, on every path that sets it."""
 
 import dataclasses
 import math
@@ -21,7 +22,7 @@ from pcnmf import (
     penalty_smoothed,
     surrogate_per_slot,
 )
-from pcnmf.bench import derive_trial_seeds
+from pcnmf.bench import _swept, derive_trial_seeds
 
 _NUMERIC = [(cls, f) for cls in (ScenarioConfig, SolverConfig, ExperimentConfig)
             for f in dataclasses.fields(cls) if f.type in ("int", "float")]
@@ -125,3 +126,47 @@ def test_function_refuses_exactly_what_its_field_refuses(function):
             call(value)
             accepted += 1
     assert accepted and refused
+
+
+# ------------------------------------------------------------- stored type
+
+def _int_inside(low, high, strict):
+    """An int in the declared range, or None if the range holds none."""
+    top = math.inf if high is None else high
+    return next((v for v in (math.ceil(low), math.floor(low) + 1)
+                 if (low < v < top if strict else low <= v <= top)), None)
+
+
+def _numpy_values(f):
+    """numpy scalars inside field f's range: an int64 for an int field; a float64
+    and, where the range holds an int, an int64 for a float field."""
+    if f.type == "int":
+        return [np.int64(f.default)]
+    whole = _int_inside(*f.metadata["range"])
+    return [np.float64(f.default)] + ([] if whole is None else [np.int64(whole)])
+
+
+@pytest.mark.parametrize("cls, f", _NUMERIC,
+                         ids=lambda v: getattr(v, "__name__", getattr(v, "name", v)))
+def test_numpy_scalar_is_stored_as_its_fields_python_type(cls, f):
+    want = int if f.type == "int" else float
+    for value in _numpy_values(f):
+        for cfg in (cls(**{f.name: value}), cls.from_dict({f.name: value}),
+                    dataclasses.replace(cls(), **{f.name: value})):
+            stored = getattr(cfg, f.name)
+            assert type(stored) is want and stored == value, (value, stored)
+
+
+def test_sweep_cell_stores_its_fields_python_type():
+    cfg = ExperimentConfig(sweep=(("n_su", (np.int64(6),)), ("p_obs", (np.float64(0.5), 1))))
+    assert cfg.sweep == (("n_su", (6,)), ("p_obs", (0.5, 1.0)))
+    assert [type(v) for _, values in cfg.sweep for v in values] == [int, float, float]
+    for param, part, value, want in [("n_su", "scenario", np.int64(6), int),
+                                     ("p_obs", "scenario", np.float64(0.5), float),
+                                     ("p_obs", "scenario", np.int64(1), float),
+                                     ("solver.max_iters", "solver", np.int64(7), int),
+                                     ("solver.beta", "solver", np.int64(0), float)]:
+        cell, stored = _swept(cfg, param, value)
+        name = param.removeprefix("solver.")
+        assert type(stored) is want and stored == value
+        assert type(getattr(getattr(cell, part), name)) is want and cell.sweep == ()

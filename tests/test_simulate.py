@@ -571,6 +571,18 @@ def test_save_scenario_rewrites_the_truth_files_of_a_child_that_dies(tmp_path, m
     _assert_same_bytes(tmp_path / "got", tmp_path / "want", _FILES)
 
 
+def test_save_scenario_of_numpy_scalar_settings_writes_the_bytes_of_python_numbers(tmp_path,
+                                                                                  forks):
+    # A seed drawn with rng.integers is an np.int64; config.json echoes it as an int.
+    settings = {"seed": 3, "n_su": 4, "t_slots": 20, "area_side": 50.0, "noise_var": 1e-6}
+    numpy_cfg = ScenarioConfig(**{k: np.asarray(v)[()] for k, v in settings.items()})
+    cfg = ScenarioConfig(**settings)
+    save_scenario(generate_scenario(numpy_cfg), numpy_cfg, tmp_path / "got")
+    _write_one_by_one(generate_scenario(cfg), cfg, tmp_path / "want")
+    assert sorted(p.name for p in (tmp_path / "got").iterdir()) == sorted(_FILES)
+    _assert_same_bytes(tmp_path / "got", tmp_path / "want", _FILES)
+
+
 @pytest.mark.skipif(not _HAS_FORK, reason="os.fork unavailable")
 def test_save_scenario_writes_in_the_caller_beside_other_threads(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked beside another thread"))

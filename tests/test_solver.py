@@ -239,6 +239,14 @@ def test_penalty_limit_counts_transitions():
     assert penalty_smoothed(acts, 1e-12) == 4.0
 
 
+def test_penalty_takes_an_int_epsilon_as_its_float():
+    # epsilon is squared as a float: 10**200 squared overflows to inf, as 1e200's does,
+    # where an int square would be too large to convert to float.
+    acts = np.array([[0.0, 1.0, 1.0, 3.0]])
+    got = penalty_smoothed(acts, 10**200)
+    assert type(got) is float and got == penalty_smoothed(acts, 1e200)
+
+
 # ------------------------------------------------------------------ objective
 
 def test_objective_beta_zero_equals_fit():
