@@ -4,11 +4,13 @@ Each int or float config field declares its range beside its default with
 ranged. check is the one scalar rule, kind and range, and returns the value as
 stored, int(value) or float(value); check_fields stores it in every such field,
 and check_field returns it for a function argument held to its field's rule.
+check_dict is the shape rule for a JSON object, and list_items for a list.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import field, fields
 from numbers import Integral, Real
 
@@ -81,12 +83,20 @@ def check_dict(cls, d) -> None:
         raise ValueError(f"unknown {cls.__name__} keys: {', '.join(map(repr, unknown))}")
 
 
-def number_pair(name: str, value) -> tuple[float, float]:
-    """(low, high) as floats; ValueError unless value is two finite numbers, low <= high."""
+def list_items(value, length: int | None = None) -> tuple | None:
+    """value's items as a tuple if a list setting of length items (any, for None), else None."""
+    if isinstance(value, (str, bytes, Mapping)):  # not a string's characters or an object's keys
+        return None
     try:
-        low, high = value
-    except (TypeError, ValueError):
-        low = high = None
+        items = tuple(value)
+    except TypeError:  # not iterable, such as a number or a 0-d numpy array
+        return None
+    return items if length is None or len(items) == length else None
+
+
+def number_pair(name: str, value) -> tuple[float, float]:
+    """(low, high) as floats; ValueError unless value lists two finite numbers, low <= high."""
+    low, high = list_items(value, 2) or (None, None)
     if not (_is(Real, low) and _is(Real, high) and low <= high):
         raise ValueError(f"{name} must be two numbers [low, high], finite and with low <= high, "
                          f"got {value!r}")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._config import check, check_dict, check_field, check_fields, ranged
+from ._config import check, check_dict, check_field, check_fields, list_items, ranged
 from .matrices import FactorPair, binary, csv_line, finite, write_csv
 from .simulate import ScenarioConfig, generate_scenario
 from .solver import NumericFailureError, SolverConfig, infer_activations, solve, weighted_fit
@@ -72,11 +72,8 @@ class ExperimentConfig:
 
 
 def _check_methods(methods) -> tuple[str, ...]:
-    """methods as a tuple; ValueError unless a nonempty list of distinct _METHODS."""
-    try:
-        checked = tuple(methods)
-    except TypeError:
-        checked = ()
+    """methods as a tuple; ValueError unless a nonempty list setting of distinct _METHODS."""
+    checked = list_items(methods)
     if (not checked or any(m not in _METHODS for m in checked)
             or len(set(checked)) < len(checked)):
         raise ValueError(f"methods must be a nonempty list of distinct names from "
@@ -87,14 +84,14 @@ def _check_methods(methods) -> tuple[str, ...]:
 def _check_sweep(cfg: ExperimentConfig) -> tuple[tuple[str, tuple[float, ...]], ...]:
     """cfg.sweep as ((param, (value, ...)), ...), each value as its field stores it.
 
-    Raises ValueError naming an entry with no values or a cell that repeats.
+    Raises ValueError naming a sweep not made of list settings, an empty entry or a repeated cell.
     """
-    try:
-        pairs = tuple((param, tuple(values))
-                      for param, values in (() if cfg.sweep is None else cfg.sweep))
-    except (TypeError, ValueError):
+    entries = list_items(() if cfg.sweep is None else cfg.sweep)
+    pairs = [list_items(entry, 2) or (None, None) for entry in entries or ()]
+    pairs = [(param, list_items(values)) for param, values in pairs]
+    if entries is None or any(values is None for _, values in pairs):
         raise ValueError(f"sweep must be a list of [parameter, [values...]] pairs, "
-                         f"got {cfg.sweep!r}") from None
+                         f"got {cfg.sweep!r}")
     checked = tuple((param, tuple(_swept(cfg, param, value)[1] for value in values))
                     for param, values in pairs)
     for param, values in checked:
@@ -391,23 +388,16 @@ def run_sweep(cfg: ExperimentConfig, jobs: int = 1,
     else:
         per_task = list(map(run_trial, *zip(*tasks)))
 
-    groups: dict[tuple[int, str], list[TrialResult]] = {
-        (cell_index, method): []
-        for cell_index in range(len(cells)) for method in cfg.methods
-    }
-    for task_index, batch in enumerate(per_task):
-        for r in batch:
-            groups[task_index // cfg.trials, r.method].append(r)
-
     summary: list[SummaryRow] = []
-    for (cell_index, method), group in groups.items():
+    for c, m in np.ndindex(len(cells), len(cfg.methods)):  # run_trial keeps cfg.methods order
+        group = [batch[m] for batch in per_task[c * cfg.trials:(c + 1) * cfg.trials]]
         ok = [r for r in group if not r.failed]
         rmses = np.array([r.rmse for r in ok if not np.isnan(r.rmse)])
         mean = float(np.mean(rmses)) if rmses.size else _NAN
         stderr = float(np.std(rmses, ddof=1) / np.sqrt(rmses.size)) if rmses.size > 1 else _NAN
         secs = np.array([r.seconds for r in ok])
         summary.append(SummaryRow(
-            *cells[cell_index], method, mean_rmse=mean, stderr_rmse=stderr,
+            *cells[c], cfg.methods[m], mean_rmse=mean, stderr_rmse=stderr,
             trials_ok=len(ok), trials_failed=len(group) - len(ok),
             mean_seconds=float(np.mean(secs)) if secs.size else _NAN,
         ))

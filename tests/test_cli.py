@@ -242,6 +242,11 @@ def _run_with_config(tmp_path, command, config_text):
     ({"sweep": [["p_obs", ["0.5"]]]}, "sweep value '0.5' for 'p_obs'"),
     ({"sweep": [["noise_var", [True]]]}, "sweep value True for 'noise_var'"),
     ({"sweep": [["solver.guard", [1e-12]]]}, "unsupported sweep parameter 'solver.guard'"),
+    # A JSON object or string is not a list: it is refused, not read as its keys or characters.
+    ({"sweep": {"d0": [1.0]}}, "sweep must be a list of [parameter, [values...]] pairs"),
+    ({"sweep": [["n_su", "68"]]}, "sweep must be a list of [parameter, [values...]] pairs"),
+    ({"sweep": [{"p_obs": 0.5, "x": 1}]}, "sweep must be a list of [parameter, [values...]] pairs"),
+    ({"methods": {"wnmf": 0}}, "methods must be a nonempty list"),
 ])
 def test_malformed_sweep_or_methods_is_named_error(tmp_path, capsys, config, named):
     config = {**TINY_BENCHMARK, **config}

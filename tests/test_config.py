@@ -157,6 +157,17 @@ def test_numpy_scalar_is_stored_as_its_fields_python_type(cls, f):
             assert type(stored) is want and stored == value, (value, stored)
 
 
+def test_numpy_array_list_settings_are_stored_as_python_floats():
+    # A list setting is any iterable but a str, bytes or mapping, a numpy array included.
+    scenario = ScenarioConfig(a_range=np.array([0.05, 0.15]), power_range=np.array([100, 200]))
+    assert scenario.a_range == (0.05, 0.15) and scenario.power_range == (100.0, 200.0)
+    values = np.linspace(0.1, 0.9, 3)
+    cfg = ExperimentConfig(scenario=scenario, sweep=[("p_obs", values)])
+    assert cfg.sweep == (("p_obs", tuple(values.tolist())),)
+    stored = [*scenario.a_range, *scenario.power_range, *cfg.sweep[0][1]]
+    assert [type(v) for v in stored] == [float] * 7
+
+
 def test_sweep_cell_stores_its_fields_python_type():
     cfg = ExperimentConfig(sweep=(("n_su", (np.int64(6),)), ("p_obs", (np.float64(0.5), 1))))
     assert cfg.sweep == (("n_su", (6,)), ("p_obs", (0.5, 1.0)))

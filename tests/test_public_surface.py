@@ -1,10 +1,12 @@
 """The public surface: the names pcnmf exports, the settings its configs take, the
-ones the traced benchmark wraps and reads, and the README's library example."""
+ones the traced benchmark wraps and reads, and the README's examples."""
 
 import dataclasses
 import importlib
 import importlib.util
+import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import numpy as np
 import pcnmf
 from pcnmf import (ExperimentConfig, IterationRecord, MaskedMatrix, ScenarioConfig, SolverConfig,
                    SolveTrace, solve)
+from pcnmf.cli import build_parser
 from pcnmf.solver import IterateSnapshot
 
 # Removing or adding a public name is an API change: edit this list with it.
@@ -143,3 +146,20 @@ def test_readme_library_quick_start_runs():
     truth, s_hat = namespace["truth"], namespace["s_hat"]
     assert s_hat.shape == truth.observed.shape
     assert np.isfinite(s_hat).all()
+
+
+def test_readme_experiment_json_example_is_a_valid_config():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("`experiment.json` example:\n", 1)[1]
+    text = re.match(r"\s*```json\n(.*?)\n```\n", section, re.DOTALL).group(1)
+    assert ExperimentConfig.from_dict(json.loads(text)).sweep
+
+
+def test_readme_cli_examples_parse():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)\n```\n", readme, re.DOTALL)
+    commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("pcnmf ")]
+    assert {line.split()[1] for line in commands} == {"simulate", "solve", "benchmark"}
+    for line in commands:
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])

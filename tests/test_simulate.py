@@ -348,7 +348,7 @@ def test_config_dict_round_trip():
 
 
 @pytest.mark.parametrize("pair", [(0.05,), (0.15, 0.05), 0.05, ("0.05", 0.15),
-                                  (True, 0.15), (0.05, 0.15, 0.2)])
+                                  (True, 0.15), (0.05, 0.15, 0.2), {0.1: 0, 0.2: 1}])
 def test_config_ranges_are_two_ordered_numbers(pair):
     with pytest.raises(ValueError, match="a_range must be two numbers"):
         ScenarioConfig(a_range=pair)
