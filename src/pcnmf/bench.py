@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ._config import check, check_dict, check_field, check_fields, list_items, ranged
-from .matrices import FactorPair, binary, csv_line, finite, write_csv
+from .matrices import binary, csv_line, finite, write_csv
 from .simulate import ScenarioConfig, generate_scenario
 from .solver import NumericFailureError, SolverConfig, infer_activations, solve, weighted_fit
 
@@ -72,13 +72,13 @@ class ExperimentConfig:
 
 
 def _check_methods(methods) -> tuple[str, ...]:
-    """methods as a tuple; ValueError unless a nonempty list setting of distinct _METHODS."""
+    """methods as a tuple of str; ValueError unless a nonempty list setting of distinct _METHODS."""
     checked = list_items(methods)
-    if (not checked or any(m not in _METHODS for m in checked)
+    if (not checked or any(not isinstance(m, str) or m not in _METHODS for m in checked)
             or len(set(checked)) < len(checked)):
         raise ValueError(f"methods must be a nonempty list of distinct names from "
                          f"{_METHODS}, got {methods!r}")
-    return checked
+    return tuple(map(str, checked))
 
 
 def _check_sweep(cfg: ExperimentConfig) -> tuple[tuple[str, tuple[float, ...]], ...]:

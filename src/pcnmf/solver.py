@@ -49,16 +49,16 @@ reads its neighbors and their weights from it by slicing. At beta = 0 the
 penalty terms of both steps are exact zeros, so neither loop computes
 reweights, and the sweep skips its neighbor terms.
 
-One MM loop. solve and infer_activations each hand _descend their start
-(fit, penalty) and a step that returns the next one and its clamp count.
-_descend alone counts iterations, stops on the relative change of
-fit + beta * penalty and builds the SolveTrace both return. solve's
-penalty is the traced rho sum, infer_activations' sum log1p(d^2 / epsilon),
-so that its objective is majorized, which its joint step descends. Each
-step checks its iterates for non-finite values itself, before it rescales
-or records them. No step evaluates the surrogate: surrogate_per_slot on
-solve(..., record_factors=True) iterates checks MM monotonicity after the
-fact.
+One MM loop. solve and infer_activations each hand _descend their start (fit,
+penalty) and a step that returns the next one and its clamp count. One helper,
+_state, computes every state of both loops, with the penalty its loop hands it:
+solve's traced rho sum (_penalty), infer_activations' sum log1p(d^2 / epsilon)
+(_log_penalty), so that its objective is majorized, which its joint step
+descends, or None at beta = 0. _descend alone counts iterations, stops on the
+relative change of fit + beta * penalty and builds the SolveTrace both return.
+Each step checks its iterates for non-finite values itself, before it rescales
+or records them. No step evaluates the surrogate: surrogate_per_slot checks MM
+monotonicity after the fact on solve(..., record_factors=True) iterates.
 
 One workspace per call. solve and infer_activations each size one
 _Workspace from (N, K, T) before their loop, and the helpers write every
@@ -289,14 +289,15 @@ def _reweights(d2: np.ndarray, epsilon: float, out=None) -> np.ndarray:
     return np.divide(1.0, w, out=w)
 
 
-def _state(ws, values, mask, gains, acts, epsilon):
-    """Everything the next iteration reuses from one (gains, acts) state.
+def _state(ws, values, mask, gains, acts, penalty, epsilon):
+    """Everything the next iteration reuses from one (gains, acts) state, for both loops.
 
-    Returns (fit, penalty) and leaves W ⊙ G P in ws.wgp and d^2 in ws.d2.
+    Returns (fit, penalty(d^2, epsilon)) and leaves W ⊙ G P in ws.wgp and d^2 in
+    ws.d2: solve hands it _penalty, infer_activations _log_penalty at beta > 0 and
+    None at beta = 0, for which the penalty is 0.0 and no d^2 is computed.
     """
     fit = _masked_fit(ws, values, mask, gains, acts)
-    d2 = _transitions(acts, ws.d2)
-    return fit, _penalty(d2, epsilon, ws.scratch)
+    return fit, penalty(_transitions(acts, ws.d2), epsilon, ws.scratch) if penalty else 0.0
 
 
 def _activation_step(ws, p, data, curv, w, beta: float):
@@ -557,12 +558,11 @@ def _init_draw(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     return rng.uniform(0.1, 1.1, size=shape)
 
 
-def _descend(step, start: tuple[float, float], cfg: SolverConfig,
-             initial: FactorPair | None = None, iterates=None) -> SolveTrace:
+def _descend(step, start: tuple[float, float], cfg: SolverConfig) -> SolveTrace:
     """Run step(1), step(2), ... from the state start until cfg's stop rule.
 
-    A state is (fit, penalty); a step returns the next one and its clamp count.
-    Returns the trace of every step, with initial and iterates (the steps fill it).
+    A state is the (fit, penalty) of _state; a step returns the next one and its
+    clamp count. Returns the trace of every step and why the loop stopped.
     """
     fit, pen = start
     obj, records, stop_reason = fit + cfg.beta * pen, [], "max_iters"
@@ -574,7 +574,7 @@ def _descend(step, start: tuple[float, float], cfg: SolverConfig,
         if abs(prev - obj) / max(abs(prev), GUARD) < cfg.rel_tol:
             stop_reason = "rel_tol"
             break
-    return SolveTrace(records, iterates, initial, stop_reason)
+    return SolveTrace(records, stop_reason=stop_reason)
 
 
 def _check_finite(iteration: int, *arrays: np.ndarray) -> None:
@@ -622,9 +622,10 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
         gains, acts = _rescale(gains_new, acts_new, rng)
         if record_factors:
             iterates.append(IterateSnapshot(acts_new, gains_new, FactorPair(gains, acts)))
-        return *_state(ws, values, mask, gains, acts, eps), clamped
+        return *_state(ws, values, mask, gains, acts, _penalty, eps), clamped
 
-    trace = _descend(step, _state(ws, values, mask, gains, acts, eps), cfg, initial, iterates)
+    trace = _descend(step, _state(ws, values, mask, gains, acts, _penalty, eps), cfg)
+    trace.initial, trace.iterates = initial, iterates
     return FactorPair(gains, acts), trace
 
 
@@ -651,11 +652,7 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     ws = _Workspace(gains, acts)
     data = np.dot(gains.T, values, out=ws.data)
     coupled = beta > 0 and s.n_cols > 1
-
-    def state():
-        """(fit, sum log1p(d^2 / epsilon)) at acts; leaves W ⊙ G P and d^2 in ws."""
-        fit = _masked_fit(ws, values, mask, gains, acts)
-        return fit, _log_penalty(_transitions(acts, ws.d2), eps, ws.scratch) if beta else 0.0
+    penalty = _log_penalty if beta else None
 
     def step(iteration):
         nonlocal acts
@@ -666,7 +663,7 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
         else:
             acts, clamped = _activation_step(ws, acts, data, curv, None, 0.0)
         _check_finite(iteration, acts)
-        return *state(), clamped
+        return *_state(ws, values, mask, gains, acts, penalty, eps), clamped
 
-    trace = _descend(step, state(), cfg)
+    trace = _descend(step, _state(ws, values, mask, gains, acts, penalty, eps), cfg)
     return FactorPair(gains, acts), trace

@@ -168,6 +168,17 @@ def test_numpy_array_list_settings_are_stored_as_python_floats():
     assert [type(v) for v in stored] == [float] * 7
 
 
+def test_methods_items_are_names_stored_as_python_str():
+    # Each item of methods is a str from the method names, and is stored as a str.
+    message = re.escape("methods must be a nonempty list of distinct names from "
+                        "('pcnmf', 'wnmf'), got ")
+    for item in (np.array([1, 2]), np.array(["pcnmf"])):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(methods=[item])
+    cfg = ExperimentConfig(methods=[np.str_("pcnmf")])
+    assert cfg.methods == ("pcnmf",) and type(cfg.methods[0]) is str
+
+
 def test_sweep_cell_stores_its_fields_python_type():
     cfg = ExperimentConfig(sweep=(("n_su", (np.int64(6),)), ("p_obs", (np.float64(0.5), 1))))
     assert cfg.sweep == (("n_su", (6,)), ("p_obs", (0.5, 1.0)))

@@ -1,6 +1,8 @@
 """The public surface: the names pcnmf exports, the settings its configs take, the
-ones the traced benchmark wraps and reads, and the README's examples."""
+ones the traced benchmark wraps and reads, the names each module imports, and the
+README's examples."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -79,6 +81,7 @@ TRACE_FIELDS = {
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
+PACKAGE = ROOT / "src" / "pcnmf"
 
 
 def _spans():
@@ -111,6 +114,21 @@ def test_public_surface_is_pinned_and_traced_targets_resolve():
     for module_name, attr, *_ in spans.TARGETS:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), \
             (module_name, attr)
+
+
+def test_every_module_level_import_is_used():
+    # __init__.py's imports are its re-exports, and a __future__ import binds no name.
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [alias.asname or alias.name.split(".")[0]
+                    for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for name in imported if name not in used]
+    assert unused == []
 
 
 def _unobserved_slot_solve():

@@ -719,6 +719,7 @@ def test_inference_trace_never_raises_its_objective():
                 assert rec.penalty == 0.0 or cfg.beta > 0
             last = trace.records[-1]
             assert last.objective == majorized(s, pair.gains, pair_full.activations, cfg)
+            assert last.fit == weighted_fit(s, FactorPair(pair.gains, pair_full.activations))
             objectives = np.array([rec.objective for rec in trace.records])
             worst = max(worst, *(np.diff(objectives) / np.abs(objectives[:-1])))
     assert worst <= 1e-12, worst
