@@ -1,10 +1,11 @@
 """Validation shared by the configuration dataclasses and the public functions.
 
-Each int or float config field declares its range beside its default with
-ranged. check is the one scalar rule, kind and range, and returns the value as
-stored, int(value) or float(value); check_fields stores it in every such field,
-and check_field returns it for a function argument held to its field's rule.
-check_dict is the shape rule for a JSON object, and list_items for a list.
+Each int, float or [low, high] pair config field declares its range beside its
+default with ranged. check is the one setting rule, kind and range, and returns
+the value as stored, int(value), float(value) or a tuple of two floats;
+check_fields stores it in every such field, and check_field returns it for a
+function argument held to its field's rule. check_dict is the shape rule for a
+JSON object, and list_items for a list.
 """
 
 from __future__ import annotations
@@ -27,13 +28,16 @@ def _is(kind, value) -> bool:
 
 # The field annotations check holds values to; the configuration modules postpone
 # annotation evaluation, so dataclass fields carry them as strings.
-_KINDS = {"int": (Integral, "an int"), "float": (Real, "finite")}
+_PAIR = "tuple[float, float]"
+_KINDS = {"int": (Integral, "an int"), "float": (Real, "finite"),
+          _PAIR: (Real, "two finite numbers [low, high] with low <= high")}
 
 
 def ranged(default, low, high=None, strict: bool = False):
     """A dataclass field with this default, in [low, high] or, if strict, (low, high).
 
-    high None leaves the range open above.
+    high None leaves the range open above. A pair's default is (low end, high end),
+    and each end lies in the range.
     """
     return field(default=default, metadata={"range": (low, high, strict)})
 
@@ -41,23 +45,26 @@ def ranged(default, low, high=None, strict: bool = False):
 def check(label: str, value, kind: str, low, high=None, strict: bool = False):
     """ValueError '<label> must be ..., got <value>' unless value is of kind, in the range.
 
-    kind "int" is an int, "float" a finite real number, and neither a bool. Returns the
-    value as stored: int(value) or float(value), the number the range is checked on.
+    kind "int" is an int, "float" a finite real number, and neither a bool; a pair,
+    "tuple[float, float]", lists two such numbers, low <= high, and each end is held to
+    the range. Returns the value as stored: int(value), float(value) or a tuple of the
+    two floats, the numbers the range is checked on.
     """
     cls, noun = _KINDS[kind]
-    if not _is(cls, value):
+    ends = (list_items(value, 2) or (None, None)) if kind == _PAIR else (value,)
+    if not (all(_is(cls, end) for end in ends) and ends[0] <= ends[-1]):
         raise ValueError(f"{label} must be {noun}, got {value!r}")
-    stored = int(value) if kind == "int" else float(value)
+    stored = tuple(int(end) if kind == "int" else float(end) for end in ends)
     top = math.inf if high is None else high
-    if not (low < stored < top if strict else low <= stored <= top):
+    if not all(low < end < top if strict else low <= end <= top for end in stored):
         bound = (f"{'>' if strict else '>='} {low}" if high is None
                  else f"in {'(' if strict else '['}{low}, {high}{')' if strict else ']'}")
         raise ValueError(f"{label} must be {bound}, got {value!r}")
-    return stored
+    return stored if kind == _PAIR else stored[0]
 
 
 def check_fields(config) -> None:
-    """Store each int or float field of config as check returns it, or raise its ValueError."""
+    """Store each int, float or pair field of config as check returns it, or raise its error."""
     for f in fields(config):
         if f.type in _KINDS:
             label = f"{type(config).__name__} field {f.name!r}"
@@ -93,11 +100,3 @@ def list_items(value, length: int | None = None) -> tuple | None:
         return None
     return items if length is None or len(items) == length else None
 
-
-def number_pair(name: str, value) -> tuple[float, float]:
-    """(low, high) as floats; ValueError unless value lists two finite numbers, low <= high."""
-    low, high = list_items(value, 2) or (None, None)
-    if not (_is(Real, low) and _is(Real, high) and low <= high):
-        raise ValueError(f"{name} must be two numbers [low, high], finite and with low <= high, "
-                         f"got {value!r}")
-    return float(low), float(high)

@@ -5,9 +5,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
+from ._config import check
 from .bench import ExperimentConfig, run_sweep, write_benchmark_outputs
 from .matrices import load_masked_csv, save_dense_csv, write_json
 from .simulate import ScenarioConfig, generate_scenario, save_scenario
@@ -63,9 +64,7 @@ def _cmd_solve(args) -> int:
     save_dense_csv(pair.activations, out / "activations.csv")
     trace.to_csv(out / "trace.csv")
     sidecar = {
-        "beta": cfg.beta,
-        "epsilon": cfg.epsilon,
-        "rank": cfg.rank,
+        **asdict(cfg),
         "iterations_run": trace.iterations,
         "final_objective": trace.records[-1].objective,
         "stop_reason": trace.stop_reason,
@@ -86,8 +85,10 @@ def _cmd_benchmark(args) -> int:
         cfg = replace(cfg, trials=args.trials)
     if args.methods is not None:
         cfg = replace(cfg, methods=tuple(args.methods.split(",")))
+    jobs = check("jobs", args.jobs, "int", 1)
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any trial
     trace_dir = args.out if args.save_traces else None
-    summary, trials = run_sweep(cfg, jobs=args.jobs, trace_dir=trace_dir)
+    summary, trials = run_sweep(cfg, jobs=jobs, trace_dir=trace_dir)
     write_benchmark_outputs(
         args.out, summary, trials, include_timing=not args.no_timing
     )

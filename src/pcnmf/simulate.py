@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ._config import check, check_dict, check_field, check_fields, number_pair, ranged
+from ._config import check, check_dict, check_field, check_fields, ranged
 from .matrices import MaskedMatrix, save_dense_csv, save_masked_csv, write_json
 
 # substream tags
@@ -62,31 +62,21 @@ class ScenarioConfig:
     alpha: float = ranged(2.5, 0, strict=True)       # path-loss exponent
     eta: float = ranged(0.9995, 0, 1)                # fading memory
     duty: float = ranged(0.3, 0, 1, strict=True)     # long-run fraction of active slots
-    a_range: tuple[float, float] = (0.05, 0.15)      # deactivation prob. support
-    power_range: tuple[float, float] = (100.0, 200.0)  # transmit power support
+    a_range: tuple[float, float] = ranged((0.05, 0.15), 0, 1)     # deactivation prob. support
+    power_range: tuple[float, float] = ranged((100.0, 200.0), 0)  # transmit power support
     p_obs: float = ranged(0.7, 0, 1)                 # probability a cell is observed
     noise_var: float = ranged(1e-5, 0)               # sensor noise variance
     seed: int = ranged(0, 0)
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("a_range", "power_range"):
-            object.__setattr__(self, name, number_pair(name, getattr(self, name)))
-        low, high = self.a_range
-        if low < 0 or high > 1:
-            raise ValueError(f"a_range must lie in [0, 1], got {list(self.a_range)}")
         # a_j <= a_range[1] on every seed, so this bounds every activation probability.
-        if activation_rate_for_duty(self.duty, high) > 1:
+        if activation_rate_for_duty(self.duty, self.a_range[1]) > 1:
             raise ValueError(f"duty {self.duty!r} and a_range {list(self.a_range)} give an "
                              f"activation probability duty*a_range[1]/(1-duty) above 1")
-        if self.power_range[0] < 0:
-            raise ValueError(f"power_range must not be negative, got {list(self.power_range)}")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["a_range"] = list(self.a_range)
-        d["power_range"] = list(self.power_range)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":

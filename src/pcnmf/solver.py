@@ -633,8 +633,9 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
                       cfg: SolverConfig) -> tuple[FactorPair, SolveTrace]:
     """Estimate activations for frozen gains (no gains update, no rescale).
 
-    Starts from the raw init draw of cfg.init_seed. Each iteration
-    recomputes the reweights and takes one joint activation step
+    gains_fixed is n_rows x cfg.rank, else ShapeMismatchError. Starts from
+    the raw init draw of cfg.init_seed. Each iteration recomputes the
+    reweights and takes one joint activation step
     (_joint_activation_step): the fit majorizer and the reweighted
     quadratic minimized over all slots at once, one tridiagonal solve per
     activation row, for the increment from the current activations. At
@@ -646,7 +647,7 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     joint step descends; at beta = 0 that is the fit, and no transition or
     reweight is computed. Returns (gains, activations) and the trace, as solve does.
     """
-    gains = nonnegative(gains_fixed, "gains", shape=(s.n_rows, "K"))
+    gains = nonnegative(gains_fixed, "gains", shape=(s.n_rows, cfg.rank))
     values, mask, beta, eps = s.values, s.mask, cfg.beta, cfg.epsilon
     acts = _init_draw(np.random.default_rng(cfg.init_seed), (gains.shape[1], s.n_cols))
     ws = _Workspace(gains, acts)

@@ -1,6 +1,7 @@
 """CLI tests: simulate/solve/benchmark subcommands and their artifacts."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -61,8 +62,10 @@ def test_solve_emits_factors_and_sidecar(scenario_dir, tmp_path):
     acts = load_dense_csv(out / "activations.csv")
     assert gains.shape == (5, 2) and acts.shape == (2, 24)
     sidecar = json.loads((out / "solve.json").read_text())
-    assert sidecar["rank"] == 2
-    assert sidecar["beta"] == 5e-3
+    # The sidecar holds every solver setting and the run's three results, nothing else.
+    results = ["iterations_run", "final_objective", "stop_reason"]
+    assert {k: v for k, v in sidecar.items() if k not in results} == dataclasses.asdict(
+        SolverConfig(rank=2, max_iters=40, beta=5e-3, init_seed=1))
     assert sidecar["iterations_run"] == 40
     assert sidecar["stop_reason"] == "max_iters"
     assert sidecar["final_objective"] > 0
@@ -153,6 +156,24 @@ def test_missing_config_file_is_hard_error(tmp_path):
     rc = main(["benchmark", "--config", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "x")])
     assert rc == 1
+
+
+def test_benchmark_unusable_out_fails_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(pcnmf.bench, "run_trial", no_trial)
+    out = tmp_path / "taken"
+    out.write_text("")  # a file where --out's directory would go
+    assert main(["benchmark", "--trials", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and f"File exists: {str(out)!r}" in err
+
+
+def test_benchmark_jobs_below_one_creates_no_out(tmp_path, capsys):
+    assert main(["benchmark", "--jobs", "0", "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == "error: jobs must be >= 1, got 0\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_invalid_config_value_is_hard_error(tmp_path):

@@ -22,17 +22,30 @@ from pcnmf import (
     penalty_smoothed,
     surrogate_per_slot,
 )
+from pcnmf._config import check_field
 from pcnmf.bench import _swept, derive_trial_seeds
 
-_NUMERIC = [(cls, f) for cls in (ScenarioConfig, SolverConfig, ExperimentConfig)
-            for f in dataclasses.fields(cls) if f.type in ("int", "float")]
+_PAIR = "tuple[float, float]"  # a [low, high] setting: a_range and power_range
+_RANGED = [(cls, f) for cls in (ScenarioConfig, SolverConfig, ExperimentConfig)
+           for f in dataclasses.fields(cls) if f.type in ("int", "float", _PAIR)]
+_NUMERIC = [(cls, f) for cls, f in _RANGED if f.type != _PAIR]
+
+
+def _at(f, end, value):
+    """value as field f's setting: itself, or for a pair f's default with that end set to it."""
+    if f.type != _PAIR:
+        return value
+    low, high = f.default
+    return (value, high) if end == "low" else (low, value)
 
 
 def test_every_int_and_float_field_declares_its_range():
-    assert len(_NUMERIC) == 19
-    for cls, f in _NUMERIC:
+    assert len(_RANGED) == 21
+    for cls, f in _RANGED:
         low, high, strict = f.metadata["range"]
-        assert low <= getattr(cls(), f.name) and (high is None or getattr(cls(), f.name) <= high)
+        default = getattr(cls(), f.name)
+        for end in default if f.type == _PAIR else (default,):
+            assert low <= end and (high is None or end <= high)
 
 
 def _bound_text(low, high, strict) -> str:
@@ -54,7 +67,7 @@ def _refusals(cls, name, value) -> list[str]:
 
 
 @pytest.mark.parametrize("cls, f, end", [
-    (cls, f, end) for cls, f in _NUMERIC for end in ("low", "high")
+    (cls, f, end) for cls, f in _RANGED for end in ("low", "high")
     if end == "low" or f.metadata["range"][1] is not None
 ], ids=lambda v: getattr(v, "__name__", getattr(v, "name", v)))
 def test_declared_bound_is_where_the_field_refuses(cls, f, end):
@@ -64,6 +77,7 @@ def test_declared_bound_is_where_the_field_refuses(cls, f, end):
         edge, past = bound, bound + outward
     else:
         edge, past = float(bound), math.nextafter(float(bound), outward * math.inf)
+    edge, past = _at(f, end, edge), _at(f, end, past)
     if strict:
         refused = [edge, past]
     else:
@@ -177,6 +191,14 @@ def test_methods_items_are_names_stored_as_python_str():
             ExperimentConfig(methods=[item])
     cfg = ExperimentConfig(methods=[np.str_("pcnmf")])
     assert cfg.methods == ("pcnmf",) and type(cfg.methods[0]) is str
+
+
+def test_check_field_holds_a_pair_to_its_fields_rule():
+    assert check_field(ScenarioConfig, "a_range", np.array([0, 1])) == (0.0, 1.0)
+    with pytest.raises(ValueError, match=r"^a_range must be in \[0, 1\], got \(0.5, 1.5\)$"):
+        check_field(ScenarioConfig, "a_range", (0.5, 1.5))
+    with pytest.raises(ValueError, match="^a_range must be two finite numbers"):
+        check_field(ScenarioConfig, "a_range", (0.15, 0.05))
 
 
 def test_sweep_cell_stores_its_fields_python_type():

@@ -1,5 +1,6 @@
 """Scenario-generator tests: geometry, fading, activity, composition, statistics."""
 
+import json
 import multiprocessing
 import os
 import re
@@ -13,6 +14,7 @@ import pytest
 import reference_simulate as ref
 
 from pcnmf import (
+    ExperimentConfig,
     ScenarioConfig,
     activation_rate_for_duty,
     fading_step,
@@ -334,10 +336,11 @@ def test_config_validation(field, value, bound):
 
 @pytest.mark.parametrize("power_range", [(-5.0, -1.0), (-1e-9, 100.0)])
 def test_config_refuses_negative_power(power_range):
-    named = f"power_range must not be negative, got {list(power_range)}"
-    with pytest.raises(ValueError, match=re.escape(named)):
+    named = f"ScenarioConfig field 'power_range' must be >= 0, got {power_range!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
         ScenarioConfig(power_range=power_range)
-    with pytest.raises(ValueError, match=re.escape(named)):
+    named = f"ScenarioConfig field 'power_range' must be >= 0, got {list(power_range)!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
         ScenarioConfig.from_dict({"power_range": list(power_range)})
     assert ScenarioConfig(power_range=(0.0, 0.0)).power_range == (0.0, 0.0)
 
@@ -347,19 +350,28 @@ def test_config_dict_round_trip():
     assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def test_config_json_round_trip():
+    # to_dict holds the pairs as tuples: json writes them as arrays and reads lists back.
+    cfg = ScenarioConfig(seed=9, a_range=(0, 0.1), power_range=[100, 200])
+    assert ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    assert cfg.to_dict() == ExperimentConfig(scenario=cfg).to_dict()["scenario"]
+    assert ScenarioConfig().to_dict() == ExperimentConfig().to_dict()["scenario"]
+
+
 @pytest.mark.parametrize("pair", [(0.05,), (0.15, 0.05), 0.05, ("0.05", 0.15),
                                   (True, 0.15), (0.05, 0.15, 0.2), {0.1: 0, 0.2: 1}])
 def test_config_ranges_are_two_ordered_numbers(pair):
-    with pytest.raises(ValueError, match="a_range must be two numbers"):
-        ScenarioConfig(a_range=pair)
-    with pytest.raises(ValueError, match="power_range must be two numbers"):
-        ScenarioConfig(power_range=pair)
+    for name in ("a_range", "power_range"):
+        named = (f"ScenarioConfig field {name!r} must be two finite numbers [low, high] "
+                 f"with low <= high, got {pair!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            ScenarioConfig(**{name: pair})
     assert ScenarioConfig(a_range=[0.1, 0.1]).a_range == (0.1, 0.1)
 
 
 @pytest.mark.parametrize("overrides, named", [
-    ({"a_range": (-0.1, 0.1)}, "a_range must lie in [0, 1], got [-0.1, 0.1]"),
-    ({"a_range": (0.5, 1.5)}, "a_range must lie in [0, 1], got [0.5, 1.5]"),
+    ({"a_range": (-0.1, 0.1)}, "ScenarioConfig field 'a_range' must be in [0, 1], got (-0.1, 0.1)"),
+    ({"a_range": (0.5, 1.5)}, "ScenarioConfig field 'a_range' must be in [0, 1], got (0.5, 1.5)"),
     ({"duty": 0.9}, "duty 0.9 and a_range [0.05, 0.15] give an activation probability"),
     ({"duty": 0.6, "a_range": (0.0, 0.7)}, "duty 0.6 and a_range [0.0, 0.7]"),
 ])

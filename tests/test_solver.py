@@ -65,7 +65,7 @@ def test_beta_that_solver_config_refuses_is_named_error(beta):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("call, named", [
-    (lambda s, g, a, bad: infer_activations(s, np.where(g > 0.5, bad, g), SolverConfig()),
+    (lambda s, g, a, bad: infer_activations(s, np.where(g > 0.5, bad, g), SolverConfig(rank=2)),
      "gains must be finite"),
     (lambda s, g, a, bad: penalty_smoothed(a, bad), "^epsilon must be finite, got (nan|inf)$"),
     (lambda s, g, a, bad: compute_reweights(a, bad), "^epsilon must be finite, got (nan|inf)$"),
@@ -148,7 +148,10 @@ def test_negative_activations_is_named_error(call):
     (lambda s, g, a: fit_gradient(s, g, np.vstack([a, a])),
      r"activations shape \(4, 4\) does not match 2 x 4"),
     (lambda s, g, a: infer_activations(s, g[:2], SolverConfig(rank=2)),
-     r"gains shape \(2, 2\) does not match 3 x K"),
+     r"gains shape \(2, 2\) does not match 3 x 2"),
+    # The gains have cfg.rank columns: inference refuses rather than fit another rank.
+    (lambda s, g, a: infer_activations(s, g, SolverConfig(rank=3)),
+     r"gains shape \(3, 2\) does not match 3 x 3"),
     (lambda s, g, a: infer_activations(s, g[:, 0], SolverConfig(rank=2)),
      r"gains must be 2-D, got shape \(3,\)"),
 ], ids=["surrogate-p_new", "surrogate-reweights",
@@ -157,7 +160,8 @@ def test_negative_activations_is_named_error(call):
         "fit_gradient-1d-gains", "surrogate-gains-rows",
         "weighted_fit-pair-rows", "weighted_fit-pair-cols",
         "fit_gradient-wrong-T", "fit_gradient-wrong-K",
-        "infer_activations-gains-rows", "infer_activations-1d-gains"])
+        "infer_activations-gains-rows", "infer_activations-gains-cols",
+        "infer_activations-1d-gains"])
 def test_wrong_shaped_step_input_is_named_error(call, named):
     s, pair = random_instance(5)
     with pytest.raises(ShapeMismatchError, match=named):
