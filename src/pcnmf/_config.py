@@ -1,18 +1,20 @@
 """Validation shared by the configuration dataclasses and the public functions.
 
-Each int, float or [low, high] pair config field declares its range beside its
-default with ranged. check is the one setting rule, kind and range, and returns
-the value as stored, int(value), float(value) or a tuple of two floats;
-check_fields stores it in every such field, and check_field returns it for a
-function argument held to its field's rule. check_dict is the shape rule for a
-JSON object, and list_items for a list.
+Config is the base of every configuration: it runs check_fields on construction,
+its from_dict is the JSON object rule, and its to_dict the object from_dict reads
+back. Each int, float or [low, high] pair config field declares its range beside
+its default with ranged. check is the one setting rule, kind and range, and
+returns the value as stored, int(value), float(value) or a tuple of two floats;
+check_fields stores it in every such field and holds a nested configuration to
+its default's class, and check_field returns it for a function argument held to
+its field's rule. list_items is the shape rule for a JSON list.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import field, fields
+from dataclasses import asdict, field, fields
 from numbers import Integral, Real
 
 
@@ -64,12 +66,17 @@ def check(label: str, value, kind: str, low, high=None, strict: bool = False):
 
 
 def check_fields(config) -> None:
-    """Store each int, float or pair field of config as check returns it, or raise its error."""
+    """Store each int, float or pair field of config as check returns it, or raise its error.
+
+    A field whose default is a Config must hold an instance of the default's class.
+    """
     for f in fields(config):
+        label = f"{type(config).__name__} field {f.name!r}"
+        value = getattr(config, f.name)
+        if isinstance(f.default, Config) and not isinstance(value, type(f.default)):
+            raise ValueError(f"{label} must be a {type(f.default).__name__}, got {value!r}")
         if f.type in _KINDS:
-            label = f"{type(config).__name__} field {f.name!r}"
-            value = check(label, getattr(config, f.name), f.type, *f.metadata["range"])
-            object.__setattr__(config, f.name, value)
+            object.__setattr__(config, f.name, check(label, value, f.type, *f.metadata["range"]))
 
 
 def check_field(cls, name: str, value, label: str | None = None):
@@ -78,16 +85,30 @@ def check_field(cls, name: str, value, label: str | None = None):
     return check(label or name, value, f.type, *f.metadata["range"])
 
 
-def check_dict(cls, d) -> None:
-    """Raise ValueError unless d is a dict whose keys are all fields of cls.
+class Config:
+    """Base of the configuration dataclasses: checked on construction, read from and
+    written to a JSON object."""
 
-    Only the shape is checked here: the constructor checks the values.
-    """
-    if not isinstance(d, dict):
-        raise ValueError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
-    unknown = sorted(set(d) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(map(repr, unknown))}")
+    def __post_init__(self):
+        check_fields(self)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d):
+        """cls from a JSON object, each nested configuration read by its own from_dict.
+
+        Raises ValueError unless d is a dict whose keys are all fields of cls; the
+        constructor checks the values.
+        """
+        if not isinstance(d, dict):
+            raise ValueError(f"{cls.__name__} must be a JSON object, got {type(d).__name__}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} keys: {', '.join(map(repr, unknown))}")
+        parts = {f.name: type(f.default) for f in fields(cls) if isinstance(f.default, Config)}
+        return cls(**{k: parts[k].from_dict(v) if k in parts else v for k, v in d.items()})
 
 
 def list_items(value, length: int | None = None) -> tuple | None:

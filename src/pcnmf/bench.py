@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from ._config import check, check_dict, check_field, check_fields, list_items, ranged
+from ._config import Config, check, check_field, list_items, ranged
 from .matrices import binary, csv_line, finite, write_csv
 from .simulate import ScenarioConfig, generate_scenario
 from .solver import NumericFailureError, SolverConfig, infer_activations, solve, weighted_fit
@@ -29,15 +29,10 @@ _METHODS = ("pcnmf", "wnmf")
 _TRIAL_SCENARIO = 11
 _TRIAL_INIT = 12
 _NAN = float("nan")
-_PARTS = {"scenario": ScenarioConfig, "solver": SolverConfig}  # the nested configs
-# Sweep parameter -> (part, field), by the rule in ExperimentConfig's docstring.
-_SWEEPABLE = {("solver." if part == "solver" else "") + f.name: (part, f)
-              for part, kind in _PARTS.items() for f in fields(kind)
-              if f.type in ("int", "float") and "seed" not in f.name}
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Config):
     """Benchmark protocol: scenario, solver, trial count, window, sweep.
 
     Each sweep value is one cell: it sets an int or float field of the scenario, by its bare
@@ -52,23 +47,17 @@ class ExperimentConfig:
     methods: tuple[str, ...] = _METHODS
 
     def __post_init__(self):
-        check_fields(self)
-        for name, kind in _PARTS.items():
-            if not isinstance(value := getattr(self, name), kind):
-                raise ValueError(f"ExperimentConfig field {name!r} must be a {kind.__name__}, "
-                                 f"got {value!r}")
+        super().__post_init__()
         if self.gamma_window > self.scenario.t_slots:
             raise ValueError("gamma_window must be in [1, t_slots]")
         object.__setattr__(self, "methods", _check_methods(self.methods))
         object.__setattr__(self, "sweep", _check_sweep(self))
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        check_dict(cls, d)
-        return cls(**{k: _PARTS[k].from_dict(v) if k in _PARTS else v for k, v in d.items()})
+# Sweep parameter -> (part, field), by the rule in ExperimentConfig's docstring.
+_SWEEPABLE = {("solver." if part.name == "solver" else "") + f.name: (part.name, f)
+              for part in fields(ExperimentConfig) if isinstance(part.default, Config)
+              for f in fields(part.default) if f.type in ("int", "float") and "seed" not in f.name}
 
 
 def _check_methods(methods) -> tuple[str, ...]:

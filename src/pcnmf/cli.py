@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 from ._config import check
@@ -25,25 +25,22 @@ def _unique_keys(pairs) -> dict:
     return config
 
 
-def _load_config(path) -> dict:
-    """The JSON object in the file at path, {} for None; a ValueError names the file."""
-    if path is None:
-        return {}
-    with open(path) as fh:
-        try:
-            config = json.load(fh, object_pairs_hook=_unique_keys)
-        except ValueError as exc:  # not text, not JSON, or a repeated key
-            raise ValueError(f"{path}: {exc}") from None
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return config
+def _read_config(cls, path, **flags):
+    """cls.from_dict of the JSON object in the file at path ({} for None), then each flag
+    that is not None laid over it by replace; a file that does not parse names itself.
+    """
+    config = {}
+    if path is not None:
+        with open(path) as fh:
+            try:
+                config = json.load(fh, object_pairs_hook=_unique_keys)
+            except ValueError as exc:  # not text, not JSON, or a repeated key
+                raise ValueError(f"{path}: {exc}") from None
+    return replace(cls.from_dict(config), **{k: v for k, v in flags.items() if v is not None})
 
 
 def _cmd_simulate(args) -> int:
-    overrides = _load_config(args.config)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    cfg = ScenarioConfig.from_dict(overrides)
+    cfg = _read_config(ScenarioConfig, args.config, seed=args.seed)
     truth = generate_scenario(cfg)
     save_scenario(truth, cfg, args.out)
     print(f"scenario written to {args.out}")
@@ -51,20 +48,22 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    overrides = _load_config(args.config)
-    if args.seed is not None:
-        overrides["init_seed"] = args.seed
-    cfg = SolverConfig.from_dict(overrides)
+    cfg = _read_config(SolverConfig, args.config, init_seed=args.seed)
     observed = load_masked_csv(args.observed)
-    pair, trace = solve(observed, cfg)
-
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the solve
+    try:
+        pair, trace = solve(observed, cfg)
+    except BaseException:  # a failed solve leaves no directory that this command made
+        for d in made:
+            d.rmdir()
+        raise
     save_dense_csv(pair.gains, out / "gains.csv")
     save_dense_csv(pair.activations, out / "activations.csv")
     trace.to_csv(out / "trace.csv")
     sidecar = {
-        **asdict(cfg),
+        **cfg.to_dict(),
         "iterations_run": trace.iterations,
         "final_objective": trace.records[-1].objective,
         "stop_reason": trace.stop_reason,
@@ -78,13 +77,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    cfg = ExperimentConfig.from_dict(_load_config(args.config))
-    if args.seed is not None:
+    cfg = _read_config(ExperimentConfig, args.config, trials=args.trials, methods=args.methods)
+    if args.seed is not None:  # the master seed is the scenario's
         cfg = replace(cfg, scenario=replace(cfg.scenario, seed=args.seed))
-    if args.trials is not None:
-        cfg = replace(cfg, trials=args.trials)
-    if args.methods is not None:
-        cfg = replace(cfg, methods=tuple(args.methods.split(",")))
     jobs = check("jobs", args.jobs, "int", 1)
     Path(args.out).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any trial
     trace_dir = args.out if args.save_traces else None
@@ -121,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--config", help="JSON file with experiment configuration")
     p_bench.add_argument("--seed", type=int, help="master seed override")
     p_bench.add_argument("--trials", type=int, help="Monte Carlo trials per sweep cell")
-    p_bench.add_argument("--methods", help="comma-separated subset of pcnmf,wnmf")
+    p_bench.add_argument("--methods", type=lambda names: tuple(names.split(",")),
+                         help="comma-separated subset of pcnmf,wnmf")
     p_bench.add_argument("--out", required=True, help="output directory")
     p_bench.add_argument("--jobs", type=int, default=1, help="parallel trial workers (>= 1)")
     p_bench.add_argument(

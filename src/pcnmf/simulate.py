@@ -30,11 +30,11 @@ writes made one after another; a failure can leave a partial directory.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._config import check, check_dict, check_field, check_fields, ranged
+from ._config import Config, check, check_field, ranged
 from .matrices import MaskedMatrix, save_dense_csv, save_masked_csv, write_json
 
 # substream tags
@@ -51,7 +51,7 @@ def _substream(seed: int, *key: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Config):
     """Physical and sampling parameters of a synthetic scenario."""
 
     area_side: float = ranged(100.0, 0)              # side of the square deployment area
@@ -69,19 +69,11 @@ class ScenarioConfig:
     seed: int = ranged(0, 0)
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         # a_j <= a_range[1] on every seed, so this bounds every activation probability.
         if activation_rate_for_duty(self.duty, self.a_range[1]) > 1:
             raise ValueError(f"duty {self.duty!r} and a_range {list(self.a_range)} give an "
                              f"activation probability duty*a_range[1]/(1-duty) above 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioConfig":
-        check_dict(cls, d)
-        return cls(**d)
 
 
 @dataclass(frozen=True)

@@ -106,7 +106,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._config import check_dict, check_field, check_fields, ranged
+from ._config import Config, check_field, ranged
 from .matrices import FactorPair, MaskedMatrix, nonnegative, write_csv
 
 # Activations are floored here after every update: the diagonal majorizer
@@ -126,7 +126,7 @@ class NumericFailureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Config):
     """Solver parameters.
 
     beta     : weight of the piecewise-constant penalty (0 disables it,
@@ -152,14 +152,6 @@ class SolverConfig:
     max_iters: int = ranged(1000, 1)
     rel_tol: float = ranged(1e-8, 0)
     init_seed: int = ranged(0, 0)
-
-    def __post_init__(self):
-        check_fields(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolverConfig":
-        check_dict(cls, d)
-        return cls(**d)
 
 
 @dataclass(frozen=True)

@@ -561,9 +561,26 @@ def test_bad_config_value_is_one_named_error_on_every_path(cls, name, value):
     ("scenario", SolverConfig()), ("solver", None),
 ])
 def test_experiment_config_nested_config_of_wrong_type_is_named_error(name, value):
+    # The constructor and replace() give one message.
     kind = {"scenario": "ScenarioConfig", "solver": "SolverConfig"}[name]
-    with pytest.raises(ValueError, match=f"ExperimentConfig field '{name}' must be a {kind}"):
-        ExperimentConfig(**{name: value})
+    named = f"ExperimentConfig field '{name}' must be a {kind}, got {value!r}"
+    for path in (lambda: ExperimentConfig(**{name: value}),
+                 lambda: dataclasses.replace(ExperimentConfig(), **{name: value})):
+        with pytest.raises(ValueError) as info:
+            path()
+        assert str(info.value) == named
+
+
+@pytest.mark.parametrize("cfg", [
+    SolverConfig(beta=0.0, epsilon=1e-4, rank=2, max_iters=7, rel_tol=0.0, init_seed=9),
+    ExperimentConfig(scenario=ScenarioConfig(n_su=6, t_slots=40, a_range=(0.0, 0.1)),
+                     solver=SolverConfig(rank=2), trials=3, gamma_window=20,
+                     sweep=(("p_obs", (0.5, 0.9)), ("solver.beta", (0.0,))),
+                     methods=("wnmf",)),
+], ids=["SolverConfig", "ExperimentConfig"])
+def test_solver_and_experiment_config_json_round_trip(cfg):
+    # to_dict holds tuples: json writes them as arrays and from_dict reads lists back.
+    assert type(cfg).from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_unhashable_sweep_value_is_named_error():

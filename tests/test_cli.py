@@ -404,6 +404,74 @@ def test_solve_numeric_failure_is_named_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_solve_unusable_out_fails_before_the_solve(scenario_dir, tmp_path, capsys,
+                                                   monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(pcnmf.cli, "solve", no_solve)
+    out = tmp_path / "taken"
+    out.write_text("")  # a file where --out's directory would go
+    assert main(["solve", str(scenario_dir / "observed.csv"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and f"File exists: {str(out)!r}" in err
+
+
+def test_solve_numeric_failure_keeps_an_out_that_existed(tmp_path, capsys):
+    observed = tmp_path / "observed.csv"
+    observed.write_text("r,t,value,observed\n" + "".join(
+        f"{r},{t},1e308,1\n" for r in range(4) for t in range(6)))
+    (tmp_path / "x").mkdir()
+    with np.errstate(all="ignore"):
+        assert main(["solve", str(observed), "--out", str(tmp_path / "x" / "a" / "b")]) == 1
+    assert capsys.readouterr().err.endswith("error: non-finite iterate at iteration 1\n")
+    # The directories the command made are gone; the one that was there stays.
+    assert (tmp_path / "x").is_dir() and list((tmp_path / "x").iterdir()) == []
+
+
+def _run_on(tmp_path, argv, config) -> Path:
+    """Run argv with config (a dict) as its --config file; return its --out directory."""
+    cfg_path = tmp_path / f"{argv[0]}.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / argv[0]
+    assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == 0
+    return out
+
+
+def test_each_flag_wins_over_the_files_value(tmp_path):
+    scenario = _run_on(tmp_path, ["simulate", "--seed", "3"],
+                       {**TINY_BENCHMARK["scenario"], "seed": 1})
+    assert json.loads((scenario / "config.json").read_text())["seed"] == 3
+    fit = _run_on(tmp_path, ["solve", str(scenario / "observed.csv"), "--seed", "3"],
+                  {"rank": 2, "max_iters": 5, "init_seed": 1})
+    assert json.loads((fit / "solve.json").read_text())["init_seed"] == 3
+    bench = _run_on(tmp_path, ["benchmark", "--seed", "3", "--trials", "2", "--methods", "wnmf"],
+                    {**TINY_BENCHMARK, "trials": 3, "methods": ["pcnmf", "wnmf"]})
+    rows = read_trials_csv(bench / "trials.csv")
+    assert [(row["trial"], row["method"]) for row in rows] == [(0, "wnmf"), (1, "wnmf")]
+    # A trial's scenario seed derives from the master seed, the scenario's seed.
+    assert [row["seed"] for row in rows] == [pcnmf.derive_trial_seeds(3, t)[0] for t in (0, 1)]
+
+
+@pytest.mark.parametrize("command, config, named", [
+    ("simulate", {"seed": -1}, "ScenarioConfig field 'seed' must be >= 0, got -1"),
+    ("solve", {"init_seed": -1}, "SolverConfig field 'init_seed' must be >= 0, got -1"),
+    ("benchmark", {**TINY_BENCHMARK, "scenario": {**TINY_BENCHMARK["scenario"], "seed": -1}},
+     "ScenarioConfig field 'seed' must be >= 0, got -1"),
+], ids=["simulate", "solve", "benchmark"])
+def test_invalid_file_is_refused_whatever_flag_follows(tmp_path, capsys, command, config,
+                                                       named):
+    # A config file is checked on its own, before --seed is laid over it.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    argv = [command, "--config", str(cfg_path), "--seed", "3", "--out", str(tmp_path / "x")]
+    if command == "solve":
+        argv.insert(1, str(tmp_path / "observed.csv"))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_benchmark_no_timing_trials_are_byte_reproducible(tmp_path):
     cfg_path = tmp_path / "bench.json"
     cfg_path.write_text(json.dumps({

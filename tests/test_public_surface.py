@@ -16,6 +16,7 @@ import numpy as np
 import pcnmf
 from pcnmf import (ExperimentConfig, IterationRecord, MaskedMatrix, ScenarioConfig, SolverConfig,
                    SolveTrace, solve)
+from pcnmf._config import Config
 from pcnmf.cli import build_parser
 from pcnmf.solver import IterateSnapshot
 
@@ -95,6 +96,12 @@ def _spans():
 def test_config_settings_are_pinned():
     for cls, names in SETTINGS.items():
         assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__
+
+
+def test_every_config_reads_and_writes_json_by_one_rule():
+    for cls in SETTINGS:
+        assert issubclass(cls, Config), cls.__name__
+        assert not {"from_dict", "to_dict"} & set(vars(cls)), cls.__name__
 
 
 def test_trace_record_fields_are_pinned():
