@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,10 +40,28 @@ def _read_config(cls, path, **flags):
     return replace(cls.from_dict(config), **{k: v for k, v in flags.items() if v is not None})
 
 
+@contextmanager
+def _out_dir(path):
+    """--out as a Path, made with its missing parents, so that an unusable --out fails
+    before the command's work; if making it or that work fails, the directories made here
+    that are still empty are removed again, and a directory that was there before is kept.
+    """
+    out = Path(path)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    try:
+        out.mkdir(parents=True, exist_ok=True)  # may fail after making some parents
+        yield out
+    except BaseException:
+        for d in made:  # deepest first; rmdir refuses a directory that is not empty
+            with suppress(OSError):
+                d.rmdir()
+        raise
+
+
 def _cmd_simulate(args) -> int:
     cfg = _read_config(ScenarioConfig, args.config, seed=args.seed)
-    truth = generate_scenario(cfg)
-    save_scenario(truth, cfg, args.out)
+    with _out_dir(args.out) as out:
+        save_scenario(generate_scenario(cfg), cfg, out)
     print(f"scenario written to {args.out}")
     return 0
 
@@ -50,25 +69,18 @@ def _cmd_simulate(args) -> int:
 def _cmd_solve(args) -> int:
     cfg = _read_config(SolverConfig, args.config, init_seed=args.seed)
     observed = load_masked_csv(args.observed)
-    out = Path(args.out)
-    made = [d for d in (out, *out.parents) if not d.exists()]
-    out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the solve
-    try:
+    with _out_dir(args.out) as out:
         pair, trace = solve(observed, cfg)
-    except BaseException:  # a failed solve leaves no directory that this command made
-        for d in made:
-            d.rmdir()
-        raise
-    save_dense_csv(pair.gains, out / "gains.csv")
-    save_dense_csv(pair.activations, out / "activations.csv")
-    trace.to_csv(out / "trace.csv")
-    sidecar = {
-        **cfg.to_dict(),
-        "iterations_run": trace.iterations,
-        "final_objective": trace.records[-1].objective,
-        "stop_reason": trace.stop_reason,
-    }
-    write_json(out / "solve.json", sidecar)
+        save_dense_csv(pair.gains, out / "gains.csv")
+        save_dense_csv(pair.activations, out / "activations.csv")
+        trace.to_csv(out / "trace.csv")
+        sidecar = {
+            **cfg.to_dict(),
+            "iterations_run": trace.iterations,
+            "final_objective": trace.records[-1].objective,
+            "stop_reason": trace.stop_reason,
+        }
+        write_json(out / "solve.json", sidecar)
     print(
         f"factorization written to {out} "
         f"({trace.iterations} iterations, objective {sidecar['final_objective']!r})"
@@ -77,16 +89,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    cfg = _read_config(ExperimentConfig, args.config, trials=args.trials, methods=args.methods)
+    cfg = _read_config(ExperimentConfig, args.config, trials=args.trials)
     if args.seed is not None:  # the master seed is the scenario's
         cfg = replace(cfg, scenario=replace(cfg.scenario, seed=args.seed))
     jobs = check("jobs", args.jobs, "int", 1)
-    Path(args.out).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any trial
-    trace_dir = args.out if args.save_traces else None
-    summary, trials = run_sweep(cfg, jobs=jobs, trace_dir=trace_dir)
-    write_benchmark_outputs(
-        args.out, summary, trials, include_timing=not args.no_timing
-    )
+    with _out_dir(args.out) as out:
+        summary, trials = run_sweep(cfg, jobs=jobs, trace_dir=out if args.save_traces else None)
+        write_benchmark_outputs(out, summary, trials, include_timing=not args.no_timing)
     failed = sum(r.failed for r in trials)
     print(f"benchmark written to {args.out} ({len(trials)} trial runs, {failed} failed)")
     return 0
@@ -116,8 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--config", help="JSON file with experiment configuration")
     p_bench.add_argument("--seed", type=int, help="master seed override")
     p_bench.add_argument("--trials", type=int, help="Monte Carlo trials per sweep cell")
-    p_bench.add_argument("--methods", type=lambda names: tuple(names.split(",")),
-                         help="comma-separated subset of pcnmf,wnmf")
     p_bench.add_argument("--out", required=True, help="output directory")
     p_bench.add_argument("--jobs", type=int, default=1, help="parallel trial workers (>= 1)")
     p_bench.add_argument(

@@ -131,10 +131,6 @@ class FactorPair:
         object.__setattr__(self, "gains", _frozen(gains))
         object.__setattr__(self, "activations", _frozen(activations))
 
-    @property
-    def rank(self) -> int:
-        return self.gains.shape[1]
-
 
 # The characters for which csv.writer would quote a cell.
 _QUOTE_TRIGGERS = re.compile(r'[,"\r\n]')

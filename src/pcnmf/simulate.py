@@ -5,10 +5,10 @@ transmitters and sensors dropped uniformly in a square, power-law path
 gains, slowly varying Rayleigh fading through a first-order autoregressive
 recursion, two-state Markov on/off activity with a fresh uniform transmit
 power per activation run, additive Gaussian sensor noise, and Bernoulli
-observation masking. `fading_step` runs the generator's one AR(1) step.
-Every `ScenarioConfig` that constructs generates on every seed, unless a
-distance, a gain or the clean received power overflows float64 on it: that
-raises one ValueError naming the seed and the quantity, with no warning.
+observation masking. Every `ScenarioConfig` that constructs generates on
+every seed, unless a distance, a gain or the clean received power overflows
+float64 on it: that raises one ValueError naming the seed and the quantity,
+with no warning.
 
 Every random quantity is drawn from a named substream keyed on the scenario
 seed, so scenarios are reproducible regardless of generation order and
@@ -125,16 +125,6 @@ def _ar1(h_prev, eta: float, nu, out=None):
     out = np.multiply(nu, np.sqrt(1.0 - eta * eta), out=out)
     out += eta * h_prev
     return out
-
-
-def fading_step(h_prev, eta: float, rng: np.random.Generator):
-    """One autoregressive fading step: eta*h + sqrt(1-eta^2)*nu, nu ~ CN(0,1).
-
-    Preserves a unit stationary second moment: if E|h_prev|^2 = 1 then the
-    output has E|h|^2 = 1 for any eta in [0, 1].
-    """
-    eta = check_field(ScenarioConfig, "eta", eta)
-    return _ar1(h_prev, eta, _cn01(rng, np.shape(h_prev)))
 
 
 def markov_activity(a_j: float, b_j: float, t_slots: int,

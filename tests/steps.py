@@ -1,12 +1,15 @@
-"""The activation sweep, gains update and rescale of one solve iteration, as functions.
+"""The activation sweep, gains update and rescale of one solve iteration, and the
+scenario generator's fading step, as functions.
 
-Each one gives the solver's private kernel helpers a fresh workspace, so a test of a
-step checks the code that solve runs. Nothing here computes or checks anything itself.
+Each solver step gives the solver's private kernel helpers a fresh workspace, so a test
+of a step checks the code that solve runs; the fading step calls the generator's own
+helpers. Nothing here computes or checks anything itself.
 """
 
 import numpy as np
 
 from pcnmf import FactorPair
+from pcnmf.simulate import _ar1, _cn01
 from pcnmf.solver import (_activation_step, _expand_at, _gains_step, _masked_product, _rescale,
                           _Workspace)
 
@@ -28,3 +31,8 @@ def update_gains(s, pair):
 def rescale(pair):
     """Unit-norm gains columns, the column scale moved into the activations."""
     return FactorPair(*_rescale(pair.gains, pair.activations, np.random.default_rng(0)))
+
+
+def fading_step(h_prev, eta, rng):
+    """One AR(1) fading step of the generator: eta*h + sqrt(1-eta^2)*nu, nu ~ CN(0, 1)."""
+    return _ar1(h_prev, eta, _cn01(rng, np.shape(h_prev)))

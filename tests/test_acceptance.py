@@ -18,7 +18,6 @@ from pcnmf import (
     ScenarioConfig,
     SolverConfig,
     activation_rate_for_duty,
-    fading_step,
     fit_gradient,
     generate_scenario,
     markov_activity,
@@ -29,6 +28,7 @@ from pcnmf import (
 )
 from pcnmf.cli import main as cli_main
 from pcnmf.solver import GUARD
+from steps import fading_step
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:

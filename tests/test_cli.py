@@ -105,9 +105,10 @@ def test_benchmark_flags_override_config(tmp_path):
         "solver": {"rank": 2, "max_iters": 20},
         "trials": 5,
         "gamma_window": 10,
+        "methods": ["wnmf"],
     }))
     rc = main(["benchmark", "--config", str(cfg_path), "--seed", "3",
-               "--trials", "1", "--methods", "wnmf", "--out", str(out)])
+               "--trials", "1", "--out", str(out)])
     assert rc == 0
     lines = (out / "summary.csv").read_text().splitlines()
     assert len(lines) == 2
@@ -168,6 +169,71 @@ def test_benchmark_unusable_out_fails_before_any_trial(tmp_path, capsys, monkeyp
     assert main(["benchmark", "--trials", "4", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: [Errno ") and f"File exists: {str(out)!r}" in err
+
+
+def test_methods_are_chosen_in_the_config_file_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["benchmark", "--help"])
+    assert exc.value.code == 0 and "--methods" not in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["benchmark", "--methods", "wnmf", "--out", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --methods wnmf" in capsys.readouterr().err
+
+
+def test_simulate_unusable_out_fails_before_generating(tmp_path, capsys, monkeypatch):
+    def no_scenario(*args):
+        raise AssertionError("the scenario was generated")
+
+    monkeypatch.setattr(pcnmf.cli, "generate_scenario", no_scenario)
+    out = tmp_path / "taken"
+    out.write_text("")  # a file where --out's directory would go
+    assert main(["simulate", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and f"File exists: {str(out)!r}" in err
+
+
+# Every sensor of the simulate scenario lies within 2**0.5 of every transmitter, so the
+# path gain (d / 10)**-255 overflows float64 on every seed.
+@pytest.mark.parametrize("command, config, named", [
+    ("simulate", {"n_su": 6, "area_side": 1.0, "d0": 10.0, "alpha": 255.0, "t_slots": 30},
+     "scenario seed 0: path gain overflows float64"),
+    ("benchmark", {}, "the sweep failed"),
+])
+def test_failed_command_keeps_an_out_that_existed(tmp_path, capsys, monkeypatch, command,
+                                                  config, named):
+    def failing_sweep(*args, **kwargs):
+        raise ValueError("the sweep failed")
+
+    monkeypatch.setattr(pcnmf.cli, "run_sweep", failing_sweep)  # simulate never calls it
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    (tmp_path / "x").mkdir()
+    assert main([command, "--config", str(cfg_path), "--seed", "0",
+                 "--out", str(tmp_path / "x" / "a" / "b")]) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+    # The directories the command made are gone; the one that was there stays.
+    assert (tmp_path / "x").is_dir() and list((tmp_path / "x").iterdir()) == []
+
+
+def test_failed_command_keeps_the_directories_it_wrote_into(tmp_path, capsys, monkeypatch):
+    def partial_save(truth, cfg, out):
+        (out / "observed.csv").write_text("")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(pcnmf.cli, "save_scenario", partial_save)
+    out = tmp_path / "a" / "b"
+    assert main(["simulate", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: No space left on device\n"
+    assert [path.name for path in out.iterdir()] == ["observed.csv"]
+
+
+def test_out_that_cannot_be_made_leaves_no_parent_behind(tmp_path, capsys):
+    # mkdir makes x/a, then fails on a name longer than a file system allows.
+    (tmp_path / "x").mkdir()
+    assert main(["simulate", "--out", str(tmp_path / "x" / "a" / ("n" * 300))]) == 1
+    assert "File name too long" in capsys.readouterr().err
+    assert list((tmp_path / "x").iterdir()) == []
 
 
 def test_benchmark_jobs_below_one_creates_no_out(tmp_path, capsys):
@@ -445,8 +511,8 @@ def test_each_flag_wins_over_the_files_value(tmp_path):
     fit = _run_on(tmp_path, ["solve", str(scenario / "observed.csv"), "--seed", "3"],
                   {"rank": 2, "max_iters": 5, "init_seed": 1})
     assert json.loads((fit / "solve.json").read_text())["init_seed"] == 3
-    bench = _run_on(tmp_path, ["benchmark", "--seed", "3", "--trials", "2", "--methods", "wnmf"],
-                    {**TINY_BENCHMARK, "trials": 3, "methods": ["pcnmf", "wnmf"]})
+    bench = _run_on(tmp_path, ["benchmark", "--seed", "3", "--trials", "2"],
+                    {**TINY_BENCHMARK, "trials": 3, "methods": ["wnmf"]})
     rows = read_trials_csv(bench / "trials.csv")
     assert [(row["trial"], row["method"]) for row in rows] == [(0, "wnmf"), (1, "wnmf")]
     # A trial's scenario seed derives from the master seed, the scenario's seed.

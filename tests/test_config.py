@@ -17,7 +17,6 @@ from pcnmf import (
     SolverConfig,
     activation_rate_for_duty,
     compute_reweights,
-    fading_step,
     markov_activity,
     penalty_smoothed,
     surrogate_per_slot,
@@ -110,8 +109,6 @@ _FUNCTIONS = {
     "surrogate_per_slot": (SolverConfig, "beta", "beta", {},
                            lambda v: surrogate_per_slot(_S, np.ones((2, 1)), _ACTS, _ACTS,
                                                         compute_reweights(_ACTS, 1e-6), v)),
-    "fading_step": (ScenarioConfig, "eta", "eta", {},
-                    lambda v: fading_step(np.full(3, 0.5 + 0j), v, np.random.default_rng(0))),
     # a_range (0, 0) keeps the cross-field activation check out of the way.
     "activation_rate_for_duty": (ScenarioConfig, "duty", "duty", {"a_range": (0.0, 0.0)},
                                  lambda v: activation_rate_for_duty(v, 0.1)),

@@ -96,7 +96,7 @@ def test_factor_pair_validation():
     with pytest.raises(ValueError):
         FactorPair(-np.ones((3, 2)), np.ones((2, 4)))
     pair = FactorPair(np.ones((3, 2)), np.ones((2, 4)))
-    assert pair.rank == 2
+    assert pair.gains.shape == (3, 2) and pair.activations.shape == (2, 4)
 
 
 def test_ops_insensitive_to_missing_placeholders():

@@ -12,12 +12,12 @@ import warnings
 import numpy as np
 import pytest
 import reference_simulate as ref
+from steps import fading_step
 
 from pcnmf import (
     ExperimentConfig,
     ScenarioConfig,
     activation_rate_for_duty,
-    fading_step,
     generate_scenario,
     markov_activity,
     path_gain,
@@ -167,14 +167,6 @@ def test_markov_rejects_bad_probabilities():
 
 
 @pytest.mark.parametrize("call, named", [
-    (lambda: fading_step(0.1 + 0j, 1.5, np.random.default_rng(0)),
-     "eta must be in [0, 1], got 1.5"),
-    (lambda: fading_step(0.1 + 0j, -0.1, np.random.default_rng(0)),
-     "eta must be in [0, 1], got -0.1"),
-    (lambda: fading_step(0.1 + 0j, True, np.random.default_rng(0)),
-     "eta must be finite, got True"),
-    (lambda: fading_step(0.1 + 0j, "0.5", np.random.default_rng(0)),
-     "eta must be finite, got '0.5'"),
     (lambda: markov_activity(True, 0.5, 5, np.random.default_rng(0)),
      "a_j must be finite, got True"),
     (lambda: markov_activity(0.1, True, 5, np.random.default_rng(0)),
@@ -189,8 +181,7 @@ def test_markov_rejects_bad_probabilities():
     (lambda: activation_rate_for_duty(0.3, 2.0), "a_j must be in [0, 1], got 2.0"),
     (lambda: activation_rate_for_duty(0.3, True), "a_j must be finite, got True"),
     (lambda: activation_rate_for_duty(0.3, "0.1"), "a_j must be finite, got '0.1'"),
-], ids=["fading-eta-high", "fading-eta-low", "fading-eta-bool", "fading-eta-str",
-        "markov-a-bool", "markov-b-bool", "markov-a-str",
+], ids=["markov-a-bool", "markov-b-bool", "markov-a-str",
         "duty-one", "duty-zero", "duty-str",
         "a_j-negative", "a_j-nan", "a_j-above-one", "a_j-bool", "a_j-str"])
 def test_scalar_that_scenario_config_refuses_is_named_error(call, named):
