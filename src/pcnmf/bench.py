@@ -114,7 +114,9 @@ class TrialResult:
 
     iterations and learn_stop describe the gains-learning solve, infer_iterations and
     infer_stop the inference ("rel_tol" or "max_iters"). seconds is the time of both
-    phases; simulate_s is the trial's scenario generation, which its methods share.
+    phases; simulate_s is the trial's scenario generation, which its methods share, as
+    they share underdetermined_frac: the share of slots, over the horizon inference sees,
+    with fewer observed sensors than the solver's rank.
     """
 
     sweep_param: str
@@ -137,6 +139,7 @@ class TrialResult:
     learn_s: float = _NAN
     infer_s: float = _NAN
     score_s: float = _NAN
+    underdetermined_frac: float = _NAN
 
 
 def _missing_entries(reconstructed, truth, mask):
@@ -279,6 +282,7 @@ def _run_method(truth, s_window, solver_cfg: SolverConfig, trace_path) -> dict:
     if trace_path is not None:
         trace_path.parent.mkdir(parents=True, exist_ok=True)
         trace.to_csv(trace_path)
+        infer_trace.to_csv(trace_path.with_name(f"{trace_path.stem}_infer.csv"))
     scoring = time.perf_counter()
     # A reconstruction that overflows, or whose squared error does, is a
     # failed row; a NaN score means only that no cell is missing.
@@ -312,7 +316,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
     ExperimentConfig's sweep rule, or raises its ValueError. A scenario of this trial's
     seed that overflows float64 is a failed row for every method, with the generator's
     message. With trace_dir set, each method's gains-learning trace is written there,
-    to trace_<tag><trial>_<method>.csv.
+    to trace_<tag><trial>_<method>.csv, and its inference trace beside it, to
+    trace_<tag><trial>_<method>_infer.csv.
     """
     if sweep_param != "none" or sweep_value is not None:
         cfg, sweep_value = _swept(cfg, sweep_param, sweep_value)
@@ -324,7 +329,11 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
     except ValueError as exc:  # the cell is valid, but this seed's draw overflows
         truth, overflow = None, {"error": str(exc)}
     simulate_s = time.perf_counter() - start
-    s_window = None if truth is None else truth.observed.window(0, cfg.gamma_window)
+    if truth is None:
+        s_window, underdetermined = None, _NAN
+    else:
+        s_window = truth.observed.window(0, cfg.gamma_window)
+        underdetermined = float(np.mean(truth.observed.mask.sum(axis=0) < cfg.solver.rank))
 
     results = []
     for method in cfg.methods:
@@ -334,7 +343,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int,
                       else Path(trace_dir) / f"trace_{trace_tag}{trial_index}_{method}.csv")
         row = overflow if truth is None else _run_method(truth, s_window, solver_cfg, trace_path)
         results.append(TrialResult(sweep_param, sweep_value, trial_index, method, scen_seed,
-                                   simulate_s=simulate_s, failed="error" in row, **row))
+                                   simulate_s=simulate_s, failed="error" in row,
+                                   underdetermined_frac=underdetermined, **row))
     return results
 
 

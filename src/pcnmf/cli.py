@@ -135,8 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--save-traces", action="store_true",
-        help="also write per-trial solver traces as trace_<trial>_<method>.csv, "
-             "or trace_c<cell>_<trial>_<method>.csv when the sweep has more than one cell",
+        help="also write each trial's gains-learning trace as trace_<trial>_<method>.csv "
+             "and its inference trace as trace_<trial>_<method>_infer.csv, each name with "
+             "a c<cell>_ prefix after trace_ when the sweep has more than one cell",
     )
     p_bench.set_defaults(func=_cmd_benchmark)
     return parser

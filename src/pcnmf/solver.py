@@ -50,12 +50,12 @@ penalty terms of both steps are exact zeros, so neither loop computes
 reweights, and the sweep skips its neighbor terms.
 
 One MM loop. solve and infer_activations each hand _descend their start (fit,
-penalty) and a step that returns the next one and its clamp count. One helper,
-_state, computes every state of both loops, with the penalty its loop hands it:
-solve's traced rho sum (_penalty), infer_activations' sum log1p(d^2 / epsilon)
-(_log_penalty), so that its objective is majorized, which its joint step
-descends, or None at beta = 0. _descend alone counts iterations, stops on the
-relative change of fit + beta * penalty and builds the SolveTrace both return.
+penalty) and a step that returns the next one and its clamp count. Each loop
+takes one penalty pair (_Penalty): _state, which computes every state of both
+loops, adds the pair's value to the fit, and the steps take its weights. The
+note at the pairs says how epsilon enters them twice. _descend alone counts
+iterations, stops on the relative change of fit + beta * penalty and builds
+the SolveTrace both return.
 Each step checks its iterates for non-finite values itself, before it rescales
 or records them. No step evaluates the surrogate: surrogate_per_slot checks MM
 monotonicity after the fact on solve(..., record_factors=True) iterates.
@@ -86,22 +86,12 @@ fresh workspace per call. Each in-place operation does the arithmetic of
 the plain numpy expression it spells out, in the same order, so the
 iterates equal those of the reference loops in tests/reference_solver.py
 bit for bit.
-
-Epsilon enters in two ways. The reweights are 1 / (d^2 + epsilon), with
-epsilon added as-is to a squared difference, while the reported penalty is
-rho(d) = d^2 / (d^2 + epsilon^2). The reweights are the MM weights of the
-log penalty sum log(d^2 + epsilon), not those of rho, so solve's traced
-objective fit + beta * penalty is not guaranteed to decrease.
-infer_activations stops on that log penalty less its constant
-sum log(epsilon), which a relative-change test could never see past:
-majorized = fit + beta * sum log1p(d^2 / epsilon). Both majorizers of the
-joint step touch it at the current activations, so the step cannot raise
-it.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,16 +121,12 @@ class SolverConfig(Config):
 
     beta     : weight of the piecewise-constant penalty (0 disables it,
                giving plain weighted NMF).
-    epsilon  : smoothing constant; added as-is to the squared transition in
-               the reweight denominator, squared inside the penalty kernel.
+    epsilon  : smoothing constant of the penalty (see the penalty pairs).
     rank     : number of factors K.
     max_iters, rel_tol : stop after max_iters outer iterations, or after the
-               first whose relative change of the stop objective is below
-               rel_tol (so rel_tol = 0 runs exactly max_iters). solve stops
-               on the traced fit + beta * penalty, which is not guaranteed to
-               decrease; infer_activations on majorized = fit + beta *
-               sum log1p(d^2 / epsilon), which its joint step descends. See
-               the module's epsilon note.
+               first whose relative change of fit + beta * penalty is below
+               rel_tol (so rel_tol = 0 runs exactly max_iters), with the
+               penalty of the loop's pair.
     init_seed: seed for the uniform (0.1, 1.1) factor initialization.
 
     Each field's range is declared beside its default, with _config.ranged.
@@ -159,10 +145,10 @@ class IterationRecord:
     """One outer iteration of solve's or infer_activations' trace.
 
     Evaluated at the end of the iteration, after solve's rescale, with
-    objective == fit + beta * penalty, the value the stop test reads.
-    solve's penalty is penalty_smoothed, inference's sum log1p(d^2 / epsilon),
-    0 at beta = 0. clamped counts the sweep's guarded denominators, or the
-    curvatures the joint step floors at GUARD. With record_factors=True, the
+    objective == fit + beta * penalty, the value the stop test reads, and
+    penalty the value of the loop's penalty pair (penalty_smoothed for solve),
+    0 for inference at beta = 0. clamped counts the sweep's guarded
+    denominators, or the curvatures the joint step floors at GUARD. With record_factors=True, the
     unevaluated fit between solve's two steps is
     weighted_fit(s, FactorPair(previous gains, activations_updated)).
     """
@@ -265,6 +251,7 @@ def _transitions(acts: np.ndarray, out=None) -> np.ndarray:
 
 
 def _penalty(d2: np.ndarray, epsilon: float, scratch=None) -> float:
+    """sum rho(d) = sum d^2 / (d^2 + epsilon^2): the smoothed transition count."""
     terms = np.add(d2, epsilon * epsilon, out=scratch)
     return float(np.divide(d2, terms, out=terms).sum())
 
@@ -281,15 +268,27 @@ def _reweights(d2: np.ndarray, epsilon: float, out=None) -> np.ndarray:
     return np.divide(1.0, w, out=w)
 
 
+# A penalty as an MM loop uses it: value(d2, epsilon, scratch) is what _state adds
+# to the fit for the trace and the stop test, weights(d2, epsilon, out) the
+# K x (T-1) reweights its steps take. Epsilon enters in two ways. The weights
+# 1 / (d^2 + epsilon) add it as-is to a squared difference, and are the MM weights
+# of the log penalty sum log(d^2 + epsilon), while rho(d) = d^2 / (d^2 + epsilon^2)
+# squares it. Inference traces the log penalty less its constant sum log(epsilon),
+# which a relative-change test could never see past; both majorizers of its joint
+# step touch that objective at the current activations, so no step can raise it.
+_Penalty = namedtuple("_Penalty", "value weights")
+_INFER_PENALTY = _Penalty(_log_penalty, _reweights)
+_SOLVE_PENALTY = _Penalty(_penalty, _reweights)  # traces rho, descends the log penalty: a mismatch
+
+
 def _state(ws, values, mask, gains, acts, penalty, epsilon):
     """Everything the next iteration reuses from one (gains, acts) state, for both loops.
 
-    Returns (fit, penalty(d^2, epsilon)) and leaves W ⊙ G P in ws.wgp and d^2 in
-    ws.d2: solve hands it _penalty, infer_activations _log_penalty at beta > 0 and
-    None at beta = 0, for which the penalty is 0.0 and no d^2 is computed.
+    Returns (fit, penalty.value) and leaves W ⊙ G P in ws.wgp and d^2 in ws.d2;
+    with penalty None (inference at beta = 0) the penalty is 0.0 and no d^2 is computed.
     """
     fit = _masked_fit(ws, values, mask, gains, acts)
-    return fit, penalty(_transitions(acts, ws.d2), epsilon, ws.scratch) if penalty else 0.0
+    return fit, penalty.value(_transitions(acts, ws.d2), epsilon, ws.scratch) if penalty else 0.0
 
 
 def _activation_step(ws, p, data, curv, w, beta: float):
@@ -509,8 +508,8 @@ def compute_reweights(p_prev: np.ndarray, epsilon: float) -> np.ndarray:
 
     Column t is 1 / ((p[:,t+1] - p[:,t])^2 + epsilon), the weight of the
     transition from slot t to slot t+1; the first and last slots have one
-    transition each, so no slot sees a phantom neighbor. Note epsilon is
-    added as-is here but squared in penalty_smoothed.
+    transition each, so no slot sees a phantom neighbor. These are the log
+    penalty's MM weights (see the penalty pairs).
     """
     epsilon = check_field(SolverConfig, "epsilon", epsilon)
     return _reweights(_transitions(nonnegative(p_prev, "activations")), epsilon)
@@ -593,7 +592,7 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
             stacklevel=2,
         )
 
-    values, mask, beta, eps = s.values, s.mask, cfg.beta, cfg.epsilon
+    values, mask, beta, eps, penalty = s.values, s.mask, cfg.beta, cfg.epsilon, _SOLVE_PENALTY
     rng = np.random.default_rng(cfg.init_seed)
     gains, acts = _init_draw(rng, (s.n_rows, cfg.rank)), _init_draw(rng, (cfg.rank, s.n_cols))
     initial, iterates = (FactorPair(gains, acts), []) if record_factors else (None, None)
@@ -604,7 +603,7 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
         acts_new, clamped = _activation_step(
             ws, acts, np.dot(gains.T, values, out=ws.data),
             np.dot(gains.T, ws.wgp, out=ws.curv),
-            _reweights(ws.d2, eps, out=ws.scratch) if beta else None, beta)
+            penalty.weights(ws.d2, eps, ws.scratch) if beta else None, beta)
         _masked_product(ws, mask, gains, acts_new)
         gains_new = _gains_step(ws, values, gains, acts_new)
         _check_finite(iteration, acts_new, gains_new)
@@ -614,9 +613,9 @@ def solve(s: MaskedMatrix, cfg: SolverConfig, *,
         gains, acts = _rescale(gains_new, acts_new, rng)
         if record_factors:
             iterates.append(IterateSnapshot(acts_new, gains_new, FactorPair(gains, acts)))
-        return *_state(ws, values, mask, gains, acts, _penalty, eps), clamped
+        return *_state(ws, values, mask, gains, acts, penalty, eps), clamped
 
-    trace = _descend(step, _state(ws, values, mask, gains, acts, _penalty, eps), cfg)
+    trace = _descend(step, _state(ws, values, mask, gains, acts, penalty, eps), cfg)
     trace.initial, trace.iterates = initial, iterates
     return FactorPair(gains, acts), trace
 
@@ -635,9 +634,9 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     solve's activation sweep itself (_activation_step), which sees the
     scale of the start only through rounding; at beta > 0 the joint step
     recovers that scale within a few iterations. Runs until cfg's stop rule on
-    majorized = fit + beta * sum log1p(d^2 / epsilon), the objective the
-    joint step descends; at beta = 0 that is the fit, and no transition or
-    reweight is computed. Returns (gains, activations) and the trace, as solve does.
+    the objective its penalty pair traces and its joint step descends; at
+    beta = 0 that is the fit, and no transition or reweight is computed.
+    Returns (gains, activations) and the trace, as solve does.
     """
     gains = nonnegative(gains_fixed, "gains", shape=(s.n_rows, cfg.rank))
     values, mask, beta, eps = s.values, s.mask, cfg.beta, cfg.epsilon
@@ -645,14 +644,14 @@ def infer_activations(s: MaskedMatrix, gains_fixed: np.ndarray,
     ws = _Workspace(gains, acts)
     data = np.dot(gains.T, values, out=ws.data)
     coupled = beta > 0 and s.n_cols > 1
-    penalty = _log_penalty if beta else None
+    penalty = _INFER_PENALTY if beta else None
 
     def step(iteration):
         nonlocal acts
         curv = np.dot(gains.T, ws.wgp, out=ws.curv)
         if coupled:
             acts, clamped = _joint_activation_step(
-                ws, acts, data, curv, _reweights(ws.d2, eps, out=ws.scratch), beta)
+                ws, acts, data, curv, penalty.weights(ws.d2, eps, ws.scratch), beta)
         else:
             acts, clamped = _activation_step(ws, acts, data, curv, None, 0.0)
         _check_finite(iteration, acts)

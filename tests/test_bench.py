@@ -475,11 +475,16 @@ def test_transitions_are_nan_where_the_count_is_undefined(scenario, rank, active
 
 def test_run_trial_can_export_traces(tmp_path):
     cfg = tiny_experiment(trials=1)
-    run_trial(cfg, 0, trace_dir=tmp_path)
-    for method in ("pcnmf", "wnmf"):
-        lines = (tmp_path / f"trace_0_{method}.csv").read_text().splitlines()
+    results = run_trial(cfg, 0, trace_dir=tmp_path)
+    for res in results:
+        lines = (tmp_path / f"trace_0_{res.method}.csv").read_text().splitlines()
         assert lines[0] == "iter,fit,penalty,objective,clamped"
         assert len(lines) == 1 + cfg.solver.max_iters
+        # The inference trace ends on the state the row's fit scores.
+        lines = (tmp_path / f"trace_0_{res.method}_infer.csv").read_text().splitlines()
+        assert lines[0] == "iter,fit,penalty,objective,clamped"
+        assert len(lines) == 1 + res.infer_iterations
+        assert lines[-1].split(",")[1] == repr(res.fit)
 
 
 def test_experiment_config_validation_and_round_trip():
@@ -666,6 +671,22 @@ def test_trial_records_how_each_phase_stopped_and_its_times():
         assert res.learn_s + res.infer_s == pytest.approx(res.seconds, rel=1e-9)
 
 
+def test_trial_records_its_underdetermined_share(tmp_path):
+    # The share of slots with fewer observed sensors than the rank, over the
+    # horizon inference sees: one value per trial, on each method's row, and
+    # not a timing, so --no-timing keeps it.
+    cfg = tiny_experiment(trials=1, scenario=ScenarioConfig(
+        seed=42, n_pu=2, n_su=6, t_slots=30, noise_var=1e-8, p_obs=0.5),
+        solver=SolverConfig(rank=3, max_iters=5))
+    share = float(np.mean(scenario_of(cfg, 0).observed.mask.sum(axis=0) < 3))
+    assert 0 < share < 1
+    rows = run_trial(cfg, 0)
+    assert [r.underdetermined_frac for r in rows] == [share, share]
+    write_benchmark_outputs(tmp_path, [], rows, include_timing=False)
+    assert [r["underdetermined_frac"] for r in read_trials_csv(tmp_path / "trials.csv")] \
+        == [share, share]
+
+
 def test_trial_builds_one_learning_window_for_every_method(monkeypatch):
     # Both methods learn their gains on the same window of the trial's
     # scenario, so run_trial slices it once and hands it to each method.
@@ -713,6 +734,7 @@ def test_scenario_overflow_is_a_failed_row_for_every_method(tmp_path):
             assert r["error"] == f"scenario seed {r['seed']}: path gain overflows float64"
             assert (r["iterations"], r["learn_stop"], r["infer_iterations"], r["infer_stop"]) \
                 == (0, "", 0, "")
+            assert math.isnan(r["underdetermined_frac"])
         summary = (out / "summary.csv").read_text().splitlines()[1:]
         assert [line.split(",")[5:7] for line in summary] == [["2", "0"]] * 2 + [["0", "2"]] * 2
         tables.append([(out / name).read_bytes() for name in ("summary.csv", "trials.csv")])
@@ -840,13 +862,13 @@ def test_integer_argument_of_the_trial_api_is_named_error(call, named):
 
 _TRIALS_HEADER = ",".join(f.name for f in dataclasses.fields(bench.TrialResult))
 _TRIALS_ROW = ("p_obs,0.5,1,pcnmf,7,0.25,0.5,0.125,40,1.5,3.0,0,"
-               ",max_iters,30,rel_tol,0.5,1.0,0.5,0.0")
+               ",max_iters,30,rel_tol,0.5,1.0,0.5,0.0,0.25")
 
 
 @pytest.mark.parametrize("text, message", [
     (f"{_TRIALS_HEADER},extra\n{_TRIALS_ROW},x\n", "unexpected trials.csv header"),
     ("sweep_param,trial\np_obs,1\n", "unexpected trials.csv header"),
-    (f"{_TRIALS_HEADER}\n{_TRIALS_ROW}\np_obs,0.5,1\n", "line 3 has 3 fields, expected 20"),
+    (f"{_TRIALS_HEADER}\n{_TRIALS_ROW}\np_obs,0.5,1\n", "line 3 has 3 fields, expected 21"),
     (f"{_TRIALS_HEADER}\n{_TRIALS_ROW.replace(',40,', ',4x,')}\n",
      "line 2, column 'iterations': invalid literal for int"),
     (f"{_TRIALS_HEADER}\n{_TRIALS_ROW.replace(',3.0,0,', ',3.0,2,')}\n",
@@ -893,7 +915,7 @@ def test_read_trials_csv_types_every_field(tmp_path):
         bench.TrialResult("p_obs", 0.5, 1, "pcnmf", 7, 0.25, 0.5, 1e-300, 40,
                           1.5, 3.0, learn_stop="max_iters", infer_iterations=30,
                           infer_stop="rel_tol", simulate_s=0.5, learn_s=1.0, infer_s=0.5,
-                          score_s=0.0),
+                          score_s=0.0, underdetermined_frac=0.25),
         bench.TrialResult("none", None, 0, "wnmf", 9, seconds=0.125, failed=True,
                           error="non-finite iterate at iteration 3"),
     ]
@@ -902,5 +924,5 @@ def test_read_trials_csv_types_every_field(tmp_path):
     assert parsed[0] == dataclasses.asdict(rows[0])
     assert [type(v) for v in parsed[1].values()] == [
         str, float, int, str, int, float, float, float, int, float, float, bool, str,
-        str, int, str, float, float, float, float]
+        str, int, str, float, float, float, float, float]
     assert np.isnan(parsed[1]["sweep_value"]) and parsed[1]["failed"] is True

@@ -148,9 +148,17 @@ def test_benchmark_save_traces(tmp_path):
     rc = main(["benchmark", "--config", str(cfg_path), "--save-traces",
                "--out", str(out)])
     assert rc == 0
-    for trial in (0, 1):
-        for method in ("pcnmf", "wnmf"):
-            assert (out / f"trace_{trial}_{method}.csv").exists()
+    with open(out / "trials.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["trial"], r["method"]) for r in rows] == [
+        (str(trial), method) for trial in (0, 1) for method in ("pcnmf", "wnmf")]
+    for row in rows:
+        trial, method = row["trial"], row["method"]
+        assert (out / f"trace_{trial}_{method}.csv").exists()
+        lines = (out / f"trace_{trial}_{method}_infer.csv").read_text().splitlines()
+        assert lines[0] == "iter,fit,penalty,objective,clamped"
+        assert len(lines) == 1 + int(row["infer_iterations"])
+        assert lines[-1].split(",")[1] == row["fit"]
 
 
 def test_missing_config_file_is_hard_error(tmp_path):

@@ -383,7 +383,9 @@ def test_loops_build_reweights_only_at_positive_beta(monkeypatch, beta):
     def refuse(*args, **kwargs):
         raise AssertionError("_reweights called")
 
-    monkeypatch.setattr(solver, "_reweights", refuse)
+    # The loops read their penalty pair's weights, so refuse there, in both pairs.
+    for name in ("_SOLVE_PENALTY", "_INFER_PENALTY"):
+        monkeypatch.setattr(solver, name, getattr(solver, name)._replace(weights=refuse))
     s, pair = random_instance(23, n_rows=4, n_cols=6)
     cfg = SolverConfig(beta=beta, rank=2, max_iters=5, rel_tol=0.0)
     for call in (lambda: solve(s, cfg), lambda: infer_activations(s, pair.gains, cfg)):
@@ -702,6 +704,19 @@ def test_solve_steps_never_raise_the_majorized_objective():
                 worst = max(worst, *(np.diff(values) / np.abs(values[:-1])))
                 prev = snap.pair
     assert worst <= 1e-12, worst
+
+
+def test_solve_trace_ends_on_the_returned_pair():
+    # Criterion 2's instances: solve traces penalty_smoothed, and the last
+    # record is the state of the pair it returns, bit for bit.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for s, cfg in criterion_2_instances():
+            pair, trace = solve(s, cfg)
+            last = trace.records[-1]
+            assert last.penalty == penalty_smoothed(pair.activations, cfg.epsilon)
+            assert last.fit == weighted_fit(s, pair)
+            assert last.objective == last.fit + cfg.beta * last.penalty
 
 
 def test_inference_trace_never_raises_its_objective():

@@ -2,8 +2,8 @@
 
 The reference writers below are the earlier implementations, copied
 unchanged apart from taking the trace records as an argument, the trace's
-clamped column and the seven trials.csv columns from learn_stop to
-score_s, added after the others, and dropping the dense writer's shape
+clamped column and the eight trials.csv columns from learn_stop to
+underdetermined_frac, added after the others, and dropping the dense writer's shape
 check: csv.writer with repr of each float for the matrix files, and
 hand-joined lines for the trace and the two benchmark tables. Traces and
 tables must match byte for byte; matrix files once the references' CRLF
@@ -118,7 +118,8 @@ def _ref_write_trials_csv(rows, path) -> None:
         fh.write(
             "sweep_param,sweep_value,trial,method,seed,rmse,rmse_pooled,"
             "fit,iterations,seconds,transitions,failed,error,"
-            "learn_stop,infer_iterations,infer_stop,simulate_s,learn_s,infer_s,score_s\n"
+            "learn_stop,infer_iterations,infer_stop,simulate_s,learn_s,infer_s,score_s,"
+            "underdetermined_frac\n"
         )
         for r in rows:
             fh.write(
@@ -131,7 +132,7 @@ def _ref_write_trials_csv(rows, path) -> None:
                         str(int(r.failed)), r.error,
                         r.learn_stop, str(r.infer_iterations), r.infer_stop,
                         _cell(r.simulate_s), _cell(r.learn_s), _cell(r.infer_s),
-                        _cell(r.score_s),
+                        _cell(r.score_s), _cell(r.underdetermined_frac),
                     ]
                 )
                 + "\n"
@@ -223,16 +224,19 @@ def test_trials_csv_matches_reference(tmp_path):
         TrialResult("none", None, 0, "pcnmf", 2277900426, VALUES[1], VALUES[2],
                     VALUES[3], 1000, VALUES[4], 15.0, learn_stop="max_iters",
                     infer_iterations=31, infer_stop="rel_tol", simulate_s=VALUES[1],
-                    learn_s=VALUES[2], infer_s=VALUES[3], score_s=VALUES[4]),
+                    learn_s=VALUES[2], infer_s=VALUES[3], score_s=VALUES[4],
+                    underdetermined_frac=VALUES[1]),
         TrialResult("none", None, 0, "wnmf", 2277900426, NAN, NAN, 0.0, 40,
                     1e-300, NAN, learn_stop="rel_tol", infer_iterations=1000,
-                    infer_stop="max_iters", simulate_s=0.0, learn_s=1e-300),
+                    infer_stop="max_iters", simulate_s=0.0, learn_s=1e-300,
+                    underdetermined_frac=0.0),
         TrialResult("p_obs", 0.5, 1, "pcnmf", 7, NAN, NAN, NAN, 0, 0.25, NAN,
                     failed=True, error="non-finite iterate at iteration 17",
                     simulate_s=0.125),
         TrialResult("noise_var", 1e16, 2, "wnmf", 0, 123.456, 5e-324, 1e16, 3,
                     math.inf, 2.5, learn_stop="max_iters", infer_iterations=3,
-                    infer_stop="max_iters", score_s=math.inf),
+                    infer_stop="max_iters", score_s=math.inf,
+                    underdetermined_frac=0.2733333333333333),
     ]
     _assert_same(tmp_path, lambda p: _write_via_outputs("trials.csv", [], rows, p),
                  lambda p: _ref_write_trials_csv(rows, p))
